@@ -11,9 +11,9 @@ act-on element is conjugated by one random permutation g, and the queries
 run in a random order.  Conjugation by g is a quandle automorphism and
 rotation only renumbers the arcs, so a run's answers are the catalogue's
 answers relabelled and its search work is the same for every seed.  Drawing
-a fresh braid set per seed instead moves the median latency by 10-20% and the
-tail by 25-30% between seeds, because per-code search time spans three orders
-of magnitude.
+a fresh braid set per seed instead moved the median latency by 10-20% and the
+tail by 25-30% between seeds (five seeds each, 2-vCPU Xeon, Python 3.11),
+because per-code search time spans three orders of magnitude.
 
 Run ``python3 perfbench/inputs.py --workload spectrum --seed 7`` to print the
 inputs of a run as JSON.
