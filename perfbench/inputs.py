@@ -15,13 +15,11 @@ a fresh braid set per seed instead moved the median latency by 10-20% and the
 tail by 25-30% between seeds (five seeds each, 2-vCPU Xeon, Python 3.11),
 because per-code search time spans three orders of magnitude.
 
-Run ``python3 perfbench/inputs.py --workload spectrum --seed 7`` to print the
-inputs of a run as JSON.
+Every result file of run.py stores the generated inputs as ``input_specs``,
+so a run can be replayed from it.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import random
 
 CATALOGUE_SEED = 2006
@@ -330,11 +328,3 @@ def make_inputs(workload: str, seed: int) -> list[dict]:
         return composite_inputs(seed)
     return cli_inputs(seed)
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
-                        choices=("spectrum", "composite", "cli-spec", "cli-json"))
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args()
-    print(json.dumps(make_inputs(args.workload, args.seed), indent=1))

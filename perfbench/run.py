@@ -42,7 +42,7 @@ SRC = ROOT / "src"
 RESULTS = HERE / "results"
 EXPECTED_FILE = HERE / "expected.json"
 WORKLOADS = ("spectrum", "composite", "cli-spec", "cli-json")
-SETUP_PROBES = 3
+SETUP_PROBES = 9
 TAIL_SAMPLES_ABOVE = 10
 MIN_PASSES = 3
 
@@ -447,11 +447,13 @@ class Workload:
         return self.make_cli_queries(lambda argv, jobs: in_process_cli(self.cli, argv, jobs))
 
     def traced_setup(self) -> list[Query]:
-        """The set-up again (cli-spec has none in process), returning queries on its quandles."""
+        """The in-process set-up again, returning queries on its quandles.
+
+        The CLI workloads have no set-up in process: ``cli.main`` builds or
+        loads the quandles itself, and the JSON files from ``setup`` are reused.
+        """
         if self.in_process:
             return self.make_queries(self.ready_quandles())
-        if self.name == "cli-json":
-            self.ready_quandles()
         return self.in_process_cli_queries()
 
 
@@ -466,10 +468,11 @@ def measure(workload: Workload, ledger: Ledger, seconds: float) -> tuple[dict, d
     rss_since = len(workload.subprocesses.rss_mb)
     if workload.in_process:
         run_pass(workload.queries, ledger)  # warm-up: the first pass in a process is ~20% slower
+    before = ledger.attempted - len(ledger.failures)
     phase = timed_phase(workload.queries, ledger, seconds)
+    completed = ledger.attempted - len(ledger.failures) - before
     latencies = phase["latencies"]
     tail_p = tail_percentile(len(workload.queries))
-    completed = ledger.attempted - len(ledger.failures)
     metrics = {
         "setup_s": (probes["setup_s"], "s"),
         "query_p50_ms": (statistics.median(latencies) * 1000, "ms"),
@@ -478,7 +481,7 @@ def measure(workload: Workload, ledger: Ledger, seconds: float) -> tuple[dict, d
         "peak_rss_mb": (peak_rss_mb(workload, rss_since), "MB"),
     }
     info = {"probes": probes, "passes": phase["passes"], "timed_wall_s": phase["wall_s"],
-            "samples": len(latencies), "tail_percentile": tail_p,
+            "completed": completed, "samples": len(latencies), "tail_percentile": tail_p,
             "latencies_ms": [x * 1000 for x in latencies]}
     return metrics, info
 
@@ -525,11 +528,10 @@ def measure_traced(workload: Workload, ledger: Ledger, seed: int) -> tuple[dict,
     s = trace.summary()
     self_s = s["self_s"]
     metrics = {
-        "quandle.build_s": (s["quandle.build_s"], "s"),
+        "quandle.ready_s": (s["quandle.build_s"] + s["quandle.load_s"], "s"),
         "quandle.axioms_s": (s["quandle.axioms_s"], "s"),
         "quandle.self_s": (self_s["quandle"], "s"),
         "quandle.table_entries": (s["quandle.table_entries"], "count"),
-        "permgroup.self_s": (self_s["permgroup"], "s"),
         "coloring.self_s": (self_s["coloring"], "s"),
         "coloring.calls": (s["coloring.calls"], "count"),
         "coloring.colorings": (s["coloring.colorings"], "count"),
@@ -546,7 +548,8 @@ def measure_traced(workload: Workload, ledger: Ledger, seed: int) -> tuple[dict,
         "cli.import_s": (probes["import_s"], "s"),
         "trace.overhead_ratio": (traced_wall / untraced_wall, "ratio"),
     }
-    extra = {"quandle.load_s": (s["quandle.load_s"], "s")}
+    extra = {"quandle.build_s": (s["quandle.build_s"], "s"), "quandle.load_s": (s["quandle.load_s"], "s"),
+             "permgroup.self_s": (self_s["permgroup"], "s")}
     if not workload.in_process:
         extra["cli.main_s"] = (statistics.median(untraced), "s")
         extra["cli.process_s"] = (statistics.median(w - m for w, m in zip(cli_walls, untraced)), "s")

@@ -69,6 +69,7 @@ def test_tiny_run_completes_with_every_answer_checked():
     passes = 1 + run.MIN_PASSES  # warm-up and timed passes
     assert result["failed"] == 0
     assert result["attempted"] == passes * result["inputs"]["queries_per_pass"] > 0
+    assert result["info"]["completed"] == run.MIN_PASSES * result["inputs"]["queries_per_pass"]
     assert set(result["metrics"]) == {m["name"] for m in
                                       json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
