@@ -4,16 +4,15 @@ Everything here is plain data (tuples, dicts, cycle-notation strings); nothing
 imports the package, so the program under test only ever sees the generated
 diagrams, specs and element names.
 
-Each in-process workload has a *catalogue* of codes drawn once from the fixed
-``CATALOGUE_SEED`` and a per-run *transport* drawn from the run's ``--seed``:
-closed codes are rotated to a random starting arc, every basepoint and
-act-on element is conjugated by one random permutation g, and the queries
-run in a random order.  Conjugation by g is a quandle automorphism and
-rotation only renumbers the arcs, so a run's answers are the catalogue's
-answers relabelled and its search work is the same for every seed.  Drawing
-a fresh braid set per seed instead moved the median latency by 10-20% and the
-tail by 25-30% between seeds (five seeds each, 2-vCPU Xeon, Python 3.11),
-because per-code search time spans three orders of magnitude.
+Each in-process workload has a *catalogue* of queries drawn once from the
+fixed ``CATALOGUE_SEED``; the run's ``--seed`` shuffles the order in which
+they run, so every seed does the same work.  Anything more changes the work:
+drawing a fresh braid set per seed moved the median latency by 10-20% and
+the tail by 25-30% between seeds, and even rotating a closed code to another
+starting arc, or conjugating its basepoint and act-on element (a quandle
+automorphism, same answers relabelled), changed single queries' search time
+by up to 1.8x and a pass's by 15% (2-vCPU Xeon, Python 3.11), because the
+search's order follows the arc and element numbering.
 
 Every result file of run.py stores the generated inputs as ``input_specs``,
 so a run can be replayed from it.
@@ -37,54 +36,12 @@ FIXTURE_BRAIDS = {
 A5 = "conjgroup:A5"
 S5_CLASS = "conjclass:S5:(1,2)(3,4,5)"
 S4 = "conjgroup:S4"
-DEGREE = {A5: 5, S5_CLASS: 5, S4: 4}
 # non-identity conjugacy-class representatives that basepoints and act-on elements are drawn from
 CLASSES = {
     A5: ("(1,2,3)", "(1,2)(3,4)", "(1,2,3,4,5)"),
     S5_CLASS: ("(1,2)(3,4,5)",),
     S4: ("(1,2)", "(1,2)(3,4)", "(1,2,3)", "(1,2,3,4)"),
 }
-
-
-# --- permutations on {1..d} as image tuples ---------------------------------
-
-def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    images = list(range(1, degree + 1))
-    for body in text.replace(" ", "").strip("()").split(")("):
-        if body:
-            points = [int(p) for p in body.split(",")]
-            for a, b in zip(points, points[1:] + points[:1]):
-                images[a - 1] = b
-    return tuple(images)
-
-
-def print_cycles(p: tuple[int, ...]) -> str:
-    seen, parts = set(), []
-    for start in range(1, len(p) + 1):
-        if start in seen or p[start - 1] == start:
-            continue
-        cycle, x = [], start
-        while x not in seen:
-            seen.add(x)
-            cycle.append(x)
-            x = p[x - 1]
-        parts.append("(" + ",".join(map(str, cycle)) + ")")
-    return "".join(parts) or "()"
-
-
-def conjugate(text: str, g: tuple[int, ...]) -> str:
-    """g^-1 a g with the package's convention (apply g^-1, then a, then g)."""
-    a = parse_cycles(text, len(g))
-    ginv = [0] * len(g)
-    for i, x in enumerate(g, 1):
-        ginv[x - 1] = i
-    return print_cycles(tuple(g[a[ginv[x - 1] - 1] - 1] for x in range(1, len(g) + 1)))
-
-
-def random_permutation(rng: random.Random, degree: int) -> tuple[int, ...]:
-    images = list(range(1, degree + 1))
-    rng.shuffle(images)
-    return tuple(images)
 
 
 # --- diagrams ---------------------------------------------------------------
@@ -150,14 +107,6 @@ def random_virtual_code(rng: random.Random, crossings: tuple[int, int]):
     n = rng.randint(*crossings)
     return (tuple(rng.randint(1, n) for _ in range(n)),
             tuple(rng.choice((1, -1)) for _ in range(n)))
-
-
-def rotate(code, r: int):
-    """The same closed code read from arc r+1: crossing i becomes i-r."""
-    over, sign = code
-    n = len(over)
-    return (tuple((over[(i + r) % n] - 1 - r) % n + 1 for i in range(n)),
-            tuple(sign[(i + r) % n] for i in range(n)))
 
 
 def mirror(code):
@@ -228,39 +177,32 @@ def composite_catalogue() -> tuple[list[dict], dict]:
     return entries, factors
 
 
-# --- per-run transport ------------------------------------------------------
+# --- per-run order ----------------------------------------------------------
 
 def spectrum_inputs(seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    queries = []
-    for i, entry in enumerate(spectrum_catalogue()):
-        g = random_permutation(rng, DEGREE[entry["quandle"]])
-        r = rng.randrange(len(entry["code"][0]))
-        queries.append({
-            "name": f"s{i:02d} {entry['name']}@{r} {entry['quandle']}",
-            "kind": "nonclassical",
-            "classical": entry["classical"],
-            "diagram": diagram("closed", rotate(entry["code"], r)),
-            "quandle": entry["quandle"],
-            "basepoint": conjugate(entry["basepoint"], g),
-            "act_on": conjugate(entry["act_on"], g),
-        })
-    rng.shuffle(queries)
+    queries = [{
+        "name": f"s{i:02d} {entry['name']} {entry['quandle']}",
+        "kind": "nonclassical",
+        "classical": entry["classical"],
+        "diagram": diagram("closed", entry["code"]),
+        "quandle": entry["quandle"],
+        "basepoint": entry["basepoint"],
+        "act_on": entry["act_on"],
+    } for i, entry in enumerate(spectrum_catalogue())]
+    random.Random(seed).shuffle(queries)
     return queries
 
 
 def composite_inputs(seed: int) -> list[dict]:
-    rng = random.Random(seed)
     entries, factors = composite_catalogue()
     queries = []
     for i, entry in enumerate(entries):
         picks, split = entry["factors"], entry["split"]
         codes = [mirror(factors[name]) if mirrored else factors[name] for name, mirrored in picks]
-        g = random_permutation(rng, DEGREE[entry["quandle"]])
         common = {
             "quandle": entry["quandle"],
-            "basepoint": conjugate(entry["basepoint"], g),
-            "act_on": conjugate(entry["act_on"], g),
+            "basepoint": entry["basepoint"],
+            "act_on": entry["act_on"],
             "factors": [diagram("long", c) for c in codes],
         }
         label = [name + ("*" if mirrored else "") for name, mirrored in picks]
@@ -271,7 +213,7 @@ def composite_inputs(seed: int) -> list[dict]:
                         "kind": "connected-sum",
                         "diagrams": [diagram("long", concat(codes[:split])),
                                      diagram("long", concat(codes[split:]))], **common})
-    rng.shuffle(queries)
+    random.Random(seed).shuffle(queries)
     return queries
 
 

@@ -1,6 +1,6 @@
 """The quandleknot benchmark: seeded workloads, checked answers, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload spectrum --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload spectrum --seed 1 --seconds 15 --trace 0
     python3 perfbench/run.py --workload all
 
 Run it from a checkout of the repository; it imports the package from
@@ -42,12 +42,13 @@ SRC = ROOT / "src"
 RESULTS = HERE / "results"
 EXPECTED_FILE = HERE / "expected.json"
 WORKLOADS = ("spectrum", "composite", "cli-spec", "cli-json")
-SETUP_PROBES = 9
+SETUP_PROBES = 3
 TAIL_SAMPLES_ABOVE = 10
 MIN_PASSES = 3
 
 sys.path.insert(0, str(HERE))
 import inputs  # noqa: E402
+import kernel  # noqa: E402
 import tracer  # noqa: E402
 
 
@@ -91,30 +92,110 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def run_query(query: Query, ledger: Ledger, jobs: int = 1) -> float:
+    """Run one query and record its answer; returns its latency (s)."""
+    t0 = time.perf_counter()
+    try:
+        text, error = query.run(jobs), None
+    except Exception:  # a failing query is a result, not a crash
+        text, error = None, " | ".join(traceback.format_exc(limit=-3).strip().splitlines()[-4:])
+    latency = time.perf_counter() - t0
+    ledger.record(query, text, error)
+    return latency
+
+
 def run_pass(queries: list[Query], ledger: Ledger, jobs: int = 1) -> tuple[list[float], float]:
     """Run every query once, in order; returns per-query latencies (s) and the pass wall time."""
-    latencies = []
     started = time.perf_counter()
-    for query in queries:
-        t0 = time.perf_counter()
-        try:
-            text, error = query.run(jobs), None
-        except Exception:  # a failing query is a result, not a crash
-            text, error = None, " | ".join(traceback.format_exc(limit=-3).strip().splitlines()[-4:])
-        latencies.append(time.perf_counter() - t0)
-        ledger.record(query, text, error)
+    latencies = [run_query(query, ledger, jobs) for query in queries]
     return latencies, time.perf_counter() - started
 
 
-def timed_phase(queries: list[Query], ledger: Ledger, seconds: float) -> dict:
-    latencies: list[float] = []
+# --- host speed ----------------------------------------------------------------
+#
+# The benchmark runs on shared hosts whose CPUs drift in speed, each on its
+# own, by up to 2x within seconds (a fixed pure-Python loop, 2-vCPU Xeon):
+# far more than the changes it is meant to show.  So the timed phase and the
+# set-up probes run pinned to one CPU, every timed step is bracketed by
+# timings of a fixed reference kernel (perfbench/kernel.py), and its wall time
+# is scaled by the kernel's reference time over the mean of the kernel times
+# just before and just after it.  End-to-end times are therefore given at the
+# host speed at which the kernel takes its reference time.  In-process queries
+# are bracketed by the kernel in process, CLI invocations and set-up probes
+# by the kernel as a child process.  Raw wall-clock figures are kept in every
+# result file.
+
+KERNEL_ROUNDS = 120
+KERNEL_REF_S = 0.35e-3  # in process, best of KERNEL_REPEATS
+KERNEL_REPEATS = 3
+CHILD_KERNEL_REF_S = 0.2  # as a child process
+
+
+def kernel_slowness() -> float:
+    """The in-process kernel's best time of KERNEL_REPEATS over its reference time.
+
+    The best of a few filters out interrupts.
+    """
+    best = float("inf")
+    for _ in range(KERNEL_REPEATS):
+        t0 = time.perf_counter()
+        kernel.kernel(KERNEL_ROUNDS)
+        best = min(best, time.perf_counter() - t0)
+    return best / KERNEL_REF_S
+
+
+def child_kernel_slowness() -> float:
+    """The kernel's time as a child process, relative to its reference time."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, str(HERE / "kernel.py")], cwd=ROOT, check=True, timeout=60)
+    return (time.perf_counter() - t0) / CHILD_KERNEL_REF_S
+
+
+def bracketed(steps: list[Callable[[], float]], slowness: Callable[[], float]
+              ) -> tuple[list[float], list[float]]:
+    """Run each step (a callable returning its wall time) between host-speed readings.
+
+    ``slowness()`` is a kernel time over its reference time.  Returns the raw
+    wall times and the times scaled to the reference speed (s).
+    """
+    raw, scaled = [], []
+    before = slowness()
+    for step in steps:
+        wall = step()
+        after = slowness()
+        raw.append(wall)
+        scaled.append(wall * 2 / (before + after))
+        before = after
+    return raw, scaled
+
+
+@contextlib.contextmanager
+def pinned_to_one_cpu():
+    """Keep this process and the children it starts on one CPU, the one the kernel is timed on."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def timed_phase(queries: list[Query], ledger: Ledger, seconds: float,
+                slowness: Callable[[], float]) -> dict:
+    raw: list[float] = []
+    scaled: list[float] = []
     passes = 0
     started = time.perf_counter()
     while passes < MIN_PASSES or time.perf_counter() - started < seconds:
-        lat, _ = run_pass(queries, ledger)
-        latencies += lat
+        r, s = bracketed([lambda q=q: run_query(q, ledger) for q in queries], slowness)
+        raw += r
+        scaled += s
         passes += 1
-    return {"latencies": latencies, "passes": passes, "wall_s": time.perf_counter() - started}
+    return {"raw": raw, "scaled": scaled, "passes": passes, "wall_s": time.perf_counter() - started}
 
 
 def tail_percentile(queries_per_pass: int) -> int:
@@ -347,19 +428,24 @@ def cli_queries(specs: list[dict], runner: Callable[[list[str], int], str],
 
 def setup_probes(sources: list[str]) -> dict:
     """Fresh interpreters that import the package and make the quandles ready."""
-    walls, imports, readies = [], [], []
-    for _ in range(SETUP_PROBES):
+    imports, readies = [], []
+
+    def probe() -> float:
         started = time.perf_counter()
         done = subprocess.run([sys.executable, str(HERE / "probe.py"), str(SRC), *sources], cwd=ROOT,
                               capture_output=True, text=True, timeout=150)
-        walls.append(time.perf_counter() - started)
+        wall = time.perf_counter() - started
         if done.returncode != 0:
             raise RuntimeError(f"set-up probe failed: {done.stderr.strip()[-500:]}")
         report = json.loads(done.stdout.splitlines()[-1])
         imports.append(report["import_s"])
         readies.append(report["ready_s"])
-    return {"setup_s": statistics.median(walls), "import_s": statistics.median(imports),
-            "ready_s": statistics.median(readies), "walls_s": walls}
+        return wall
+
+    walls, scaled = bracketed([probe] * SETUP_PROBES, child_kernel_slowness)
+    return {"setup_s": statistics.median(scaled), "raw_setup_s": statistics.median(walls),
+            "import_s": statistics.median(imports), "ready_s": statistics.median(readies),
+            "walls_s": walls}
 
 
 # --- the run ------------------------------------------------------------------------
@@ -464,25 +550,31 @@ def peak_rss_mb(workload: Workload, since: int) -> float:
 
 
 def measure(workload: Workload, ledger: Ledger, seconds: float) -> tuple[dict, dict]:
-    probes = setup_probes(workload.probe_sources())
-    rss_since = len(workload.subprocesses.rss_mb)
-    if workload.in_process:
-        run_pass(workload.queries, ledger)  # warm-up: the first pass in a process is ~20% slower
-    before = ledger.attempted - len(ledger.failures)
-    phase = timed_phase(workload.queries, ledger, seconds)
+    with pinned_to_one_cpu():
+        probes = setup_probes(workload.probe_sources())
+        rss_since = len(workload.subprocesses.rss_mb)
+        if workload.in_process:
+            run_pass(workload.queries, ledger)  # warm-up: the first pass in a process is ~20% slower
+        before = ledger.attempted - len(ledger.failures)
+        phase = timed_phase(workload.queries, ledger, seconds,
+                            kernel_slowness if workload.in_process else child_kernel_slowness)
     completed = ledger.attempted - len(ledger.failures) - before
-    latencies = phase["latencies"]
+    scaled, raw = phase["scaled"], phase["raw"]
     tail_p = tail_percentile(len(workload.queries))
     metrics = {
         "setup_s": (probes["setup_s"], "s"),
-        "query_p50_ms": (statistics.median(latencies) * 1000, "ms"),
-        "query_tail_ms": (percentile(latencies, tail_p) * 1000, "ms"),
-        "queries_per_s": (completed / phase["wall_s"], "1/s"),
+        "query_p50_ms": (statistics.median(scaled) * 1000, "ms"),
+        "query_tail_ms": (percentile(scaled, tail_p) * 1000, "ms"),
+        "queries_per_s": (completed / sum(scaled), "1/s"),
         "peak_rss_mb": (peak_rss_mb(workload, rss_since), "MB"),
     }
+    raw_metrics = {"setup_s": probes["raw_setup_s"], "query_p50_ms": statistics.median(raw) * 1000,
+                   "query_tail_ms": percentile(raw, tail_p) * 1000,
+                   "queries_per_s": completed / phase["wall_s"]}
     info = {"probes": probes, "passes": phase["passes"], "timed_wall_s": phase["wall_s"],
-            "completed": completed, "samples": len(latencies), "tail_percentile": tail_p,
-            "latencies_ms": [x * 1000 for x in latencies]}
+            "completed": completed, "samples": len(raw), "tail_percentile": tail_p,
+            "raw_metrics": raw_metrics, "latencies_ms": [x * 1000 for x in raw],
+            "scaled_latencies_ms": [x * 1000 for x in scaled]}
     return metrics, info
 
 
@@ -634,6 +726,8 @@ def report(result: dict, metric_names: list[str]) -> str:
     if "tail_percentile" in info:
         lines.append(f"  query_tail_ms is p{info['tail_percentile']} of {info['samples']} samples "
                      f"({info['passes']} passes)")
+        lines.append("  times above are at the kernel's reference speed; raw wall clock: " + ", ".join(
+            f"{name} {value:.6g}" for name, value in info["raw_metrics"].items()))
     if "largest_self" in info:
         lines.append(f"  largest layer self time: {info['largest_self']}; absent names: {info['absent']}")
     lines += [f"  FAILED {f}" for f in result["failures"][:10]]
@@ -679,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
     parser.add_argument("--seed", type=int, default=inputs.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write-expected", action="store_true",
                         help="record the default seed's answer digests in perfbench/expected.json")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -41,21 +42,16 @@ def test_braid_closures_are_knots_with_the_right_parity():
     assert inputs.braid_closure((1, 1), 2) is None  # the Hopf link
 
 
-def test_rotation_keeps_the_set_of_breaks():
-    code = inputs.fixture_code("9_42")
-    breaks = {qk.break_before_underpass(qk.ClosedDiagram(*code), i) for i in range(1, 10)}
-    for r in range(9):
-        rotated = qk.ClosedDiagram(*inputs.rotate(code, r))
-        assert {qk.break_before_underpass(rotated, i) for i in range(1, 10)} == breaks
+def test_the_seed_only_orders_the_queries():
+    for workload in run.WORKLOADS:
+        one, other = inputs.make_inputs(workload, 5), inputs.make_inputs(workload, 6)
+        assert sorted(one, key=lambda q: q["name"]) == sorted(other, key=lambda q: q["name"])
 
 
-def test_conjugation_stays_in_the_quandle():
-    q = qk.parse_quandle_spec(inputs.A5)
-    rng = inputs.random.Random(0)
-    for _ in range(10):
-        g = inputs.random_permutation(rng, 5)
-        q.element_index(inputs.conjugate("(1,2,3)", g))
-        assert len(inputs.conjugate("(1,2,3)", g)) == len("(1,2,3)")
+def test_bracketed_scales_each_step_by_the_mean_slowness_around_it():
+    readings = iter([1.0, 2.0, 4.0])
+    raw, scaled = run.bracketed([lambda: 3.0, lambda: 6.0], lambda: next(readings))
+    assert raw == [3.0, 6.0] and scaled == [2.0, 2.0]
 
 
 def test_cli_check_rejects_a_wrong_readme_value():
@@ -65,7 +61,9 @@ def test_cli_check_rejects_a_wrong_readme_value():
 
 
 def test_tiny_run_completes_with_every_answer_checked():
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     result = run.run_workload("composite", 2, 0.0, False)
+    assert cpus is None or os.sched_getaffinity(0) == cpus  # the timed phase's pinning is undone
     passes = 1 + run.MIN_PASSES  # warm-up and timed passes
     assert result["failed"] == 0
     assert result["attempted"] == passes * result["inputs"]["queries_per_pass"] > 0
