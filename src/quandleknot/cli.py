@@ -111,11 +111,8 @@ def cmd_invariant(args) -> int:
     return 0
 
 
-def _emit_verdict(args, verdict: obstruction.Verdict, extra: dict | None = None) -> int:
-    payload = json.loads(verdict.to_json())
-    if extra:
-        payload.update(extra)
-    _emit(args, payload, verdict.render())
+def _emit_verdict(args, verdict: obstruction.Verdict) -> int:
+    _emit(args, verdict.payload(), verdict.render())
     return 0
 
 

@@ -111,6 +111,18 @@ Diagram = LongDiagram | ClosedDiagram | TangleDiagram
 
 # --- JSON codec -----------------------------------------------------------
 
+def _int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"malformed diagram JSON: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"malformed diagram JSON: {name} must be a list of integers")
+    return tuple(_int(v, name) for v in values)
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse the JSON wire format; inverse of serialize_diagram."""
     try:
@@ -122,13 +134,14 @@ def parse_diagram(text: str) -> Diagram:
     kind = obj["kind"]
     try:
         if kind == "long":
-            return LongDiagram(tuple(obj["over_arc"]), tuple(obj["sign"]))
+            return LongDiagram(_ints(obj["over_arc"], "over_arc"), _ints(obj["sign"], "sign"))
         if kind == "closed":
-            return ClosedDiagram(tuple(obj["over_arc"]), tuple(obj["sign"]))
+            return ClosedDiagram(_ints(obj["over_arc"], "over_arc"), _ints(obj["sign"], "sign"))
         if kind == "tangle":
             strands = tuple(
                 tuple(
-                    TangleCrossing(int(c["over_strand"]), int(c["over_arc"]), int(c["sign"]))
+                    TangleCrossing(_int(c["over_strand"], "over_strand"),
+                                   _int(c["over_arc"], "over_arc"), _int(c["sign"], "sign"))
                     for c in strand["crossings"]
                 )
                 for strand in obj["strands"]

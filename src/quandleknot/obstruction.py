@@ -36,13 +36,15 @@ class Verdict:
     kind: str
     sums: dict[str, FormalSum] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "verdict": self.kind,
             "sums": {name: {s.quandle.labels[e]: c for e, c in s.terms}
                      for name, s in sorted(self.sums.items())},
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True)
 
     def render(self) -> str:
         lines = [f"verdict: {self.kind}"]

@@ -10,6 +10,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+MAX_ELEMENTS = 2896
+"""Largest element set (and so quandle) built: m*m <= 2**23 table entries.
+A7 (2,520 elements) fits; S7, A8 and S8 are refused while their closure grows."""
+
 
 @dataclass(frozen=True, order=True)
 class Permutation:
@@ -162,6 +166,11 @@ def element_set(perms: Iterable[Permutation]) -> ElementSet:
     return ElementSet(members[0].degree, tuple(members))
 
 
+def _check_growth(known: set) -> None:
+    if len(known) > MAX_ELEMENTS:
+        raise ValueError(f"set grows past {MAX_ELEMENTS} elements, the size limit for quandles")
+
+
 def close_under_generators(gens: ElementSet) -> ElementSet:
     """Smallest set containing gens and the identity, closed under product and inverse.
 
@@ -180,6 +189,7 @@ def close_under_generators(gens: ElementSet) -> ElementSet:
                 h = compose(f, g)
                 if h not in known:
                     known.add(h)
+                    _check_growth(known)
                     new.append(h)
         frontier = new
     return element_set(known)
@@ -199,6 +209,7 @@ def conjugacy_class(g: Permutation, gens: ElementSet) -> ElementSet:
                 h = conjugate(f, s)
                 if h not in known:
                     known.add(h)
+                    _check_growth(known)
                     new.append(h)
         frontier = new
     return element_set(known)

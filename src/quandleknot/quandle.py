@@ -7,6 +7,7 @@ strings only.  Conjugation quandles use ``a * b = b^-1 a b`` and
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class FiniteQuandle:
         for table in (self.star, self.barstar):
             if len(table) != m or any(len(row) != m for row in table):
                 raise ValueError("operation tables must be square of size len(labels)")
-            if any(not 0 <= v < m for row in table for v in row):
+            if m and (min(map(min, table)) < 0 or max(map(max, table)) >= m):
                 raise ValueError("table entry out of range")
 
     def __len__(self) -> int:
@@ -66,40 +67,79 @@ class FiniteQuandle:
         raise ValueError(f"element {text!r} is not in this quandle")
 
 
+def _check_size(m: int) -> None:
+    if not 1 <= m <= permgroup.MAX_ELEMENTS:
+        raise ValueError(f"a quandle has 1..{permgroup.MAX_ELEMENTS} elements, not {m}")
+
+
+def _as_tuples(*tables: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """Each m x m table as tuple rows, all sharing one int object per element.
+
+    ``table.tolist()`` would keep m*m fresh ints alive, and converting a whole
+    table at once would hold m*m temporary references; one row at a time does neither.
+    """
+    shared = np.arange(len(tables[0])).astype(object)
+    return [tuple(tuple(shared[row].tolist()) for row in table) for table in tables]
+
+
+def _invert_columns(star: np.ndarray) -> np.ndarray:
+    """The table with out[star[i, j], j] = i: each right translation inverted.
+
+    An entry that no i reaches stays -1, so a table whose columns are not
+    bijections never equals its alleged inverse.
+    """
+    m = len(star)
+    out = np.full_like(star, -1)
+    out[star, np.arange(m)] = np.arange(m)[:, None]
+    return out
+
+
+def _row_keys(images: np.ndarray) -> np.ndarray:
+    """Keys of 0-based image rows that order like the rows themselves:
+    base-n integers while n**n fits in int64, big-endian byte strings beyond."""
+    n = images.shape[-1]
+    if n ** n < 2 ** 63:
+        return images @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    return np.ascontiguousarray(images.astype(">u4")).view(f"V{4 * n}")[..., 0]
+
+
 def from_conjugation(elements: ElementSet) -> FiniteQuandle:
     """Conjugation quandle on a mutually-conjugation-closed set of permutations."""
     members = elements.members
-    index = {p: i for i, p in enumerate(members)}
-    m = len(members)
-    star = [[0] * m for _ in range(m)]
-    barstar = [[0] * m for _ in range(m)]
-    for j, b in enumerate(members):
-        binv = permgroup.inverse(b)
-        for i, a in enumerate(members):
-            c = permgroup.compose(permgroup.compose(binv, a), b)
-            if c not in index:
-                raise ValueError(
-                    f"set not closed under conjugation: {permgroup.print_cycles(a)} * "
-                    f"{permgroup.print_cycles(b)} = {permgroup.print_cycles(c)} is missing"
-                )
-            star[i][j] = index[c]
-            barstar[i][j] = index[permgroup.compose(permgroup.compose(b, a), binv)]
+    m, n = len(members), elements.degree
+    _check_size(m)
+    images = np.array([p.images for p in members], dtype=np.int64).reshape(m, n) - 1
+    inverses = np.empty_like(images)
+    inverses[np.arange(m)[:, None], images] = np.arange(n)
+    keys = _row_keys(images)  # ascending, because members are sorted
+    star = np.empty((m, m), dtype=np.int64)
+    for j in range(m):
+        conj = images[j][images[:, inverses[j]]]  # row i: members[j]^-1 members[i] members[j]
+        conj_keys = _row_keys(conj)
+        found = np.minimum(np.searchsorted(keys, conj_keys), m - 1)
+        missing = np.nonzero(keys[found] != conj_keys)[0]
+        if missing.size:
+            i = int(missing[0])
+            c = permgroup.Permutation(tuple(int(x) + 1 for x in conj[i]))
+            raise ValueError(
+                f"set not closed under conjugation: {permgroup.print_cycles(members[i])} * "
+                f"{permgroup.print_cycles(members[j])} = {permgroup.print_cycles(c)} is missing"
+            )
+        star[:, j] = found
     labels = tuple(permgroup.print_cycles(p) for p in members)
-    return FiniteQuandle(labels, tuple(map(tuple, star)), tuple(map(tuple, barstar)), elements.degree)
+    return FiniteQuandle(labels, *_as_tuples(star, _invert_columns(star)), elements.degree)
 
 
 def dihedral(n: int) -> FiniteQuandle:
     """The involutory quandle on {0..n-1} with i * j = 2j - i mod n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     table = tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n))
     return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
 
 
 def trivial(n: int) -> FiniteQuandle:
     """The quandle with x * y = x for all x, y."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     table = tuple(tuple(i for _ in range(n)) for i in range(n))
     return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
 
@@ -291,14 +331,37 @@ def quandle_to_json(q: FiniteQuandle) -> str:
     return json.dumps(obj)
 
 
+def _index_table(rows, name: str, m: int) -> np.ndarray:
+    """A JSON table as an m x m array of element indices; bools and floats are refused."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        raise ValueError(f"malformed quandle JSON: {name} entries must be integers")
+    try:
+        table = np.array(rows, dtype=np.int64)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (m, m):
+        raise ValueError(f"malformed quandle JSON: {name} must be a {m} x {m} table")
+    if not (table.min() >= 0 and table.max() < m):
+        raise ValueError(f"malformed quandle JSON: {name} entry out of range")
+    return table
+
+
 def quandle_from_json(text: str) -> FiniteQuandle:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("malformed quandle JSON: expected an object")
+    degree = obj.get("degree", 0)
+    if type(degree) is not int:
+        raise ValueError("malformed quandle JSON: degree must be an integer")
     try:
-        return FiniteQuandle(
-            tuple(obj["labels"]),
-            tuple(tuple(row) for row in obj["star"]),
-            tuple(tuple(row) for row in obj["barstar"]),
-            int(obj.get("degree", 0)),
-        )
-    except (KeyError, TypeError) as exc:
+        labels = tuple(obj["labels"])
+        m = len(labels)
+        _check_size(m)
+        star = _index_table(obj["star"], "star", m)
+        barstar = _index_table(obj["barstar"], "barstar", m)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
+    del obj  # the parsed lists hold m*m ints each; free them before the tuples are built
+    if not np.array_equal(_invert_columns(star), barstar):
+        raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
+    return FiniteQuandle(labels, *_as_tuples(star, barstar), degree)

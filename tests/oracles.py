@@ -1,5 +1,5 @@
-"""Independent oracles: brute-force coloring enumeration and the
-composed-translation route to colored longitudes.
+"""Independent oracles: brute-force coloring enumeration, the composed-translation
+route to colored longitudes, and conjugation tables built one entry at a time.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import quandleknot as qk
+from quandleknot import permgroup as pg
 
 BRUTE_LIMIT = 10 ** 6
 
@@ -76,3 +77,26 @@ def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
     for arc, barred in qk.symbolic_longitude(d).letters:
         acc = qk.compose_automorphisms(acc, qk.translation(q, colors[arc - 1], barred))
     return acc
+
+
+def conjugation_tables(elements: pg.ElementSet):
+    """(labels, star, barstar) of the conjugation quandle, one ``Permutation``
+    product per entry: ``b^-1 a b`` for ``*`` and ``b a b^-1`` for ``*bar``."""
+    members = elements.members
+    index = {p: i for i, p in enumerate(members)}
+    m = len(members)
+    star = [[0] * m for _ in range(m)]
+    barstar = [[0] * m for _ in range(m)]
+    for j, b in enumerate(members):
+        binv = pg.inverse(b)
+        for i, a in enumerate(members):
+            c = pg.compose(pg.compose(binv, a), b)
+            if c not in index:
+                raise ValueError(
+                    f"set not closed under conjugation: {pg.print_cycles(a)} * "
+                    f"{pg.print_cycles(b)} = {pg.print_cycles(c)} is missing"
+                )
+            star[i][j] = index[c]
+            barstar[i][j] = index[pg.compose(pg.compose(b, a), binv)]
+    labels = tuple(pg.print_cycles(p) for p in members)
+    return labels, tuple(map(tuple, star)), tuple(map(tuple, barstar))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -196,3 +197,79 @@ class TestDeterminismAndErrors:
         bad.write_text("{not json")
         assert main(["colorings", "--diagram", str(bad),
                      "--quandle", "dihedral:3", "--basepoint", "0"]) == 1
+
+
+def run_error(capsys, *argv) -> str:
+    """Run a command that must fail; return its single stderr line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestRefusedInputs:
+    def test_oversized_group_refused_quickly(self, capsys):
+        start = time.perf_counter()
+        err = run_error(capsys, "verify-quandle", "--quandle", "conjgroup:S8")
+        assert time.perf_counter() - start < 2.0
+        assert str(qk.permgroup.MAX_ELEMENTS) in err
+
+    def test_oversized_gens_spec_refused(self, capsys):
+        run_error(capsys, "verify-quandle", "--quandle", "conjgroup:gens:(1,2);(1,2,3,4,5,6,7,8)")
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "long", "over_arc": [1.0], "sign": [1]},
+        {"kind": "long", "over_arc": [1], "sign": [True]},
+        {"kind": "closed", "over_arc": [1, "2"], "sign": [1, 1]},
+        {"kind": "closed", "over_arc": 1, "sign": [1]},
+        {"kind": "tangle", "strands": [{"crossings": [{"over_strand": 2, "over_arc": 1.5, "sign": 1}]},
+                                       {"crossings": []}]},
+        {"kind": "tangle", "strands": [{"crossings": [{"over_strand": True, "over_arc": 1, "sign": 1}]},
+                                       {"crossings": []}]},
+        {"kind": "tangle", "strands": [{"crossings": [{"over_strand": 2, "over_arc": 1, "sign": -1.0}]},
+                                       {"crossings": []}]},
+    ])
+    def test_non_integer_diagram_fields(self, obj, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj))
+        flag = "--tangle" if obj["kind"] == "tangle" else "--diagram"
+        argv = ["colorings", flag, str(path), "--quandle", "dihedral:3", "--basepoint", "0"]
+        if obj["kind"] == "tangle":
+            argv.append("--boundary-mono")
+        assert "malformed diagram JSON" in run_error(capsys, *argv)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda obj: obj["star"][0].__setitem__(1, 2.0),
+        lambda obj: obj["barstar"][2].__setitem__(0, True),
+        lambda obj: obj.__setitem__("degree", 0.0),
+        lambda obj: obj.__setitem__("barstar", obj["star"][::-1]),
+        lambda obj: obj["barstar"][0].reverse(),
+        lambda obj: obj["star"][0].append(0),
+        lambda obj: obj["star"][1].__setitem__(1, -1),
+        lambda obj: obj["barstar"][1].__setitem__(1, 3),
+        lambda obj: obj.update(labels=[], star=[], barstar=[]),
+        lambda obj: obj.__setitem__("star", 7),
+    ])
+    def test_bad_quandle_json(self, corrupt, capsys, tmp_path):
+        obj = json.loads(qk.quandle_to_json(qk.dihedral(3)))
+        corrupt(obj)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        err = run_error(capsys, "invariant", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", str(path), "--basepoint", "0")
+        assert "quandle" in err
+
+
+class TestVerdictOutput:
+    def test_json_is_the_verdict_payload(self, capsys):
+        argv = ["chirality", "--diagram", fixture("knot_5_2_long.json"),
+                "--quandle", "conjclass:S5:(1,2)(3,4,5)",
+                "--basepoint", "(1,2)(3,4,5)", "--act-on", "(1,2,3)(4,5)"]
+        _, out = run(capsys, *argv, "--json")
+        q = qk.parse_quandle_spec("conjclass:S5:(1,2)(3,4,5)")
+        query = qk.InvariantQuery(q, q.element_index("(1,2)(3,4,5)"), q.element_index("(1,2,3)(4,5)"))
+        verdict = qk.chirality_test(fx.KNOT_5_2_LONG, query)
+        assert out == verdict.to_json() + "\n"
+        _, plain = run(capsys, *argv)
+        assert plain == verdict.render() + "\n"

@@ -4,9 +4,11 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quandleknot as qk
 from quandleknot import permgroup as pg
+import oracles
 
 
 class TestConstructors:
@@ -43,6 +45,98 @@ class TestConstructors:
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
             qk.FiniteQuandle(("a", "a"), ((0, 0), (1, 1)), ((0, 0), (1, 1)))
+
+
+def _assert_matches_oracle(elements: pg.ElementSet):
+    """Same tables, or the same closure error for a set that is not closed."""
+    try:
+        expected = oracles.conjugation_tables(elements)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            qk.from_conjugation(elements)
+        assert str(got.value) == str(exc)
+        return
+    q = qk.from_conjugation(elements)
+    assert (q.labels, q.star, q.barstar) == expected
+
+
+class TestConjugationBuild:
+    """The vectorized table build against the per-entry oracle."""
+
+    @pytest.mark.parametrize("group", ["S3", "S4", "S5", "A3", "A4", "A5"])
+    def test_named_groups_match_oracle(self, group):
+        _assert_matches_oracle(pg.close_under_generators(pg.group_generators(group)))
+
+    @pytest.mark.parametrize("group, element", [
+        ("S5", "(1,2)(3,4,5)"),
+        ("S6", "(1,2)(3,4)(5,6)"),
+        ("S6", "(1,2,3)(4,5)"),
+    ])
+    def test_conjugacy_classes_match_oracle(self, group, element):
+        gens = pg.group_generators(group)
+        _assert_matches_oracle(pg.conjugacy_class(pg.parse_cycles(element, gens.degree), gens))
+
+    def test_gens_spec_matches_oracle(self):
+        q = qk.parse_quandle_spec("conjclass:gens:(1,2);(1,2,3,4,5):(1,2)(3,4,5)")
+        gens = pg.element_set([pg.parse_cycles("(1,2)", 5), pg.parse_cycles("(1,2,3,4,5)", 5)])
+        elements = pg.conjugacy_class(pg.parse_cycles("(1,2)(3,4,5)", 5), gens)
+        assert (q.labels, q.star, q.barstar) == oracles.conjugation_tables(elements)
+
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    def test_high_degrees_match_oracle(self, n):
+        # n**n overflows int64 from n = 16 on, where row keys become byte strings
+        rotation = pg.Permutation(tuple(range(2, n + 1)) + (1,))
+        reflection = pg.Permutation(tuple(range(n, 0, -1)))
+        group = pg.close_under_generators(pg.element_set([rotation, reflection]))
+        assert len(group) == 2 * n
+        _assert_matches_oracle(group)
+
+    def test_closure_violation_message_matches_oracle(self):
+        bad = pg.element_set(pg.parse_cycles(t, 4) for t in ("(1,2)", "(2,3)", "(3,4)"))
+        with pytest.raises(ValueError):
+            oracles.conjugation_tables(bad)
+        _assert_matches_oracle(bad)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=3),
+        st.permutations(range(1, n + 1)),
+        st.booleans())))
+    def test_random_generating_sets_match_oracle(self, drawn):
+        # classes under a subgroup need not be closed: then both must raise alike
+        images, element, whole_group = drawn
+        gens = pg.element_set(pg.Permutation(tuple(t)) for t in images)
+        if whole_group:
+            elements = pg.close_under_generators(gens)
+        else:
+            elements = pg.conjugacy_class(pg.Permutation(tuple(element)), gens)
+        _assert_matches_oracle(elements)
+
+    @pytest.mark.slow
+    def test_a6_matches_oracle(self, a6):
+        elements = pg.close_under_generators(pg.group_generators("A6"))
+        assert (a6.labels, a6.star, a6.barstar) == oracles.conjugation_tables(elements)
+
+    def test_rows_share_int_objects(self, a6):
+        ids = {id(v) for table in (a6.star, a6.barstar) for row in table for v in row}
+        assert len(ids) == len(a6)
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("spec", ["conjgroup:S7", "conjgroup:A8", "conjgroup:S8",
+                                      "conjclass:S8:(1,2,3,4,5,6,7,8)",
+                                      "conjgroup:gens:(1,2);(1,2,3,4,5,6,7)",
+                                      f"dihedral:{pg.MAX_ELEMENTS + 1}",
+                                      f"trivial:{pg.MAX_ELEMENTS + 1}"])
+    def test_oversized_specs_refused(self, spec):
+        with pytest.raises(ValueError, match=str(pg.MAX_ELEMENTS)):
+            qk.parse_quandle_spec(spec)
+
+    def test_a7_closure_fits(self):
+        assert len(pg.close_under_generators(pg.group_generators("A7"))) == 2520
+
+    def test_large_classes_of_large_groups_fit(self):
+        assert len(qk.parse_quandle_spec("conjclass:S8:(1,2)")) == 28
 
 
 class TestAxioms:
