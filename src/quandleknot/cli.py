@@ -174,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-quandle", help="check the quandle axioms")
     p.add_argument("--quandle", required=True)
     p.add_argument("--q3-samples", type=int, default=None,
-                   help="sample Q3 on this many random triples instead of exhaustively")
+                   help="sample Q3 on this many random triples instead of exhaustively "
+                        f"(default: exhaustive up to {quandle.Q3_EXHAUSTIVE_MAX} elements, "
+                        f"{quandle.Q3_DEFAULT_SAMPLES} samples above)")
     _add_common(p)
     p.set_defaults(func=cmd_verify_quandle)
 

@@ -15,6 +15,13 @@ MAX_ELEMENTS = 2896
 A7 (2,520 elements) fits; S7, A8 and S8 are refused while their closure grows."""
 
 
+def check_size(m: int) -> None:
+    """Refuse a quandle, or a set growing into one, outside 1..MAX_ELEMENTS elements."""
+    if not 1 <= m <= MAX_ELEMENTS:
+        raise ValueError(f"a quandle has 1..{MAX_ELEMENTS} elements; this one has "
+                         + ("more" if m > MAX_ELEMENTS else "none"))
+
+
 @dataclass(frozen=True, order=True)
 class Permutation:
     """A bijection of {1..m}, stored as the tuple (p(1), ..., p(m))."""
@@ -166,11 +173,6 @@ def element_set(perms: Iterable[Permutation]) -> ElementSet:
     return ElementSet(members[0].degree, tuple(members))
 
 
-def _check_growth(known: set) -> None:
-    if len(known) > MAX_ELEMENTS:
-        raise ValueError(f"set grows past {MAX_ELEMENTS} elements, the size limit for quandles")
-
-
 def close_under_generators(gens: ElementSet) -> ElementSet:
     """Smallest set containing gens and the identity, closed under product and inverse.
 
@@ -189,7 +191,7 @@ def close_under_generators(gens: ElementSet) -> ElementSet:
                 h = compose(f, g)
                 if h not in known:
                     known.add(h)
-                    _check_growth(known)
+                    check_size(len(known))
                     new.append(h)
         frontier = new
     return element_set(known)
@@ -209,7 +211,7 @@ def conjugacy_class(g: Permutation, gens: ElementSet) -> ElementSet:
                 h = conjugate(f, s)
                 if h not in known:
                     known.add(h)
-                    _check_growth(known)
+                    check_size(len(known))
                     new.append(h)
         frontier = new
     return element_set(known)

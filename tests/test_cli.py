@@ -215,6 +215,13 @@ class TestRefusedInputs:
         assert time.perf_counter() - start < 2.0
         assert str(qk.permgroup.MAX_ELEMENTS) in err
 
+    @pytest.mark.slow
+    def test_a7_verified_by_sampling(self, capsys):
+        assert main(["verify-quandle", "--quandle", "conjgroup:A7", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["elements"] == 2520 and payload["passed"]
+        assert payload["q3_mode"] == "sampled"
+
     def test_oversized_gens_spec_refused(self, capsys):
         run_error(capsys, "verify-quandle", "--quandle", "conjgroup:gens:(1,2);(1,2,3,4,5,6,7,8)")
 

@@ -84,7 +84,7 @@ class TestConjugationBuild:
 
     @pytest.mark.parametrize("n", [15, 16, 17])
     def test_high_degrees_match_oracle(self, n):
-        # n**n overflows int64 from n = 16 on, where row keys become byte strings
+        # row keys are 4n-byte strings; degrees past 15 also occur in gens: specs
         rotation = pg.Permutation(tuple(range(2, n + 1)) + (1,))
         reflection = pg.Permutation(tuple(range(n, 0, -1)))
         group = pg.close_under_generators(pg.element_set([rotation, reflection]))
@@ -138,6 +138,11 @@ class TestSizeLimit:
     def test_large_classes_of_large_groups_fit(self):
         assert len(qk.parse_quandle_spec("conjclass:S8:(1,2)")) == 28
 
+    @pytest.mark.parametrize("spec", ["dihedral:0", "trivial:0"])
+    def test_empty_quandles_refused(self, spec):
+        with pytest.raises(ValueError, match="this one has none"):
+            qk.parse_quandle_spec(spec)
+
 
 class TestAxioms:
     def test_corrupted_table_reports_violation(self):
@@ -163,6 +168,17 @@ class TestAxioms:
         assert report.all_ok
         assert report.q3_mode == "sampled"
         assert report.q3_checked == 50_000
+
+    def test_default_q3_mode_switches_at_threshold(self, monkeypatch):
+        monkeypatch.setattr(qk.quandle, "Q3_EXHAUSTIVE_MAX", 5)
+        at, above = qk.verify_axioms(qk.dihedral(5)), qk.verify_axioms(qk.dihedral(6))
+        assert (at.q3_mode, at.q3_checked) == ("exhaustive", 125)
+        assert (above.q3_mode, above.q3_checked) == ("sampled", qk.quandle.Q3_DEFAULT_SAMPLES)
+        assert at.all_ok and above.all_ok
+
+    def test_default_samples_q3_above_threshold(self):
+        report = qk.verify_axioms(qk.dihedral(qk.quandle.Q3_EXHAUSTIVE_MAX + 1))
+        assert report.all_ok and report.q3_mode == "sampled"
 
 
 class TestTranslationsAndWords:
