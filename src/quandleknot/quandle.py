@@ -39,10 +39,11 @@ class FiniteQuandle:
         m = len(self.labels)
         if len(set(self.labels)) != m:
             raise ValueError("labels must be pairwise distinct")
+        indices = set(range(m))
         for table in (self.star, self.barstar):
             if len(table) != m or any(len(row) != m for row in table):
                 raise ValueError("operation tables must be square of size len(labels)")
-            if m and (min(map(min, table)) < 0 or max(map(max, table)) >= m):
+            if not set().union(*table) <= indices:
                 raise ValueError("table entry out of range")
 
     def __len__(self) -> int:
