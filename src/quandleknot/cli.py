@@ -163,7 +163,8 @@ def _add_query_flags(p: argparse.ArgumentParser, need_act_on: bool = True):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for enumeration")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for enumeration, at least 1 (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ relation systems.
 """
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -121,35 +122,66 @@ def _run_chunk(payload):
 
 def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
            q: FiniteQuandle, jobs: int = 1) -> list[tuple[int, ...]]:
-    assign: list[int | None] = [None] * num_arcs
-    for arc, value in preset.items():
-        assign[arc] = value
+    assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
     star, barstar = q.star, q.barstar
 
     if jobs > 1 and hasattr(os, "fork"):
         if not _propagate(assign, relations, star, barstar):
             return []
-        arc = _pick_guess_arc(assign, relations)
-        if arc is not None:
+        if _pick_guess_arc(assign, relations) is not None:
             m = len(q)
             step = max(1, (m + jobs - 1) // jobs)
             chunks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(jobs, initializer=_init_worker,
-                          initargs=(relations, star, barstar)) as pool:
-                partials = pool.map(_run_chunk, [(tuple(assign), c) for c in chunks])
-            return sorted(row for part in partials for row in part)
+            workers = min(jobs, len(chunks), os.cpu_count() or 1)
+            if workers > 1:
+                ctx = multiprocessing.get_context("fork")
+                with ctx.Pool(workers, initializer=_init_worker,
+                              initargs=(relations, star, barstar)) as pool:
+                    partials = pool.map(_run_chunk, [(tuple(assign), c) for c in chunks])
+                return sorted(row for part in partials for row in part)
 
     return sorted(_search(assign, relations, star, barstar))
 
 
-def _long_relations(d: LongDiagram) -> list[Relation]:
-    return [(i + 1, i, d.over_arc[i] - 1, d.sign[i]) for i in range(d.n)]
+def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
+    """A diagram as one relation system over 0-based arcs numbered strand after strand.
+
+    Returns each strand's arc count, one ``Relation`` per crossing (strand after
+    strand) and each strand's longitude letters ``(arc, barred)``.  Crossing k
+    of a strand joins its arcs k and k + 1 (cyclically when closed); its letters
+    are the under-arc, barred for sign +1, then the over-arc, barred for -1.
+    """
+    if isinstance(d, TangleDiagram):
+        strands = [[(c.over_strand - 1, c.over_arc - 1, c.sign) for c in s] for s in d.strands]
+    elif isinstance(d, (LongDiagram, ClosedDiagram)):
+        strands = [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]]
+    else:
+        raise TypeError(f"not a diagram: {d!r}")
+    arcs = tuple(len(s) + (not isinstance(d, ClosedDiagram)) for s in strands)
+    offsets = (0, *itertools.accumulate(arcs))
+    relations, letters = [], []
+    for s, crossings in enumerate(strands):
+        base, own = offsets[s], []
+        for k, (over_strand, over_arc, sign) in enumerate(crossings):
+            inn, over = base + k, offsets[over_strand] + over_arc
+            relations.append((base + (k + 1) % arcs[s], inn, over, sign))
+            own += [(inn, sign > 0), (over, sign < 0)]
+        letters.append(tuple(own))
+    return arcs, relations, tuple(letters)
 
 
-def _closed_relations(d: ClosedDiagram) -> list[Relation]:
-    n = d.n
-    return [((i + 1) % n, i, d.over_arc[i] - 1, d.sign[i]) for i in range(n)]
+def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int, jobs: int,
+               every_end: bool = False) -> tuple[Coloring, ...]:
+    """Colorings with arc 1, or both end arcs of every strand, colored ``basepoint``."""
+    if not 0 <= basepoint < len(q):
+        raise ValueError(f"basepoint index {basepoint} out of range")
+    arcs, relations, _ = _compile(d)
+    bounds = list(itertools.pairwise((0, *itertools.accumulate(arcs))))  # [lo, hi) per strand
+    ends = [arc for lo, hi in bounds for arc in (lo, hi - 1)] if every_end else [0]
+    rows = _solve(bounds[-1][1], relations, dict.fromkeys(ends, basepoint), q, jobs)
+    if len(bounds) == 1:  # the row is the strand's colors; slicing it would cost per coloring
+        return tuple(Coloring(d, (row,)) for row in rows)
+    return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
 
 
 def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int,
@@ -160,39 +192,13 @@ def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int,
     to the basepoint anyway, for virtual codes it may differ.  Output is
     sorted lexicographically by arc colors.
     """
-    if not 0 <= basepoint < len(q):
-        raise ValueError(f"basepoint index {basepoint} out of range")
-    rows = _solve(d.num_arcs, _long_relations(d), {0: basepoint}, q, jobs)
-    return tuple(Coloring(d, (row,)) for row in rows)
+    return _colorings(d, q, basepoint, jobs)
 
 
 def colorings_closed(d: ClosedDiagram, q: FiniteQuandle, basepoint: int,
                      jobs: int = 1) -> tuple[Coloring, ...]:
     """All colorings of a closed diagram with arc 1 colored ``basepoint``."""
-    if not 0 <= basepoint < len(q):
-        raise ValueError(f"basepoint index {basepoint} out of range")
-    rows = _solve(d.num_arcs, _closed_relations(d), {0: basepoint}, q, jobs)
-    return tuple(Coloring(d, (row,)) for row in rows)
-
-
-def _tangle_layout(d: TangleDiagram):
-    n1 = len(d.strands[0])
-    offsets = (0, n1 + 1)
-
-    def arc_index(strand: int, arc: int) -> int:
-        return offsets[strand - 1] + arc - 1
-
-    relations = []
-    for s in (1, 2):
-        for k, c in enumerate(d.strands[s - 1]):
-            relations.append((
-                arc_index(s, k + 2),
-                arc_index(s, k + 1),
-                arc_index(c.over_strand, c.over_arc),
-                c.sign,
-            ))
-    total = len(d.strands[0]) + len(d.strands[1]) + 2
-    return relations, arc_index, total
+    return _colorings(d, q, basepoint, jobs)
 
 
 def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint: int,
@@ -202,43 +208,14 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint
     The end-arc constraints are installed up front, so the search simply
     rejects any branch that would violate them.
     """
-    if not 0 <= basepoint < len(q):
-        raise ValueError(f"basepoint index {basepoint} out of range")
-    relations, arc_index, total = _tangle_layout(d)
-    preset = {
-        arc_index(1, 1): basepoint,
-        arc_index(1, d.num_arcs(1)): basepoint,
-        arc_index(2, 1): basepoint,
-        arc_index(2, d.num_arcs(2)): basepoint,
-    }
-    rows = _solve(total, relations, preset, q, jobs)
-    split = d.num_arcs(1)
-    return tuple(Coloring(d, (row[:split], row[split:])) for row in rows)
+    return _colorings(d, q, basepoint, jobs, every_end=True)
 
 
 def verify_coloring(c: Coloring, q: FiniteQuandle) -> bool:
-    """Re-check every crossing relation directly, independent of the search."""
-    d = c.diagram
-    if isinstance(d, LongDiagram):
-        colors = c.strands[0]
-        if len(colors) != d.num_arcs:
-            return False
-        pairs = ((i + 1, i, d.over_arc[i] - 1, d.sign[i]) for i in range(d.n))
-    elif isinstance(d, ClosedDiagram):
-        colors = c.strands[0]
-        if len(colors) != d.num_arcs:
-            return False
-        pairs = (((i + 1) % d.n, i, d.over_arc[i] - 1, d.sign[i]) for i in range(d.n))
-    elif isinstance(d, TangleDiagram):
-        relations, _, total = _tangle_layout(d)
-        colors = c.strands[0] + c.strands[1]
-        if len(colors) != total:
-            return False
-        pairs = iter(relations)
-    else:
-        raise TypeError(f"not a diagram: {d!r}")
-    for out, inn, over, sign in pairs:
-        expected = q.op(colors[inn], colors[over], barred=sign < 0)
-        if colors[out] != expected:
-            return False
-    return True
+    """Re-check every crossing relation, independent of the search; False for a wrong shape."""
+    arcs, relations, _ = _compile(c.diagram)
+    colors = [x for strand in c.strands for x in strand]
+    if tuple(map(len, c.strands)) != arcs or not all(0 <= x < len(q) for x in colors):
+        return False
+    return all(colors[out] == q.op(colors[inn], colors[over], barred=sign < 0)
+               for out, inn, over, sign in relations)

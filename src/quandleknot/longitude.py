@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import Coloring, InvariantQuery, colorings_long, colorings_tangle_boundary_mono
+from .coloring import Coloring, InvariantQuery, _compile, colorings_long, colorings_tangle_boundary_mono
 from .diagram import LongDiagram, TangleDiagram
 from .quandle import Automorphism, FiniteQuandle, QuandleWord, eval_word
 
@@ -30,25 +30,26 @@ class SymbolicLongitude:
 
 
 def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
-    letters = []
-    for i in range(d.n):
-        positive = d.sign[i] > 0
-        letters.append((i + 1, positive))
-        letters.append((d.over_arc[i], not positive))
-    return SymbolicLongitude(tuple(letters))
+    _, _, (letters,) = _compile(d)
+    return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
-def _colored_word(letters: Iterable[tuple[int, bool]], arc_colors: tuple[int, ...]) -> QuandleWord:
-    return tuple((arc_colors[arc - 1], barred) for arc, barred in letters)
+def _colored_parts(letters, coloring: Coloring) -> list[QuandleWord]:
+    """Each strand's longitude letters with every arc replaced by its color."""
+    colors = sum(coloring.strands, ())
+    return [tuple([(colors[arc], barred) for arc, barred in part]) for part in letters]
+
+
+def _automorphism(q: FiniteQuandle, word: QuandleWord) -> Automorphism:
+    return Automorphism(q, tuple(eval_word(q, x, word) for x in range(len(q))))
 
 
 def colored_longitude(d: LongDiagram, q: FiniteQuandle, coloring: Coloring) -> Automorphism:
     """Evaluate the longitude word in a coloring, as a quandle automorphism."""
     if coloring.diagram != d:
         raise ValueError("coloring does not belong to this diagram")
-    word = _colored_word(symbolic_longitude(d).letters, coloring.arc_colors)
-    images = tuple(eval_word(q, x, word) for x in range(len(q)))
-    return Automorphism(q, images)
+    _, _, letters = _compile(d)
+    return _automorphism(q, _colored_parts(letters, coloring)[0])
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,9 @@ class AutomorphismFamily:
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int,
                      jobs: int = 1) -> AutomorphismFamily:
     """All colored longitudes over the colorings with the given basepoint."""
-    autos = [colored_longitude(d, q, c) for c in colorings_long(d, q, basepoint, jobs)]
+    _, _, letters = _compile(d)
+    autos = [_automorphism(q, _colored_parts(letters, c)[0])
+             for c in colorings_long(d, q, basepoint, jobs)]
     autos.sort(key=lambda a: a.images)
     return AutomorphismFamily(q, tuple(autos))
 
@@ -118,11 +121,9 @@ def sum_to_json(a: FormalSum) -> str:
 def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery,
                jobs: int = 1) -> FormalSum:
     """Sum of phi(x) over all colored longitudes phi with basepoint q."""
-    letters = symbolic_longitude(d).letters
-    images = []
-    for c in colorings_long(d, q, query.basepoint, jobs):
-        word = _colored_word(letters, c.arc_colors)
-        images.append(eval_word(q, query.act_on, word))
+    _, _, letters = _compile(d)
+    images = [eval_word(q, query.act_on, _colored_parts(letters, c)[0])
+              for c in colorings_long(d, q, query.basepoint, jobs)]
     return FormalSum.from_elements(q, images)
 
 
@@ -132,26 +133,18 @@ def tangle_longitude_parts(t: TangleDiagram, coloring: Coloring) -> tuple[Quandl
     """Per-strand colored longitude words, letters exactly as in the long case."""
     if coloring.diagram != t:
         raise ValueError("coloring does not belong to this tangle")
-    words = []
-    for s in (1, 2):
-        letters = []
-        own = coloring.strands[s - 1]
-        for k, c in enumerate(t.strands[s - 1]):
-            over_color = coloring.strands[c.over_strand - 1][c.over_arc - 1]
-            positive = c.sign > 0
-            letters.append((own[k], positive))
-            letters.append((over_color, not positive))
-        words.append(tuple(letters))
-    return words[0], words[1]
+    _, _, letters = _compile(t)
+    return tuple(_colored_parts(letters, coloring))
 
 
 def tangle_sums(t: TangleDiagram, q: FiniteQuandle, query: InvariantQuery,
                 jobs: int = 1) -> tuple[FormalSum, FormalSum]:
     """S1 and S2: both concatenation orders of the longitude parts, summed over
     all boundary-monochromatic colorings with the query's basepoint."""
+    _, _, letters = _compile(t)
     first, second = [], []
     for c in colorings_tangle_boundary_mono(t, q, query.basepoint, jobs):
-        w1, w2 = tangle_longitude_parts(t, c)
+        w1, w2 = _colored_parts(letters, c)
         first.append(eval_word(q, query.act_on, w1 + w2))
         second.append(eval_word(q, query.act_on, w2 + w1))
     return FormalSum.from_elements(q, first), FormalSum.from_elements(q, second)

@@ -188,8 +188,7 @@ def verify_axioms(q: FiniteQuandle, q3_samples: int | None = None, seed: int = 0
         q1_violation = (int(bad[0]),)
 
     q2_violation = None
-    cols = np.arange(m)[None, :].repeat(m, axis=0)
-    rows = np.arange(m)[:, None].repeat(m, axis=1)
+    cols, rows = np.arange(m), np.arange(m)[:, None]
     ok = (barstar[star, cols] == rows) & (star[barstar, cols] == rows)
     bad2 = np.argwhere(~ok)
     if bad2.size:
@@ -357,7 +356,10 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     if type(degree) is not int:
         raise ValueError("malformed quandle JSON: degree must be an integer")
     try:
-        labels = tuple(obj["labels"])
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ValueError("malformed quandle JSON: labels must be a list of strings")
+        labels = tuple(labels)
         m = len(labels)
         permgroup.check_size(m)
         star = _index_table(obj["star"], "star", m)
@@ -365,6 +367,10 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
     del obj  # the parsed lists hold m*m ints each; free them before the tuples are built
+    not_idempotent = np.nonzero(np.diagonal(star) != np.arange(m))[0]
+    if not_idempotent.size:
+        i = int(not_idempotent[0])
+        raise ValueError(f"malformed quandle JSON: star is not a quandle table ({i} * {i} != {i}, Q1)")
     if not np.array_equal(_invert_columns(star), barstar):
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
     return FiniteQuandle(labels, *_as_tuples(star, barstar), degree)

@@ -192,6 +192,12 @@ class TestDeterminismAndErrors:
     def test_validation_failures_exit_nonzero(self, argv, capsys):
         assert main(argv) != 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, jobs, capsys):
+        err = run_error(capsys, "colorings", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", "dihedral:3", "--basepoint", "0", "--jobs", jobs)
+        assert "--jobs" in err
+
     def test_malformed_diagram_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -257,6 +263,11 @@ class TestRefusedInputs:
         lambda obj: obj["barstar"][1].__setitem__(1, 3),
         lambda obj: obj.update(labels=[], star=[], barstar=[]),
         lambda obj: obj.__setitem__("star", 7),
+        # a rack, not a quandle: i * j = i + 1 mod 3 satisfies Q2 and Q3 but not Q1
+        lambda obj: obj.update(star=[[(i + 1) % 3] * 3 for i in range(3)],
+                               barstar=[[(i - 1) % 3] * 3 for i in range(3)]),
+        lambda obj: obj.__setitem__("labels", [[0], [1], [2]]),
+        lambda obj: obj.__setitem__("labels", "012"),
     ])
     def test_bad_quandle_json(self, corrupt, capsys, tmp_path):
         obj = json.loads(qk.quandle_to_json(qk.dihedral(3)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import quandleknot as qk
+from quandleknot import coloring
 import fixtures as fx
 import oracles
 
@@ -149,3 +150,65 @@ class TestParallelism:
         serial = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), a6, q.basepoint, jobs=1)
         parallel = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), a6, q.basepoint, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, cpus, started", [
+        (8, 2, [2]),    # capped by the CPU count
+        (2, 8, [2]),
+        (50, 64, [3]),  # capped by the number of chunks: |Q| = 3
+        (4, 1, []),     # one worker left: serial, no pool
+        (4, None, []),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, started):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, workers, initializer, initargs):
+                pools.append(workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(coloring.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(coloring.multiprocessing, "get_context", lambda method: InlineContext())
+        d, d3 = qk.break_at(fx.TREFOIL_CLOSED, 1), qk.dihedral(3)
+        assert qk.colorings_long(d, d3, 0, jobs=jobs) == qk.colorings_long(d, d3, 0)
+        assert pools == started
+
+
+def _mono(shape):
+    return tuple((0,) * n for n in shape)
+
+
+class TestVerifyColoringShapes:
+    T62_SHAPE = tuple(len(s) + 1 for s in fx.tangle_t62().strands)
+
+    @pytest.mark.parametrize("d, shape, wrong", [
+        (qk.LongDiagram((1,), (1,)), (2,), [(2, 1), (1,), (3,), ()]),
+        (fx.TREFOIL_CLOSED, (3,), [(3, 1), (2,), (4,), ()]),
+        (fx.tangle_t62(), T62_SHAPE, [
+            T62_SHAPE[:1],                                # one strand
+            T62_SHAPE + (1,),                             # three strands
+            (T62_SHAPE[0] + 1, T62_SHAPE[1] - 1),         # same total, wrong split
+            (T62_SHAPE[0], T62_SHAPE[1] + 1),
+        ]),
+    ], ids=["long", "closed", "tangle"])
+    def test_wrong_strand_or_arc_count_is_false(self, d, shape, wrong):
+        d3 = qk.dihedral(3)
+        assert qk.verify_coloring(qk.Coloring(d, _mono(shape)), d3)
+        for bad in wrong:
+            assert qk.verify_coloring(qk.Coloring(d, _mono(bad)), d3) is False
+
+    @pytest.mark.parametrize("color", [-1, 3])
+    def test_color_out_of_range_is_false(self, color):
+        c = qk.Coloring(qk.LongDiagram((2,), (1,)), ((color, color),))
+        assert qk.verify_coloring(c, qk.dihedral(3)) is False

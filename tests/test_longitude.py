@@ -165,6 +165,23 @@ class TestTangleLongitudes:
             assert w2 == ((s2[0], False), (s1[2], True), (s2[1], False),
                           (s1[3], True), (s2[2], False), (s1[1], True))
 
+    def test_uncrossed_second_strand_leaves_the_long_word(self, s5_class):
+        # strand 1 carries 5_2's crossings, strand 2 is crossingless and never
+        # crossed: strand 1's part must be 5_2's colored longitude word
+        d, q = fx.KNOT_5_2_LONG, fx.query_5_2()
+        t = qk.TangleDiagram((tuple(qk.TangleCrossing(1, a, s) for a, s in zip(d.over_arc, d.sign)), ()))
+        tangle_cols = qk.colorings_tangle_boundary_mono(t, s5_class, q.basepoint)
+        long_cols = qk.colorings_long(d, s5_class, q.basepoint)
+        assert [c.strands[0] for c in tangle_cols] == [c.arc_colors for c in long_cols]
+        for tc, lc in zip(tangle_cols, long_cols):
+            colors = lc.arc_colors
+            word = tuple(letter for i in range(d.n) for letter in (
+                (colors[i], d.sign[i] > 0), (colors[d.over_arc[i] - 1], d.sign[i] < 0)))
+            w1, w2 = qk.tangle_longitude_parts(t, tc)
+            assert (w1, w2) == (word, ())
+            images = tuple(qk.eval_word(s5_class, x, w1) for x in range(len(s5_class)))
+            assert images == qk.colored_longitude(d, s5_class, lc).images
+
     def test_t62_sums(self, a6):
         q = fx.query_t62()
         s1, s2 = qk.tangle_sums(fx.tangle_t62(), a6, q)
