@@ -164,7 +164,7 @@ def _add_query_flags(p: argparse.ArgumentParser, need_act_on: bool = True):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for enumeration, at least 1 (default 1)")
+                   help="accepted for compatibility, at least 1 (default 1); has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

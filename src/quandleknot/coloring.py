@@ -1,18 +1,18 @@
 """Quandle coloring enumeration for long, closed, and tangle diagrams.
 
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
-with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  The search
-propagates forced colors in both directions along under-arcs (Q2 makes the
-relation solvable for the incoming arc too), guesses an over-arc color only
-when stuck, and rejects on conflict.  Branching is therefore bounded by
-|Q|^(number of genuinely free over-arcs), which stays small on knot-shaped
-relation systems.
+with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Which arcs a
+search has colored never depends on the colors, so the order is planned once:
+segments of forced steps (derive an under-arc forwards, or backwards by Q2, or
+check a relation), each opened by guessing one over-arc.  One depth-first
+walk tries every color per guess and rejects on conflict, so branching is
+bounded by |Q|^(number of genuinely free over-arcs).  The public functions
+accept ``jobs`` for compatibility; it has no effect.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram
@@ -52,95 +52,94 @@ class InvariantQuery:
             raise ValueError(f"act-on index {self.act_on} out of range")
 
 
-def _propagate(assign: list[int | None], relations: list[Relation], star, barstar) -> bool:
-    """Apply forced deductions until a fixed point; False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for out, inn, over, sign in relations:
-            cv = assign[over]
-            if cv is None:
+def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple[int | None, list]]:
+    """The search order: segments of a guessed arc (none in the first) and fixed steps.
+
+    Step ``(dst, a, b, barred, check)`` stores ``a op b`` at ``dst`` or, with
+    ``check``, compares it with ``dst``.  The order replays a fixed-point sweep
+    over the relations: a known over-arc derives ``out`` from ``in``, else
+    ``in`` from ``out`` by Q2, and checks a relation whose three arcs are known
+    unless ``out`` came from it.  When stuck, guess the over-arc of the first
+    relation with a known end, else the first unknown arc.  A heap of (sweep,
+    relation) visits revisits only relations touching a newly known arc.
+    """
+    touching: list[list[int]] = [[] for _ in range(num_arcs)]
+    for j, (out, inn, over, _) in enumerate(relations):
+        for arc in {out, inn, over}:
+            touching[arc].append(j)
+    known = [False] * num_arcs
+    settled = [False] * len(relations)  # out derived from it, or checked
+    visits: list[tuple[int, int]] = []
+    guessable: list[int] = []  # relations that got a known end while their over-arc was unknown
+
+    def learn(arc: int, sweep: int, at: int) -> None:
+        known[arc] = True
+        for j in touching[arc]:
+            heapq.heappush(visits, (sweep + (j <= at), j))
+            if not known[relations[j][2]]:
+                heapq.heappush(guessable, j)
+
+    for arc in preset:
+        learn(arc, 0, -1)
+    segments, guess = [], None
+    while True:
+        steps = []
+        while visits:
+            sweep, j = visit = heapq.heappop(visits)
+            out, inn, over, sign = relations[j]
+            if settled[j] or not known[over] or (visits and visits[0] == visit):
                 continue
-            iv, ov = assign[inn], assign[out]
-            if iv is not None:
-                val = star[iv][cv] if sign > 0 else barstar[iv][cv]
-                if ov is None:
-                    assign[out] = val
-                    changed = True
-                elif ov != val:
-                    return False
-            elif ov is not None:
-                # Q2: in = out op^{-sign} over
-                assign[inn] = barstar[ov][cv] if sign > 0 else star[ov][cv]
-                changed = True
-    return True
+            if known[inn]:
+                steps.append((out, inn, over, sign < 0, known[out]))
+                settled[j] = True
+                if not known[out]:
+                    learn(out, sweep, j)
+            elif known[out]:
+                steps.append((inn, out, over, sign > 0, False))
+                learn(inn, sweep, j)
+        segments.append((guess, steps))
+        while guessable and known[relations[guessable[0]][2]]:
+            heapq.heappop(guessable)
+        if not guessable and all(known):
+            return segments
+        guess = relations[guessable[0]][2] if guessable else known.index(False)
+        learn(guess, 0, -1)
 
 
-def _pick_guess_arc(assign: list[int | None], relations: list[Relation]) -> int | None:
-    for out, inn, over, _ in relations:
-        if assign[over] is None and (assign[inn] is not None or assign[out] is not None):
-            return over
-    for arc, value in enumerate(assign):
-        if value is None:
-            return arc
-    return None
-
-
-def _search(assign: list[int | None], relations: list[Relation], star, barstar,
-            first_guesses: range | None = None) -> list[tuple[int, ...]]:
-    m = len(star)
-    results: list[tuple[int, ...]] = []
-    stack = [(assign, first_guesses)]
-    while stack:
-        state, pending = stack.pop()
-        if not _propagate(state, relations, star, barstar):
+def _search(segments: list, assign: list[int | None], q: FiniteQuandle) -> list[tuple[int, ...]]:
+    """Every full assignment the segments accept, by a depth-first walk without recursion.
+    ``assign`` is reused: a segment writes each arc it derives before deeper levels read it."""
+    levels = [(arc, [(dst, (q.star, q.barstar)[barred], a, b, check) for dst, a, b, barred, check in steps])
+              for arc, steps in segments]
+    m, tried = len(q), [0] * len(levels)  # colors tried so far at each level
+    results, level = [], 0
+    while level >= 0:
+        arc, steps = levels[level]
+        if tried[level] == (m if level else 1):  # level 0 guesses nothing and runs once
+            level -= 1
             continue
-        arc = _pick_guess_arc(state, relations)
-        if arc is None:
-            results.append(tuple(state))  # type: ignore[arg-type]
-            continue
-        guesses = pending if pending is not None else range(m)
-        for g in guesses:
-            branch = list(state)
-            branch[arc] = g
-            stack.append((branch, None))
+        if level:
+            assign[arc] = tried[level]
+        tried[level] += 1
+        for dst, table, a, b, check in steps:
+            value = table[assign[a]][assign[b]]
+            if not check:
+                assign[dst] = value
+            elif value != assign[dst]:
+                break
+        else:
+            if level + 1 == len(levels):
+                results.append(tuple(assign))  # type: ignore[arg-type]
+            else:
+                level += 1
+                tried[level] = 0
     return results
 
 
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(relations, star, barstar):
-    _WORKER_CTX["args"] = (relations, star, barstar)
-
-
-def _run_chunk(payload):
-    assign, chunk = payload
-    relations, star, barstar = _WORKER_CTX["args"]
-    return _search(list(assign), relations, star, barstar, first_guesses=chunk)
-
-
 def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
-           q: FiniteQuandle, jobs: int = 1) -> list[tuple[int, ...]]:
+           q: FiniteQuandle) -> list[tuple[int, ...]]:
     assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
-    star, barstar = q.star, q.barstar
-
-    if jobs > 1 and hasattr(os, "fork"):
-        if not _propagate(assign, relations, star, barstar):
-            return []
-        if _pick_guess_arc(assign, relations) is not None:
-            m = len(q)
-            step = max(1, (m + jobs - 1) // jobs)
-            chunks = [range(lo, min(lo + step, m)) for lo in range(0, m, step)]
-            workers = min(jobs, len(chunks), os.cpu_count() or 1)
-            if workers > 1:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(workers, initializer=_init_worker,
-                              initargs=(relations, star, barstar)) as pool:
-                    partials = pool.map(_run_chunk, [(tuple(assign), c) for c in chunks])
-                return sorted(row for part in partials for row in part)
-
-    return sorted(_search(assign, relations, star, barstar))
+    return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
 
 
 def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
@@ -170,7 +169,7 @@ def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
     return arcs, relations, tuple(letters)
 
 
-def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int, jobs: int,
+def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int,
                every_end: bool = False) -> tuple[Coloring, ...]:
     """Colorings with arc 1, or both end arcs of every strand, colored ``basepoint``."""
     if not 0 <= basepoint < len(q):
@@ -178,7 +177,7 @@ def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int, jobs: int,
     arcs, relations, _ = _compile(d)
     bounds = list(itertools.pairwise((0, *itertools.accumulate(arcs))))  # [lo, hi) per strand
     ends = [arc for lo, hi in bounds for arc in (lo, hi - 1)] if every_end else [0]
-    rows = _solve(bounds[-1][1], relations, dict.fromkeys(ends, basepoint), q, jobs)
+    rows = _solve(bounds[-1][1], relations, dict.fromkeys(ends, basepoint), q)
     if len(bounds) == 1:  # the row is the strand's colors; slicing it would cost per coloring
         return tuple(Coloring(d, (row,)) for row in rows)
     return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
@@ -192,13 +191,13 @@ def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int,
     to the basepoint anyway, for virtual codes it may differ.  Output is
     sorted lexicographically by arc colors.
     """
-    return _colorings(d, q, basepoint, jobs)
+    return _colorings(d, q, basepoint)
 
 
 def colorings_closed(d: ClosedDiagram, q: FiniteQuandle, basepoint: int,
                      jobs: int = 1) -> tuple[Coloring, ...]:
     """All colorings of a closed diagram with arc 1 colored ``basepoint``."""
-    return _colorings(d, q, basepoint, jobs)
+    return _colorings(d, q, basepoint)
 
 
 def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint: int,
@@ -208,7 +207,7 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint
     The end-arc constraints are installed up front, so the search simply
     rejects any branch that would violate them.
     """
-    return _colorings(d, q, basepoint, jobs, every_end=True)
+    return _colorings(d, q, basepoint, every_end=True)
 
 
 def verify_coloring(c: Coloring, q: FiniteQuandle) -> bool:

@@ -10,16 +10,16 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .coloring import InvariantQuery, colorings_tangle_boundary_mono
+from .coloring import InvariantQuery, _compile, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, break_at, break_before_underpass, concat, mirror
 from .longitude import (
     FormalSum,
+    _colored_parts,
     formal_sum,
     longitude_family,
     sum_equal,
     sum_included,
     sum_render,
-    tangle_longitude_parts,
     tangle_sums,
 )
 from .quandle import eval_word
@@ -89,10 +89,11 @@ def tangle_embedding_obstruction_families(t: TangleDiagram, k: ClosedDiagram | L
     order's automorphism multiset embeds into the knot's longitude family.
     """
     q = query.quandle
+    _, _, letters = _compile(t)
     first: Counter = Counter()
     second: Counter = Counter()
     for c in colorings_tangle_boundary_mono(t, q, query.basepoint, jobs):
-        w1, w2 = tangle_longitude_parts(t, c)
+        w1, w2 = _colored_parts(letters, c)
         first[tuple(eval_word(q, x, w1 + w2) for x in range(len(q)))] += 1
         second[tuple(eval_word(q, x, w2 + w1) for x in range(len(q)))] += 1
     family = Counter(a.images for a in longitude_family(_as_long(k), q, query.basepoint, jobs).members)

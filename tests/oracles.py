@@ -1,5 +1,6 @@
-"""Independent oracles: brute-force coloring enumeration, the composed-translation
-route to colored longitudes, and conjugation tables built one entry at a time.
+"""Independent oracles: brute-force coloring enumeration, the propagating
+coloring search the planned one replaced, the composed-translation route to
+colored longitudes, and conjugation tables built one entry at a time.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -68,6 +69,61 @@ def brute_colorings_tangle_mono(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepo
     return sorted(out)
 
 
+def _propagate(assign, relations, star, barstar) -> bool:
+    """Apply forced deductions until a fixed point; False on contradiction."""
+    changed = True
+    while changed:
+        changed = False
+        for out, inn, over, sign in relations:
+            cv = assign[over]
+            if cv is None:
+                continue
+            iv, ov = assign[inn], assign[out]
+            if iv is not None:
+                val = star[iv][cv] if sign > 0 else barstar[iv][cv]
+                if ov is None:
+                    assign[out] = val
+                    changed = True
+                elif ov != val:
+                    return False
+            elif ov is not None:
+                # Q2: in = out op^{-sign} over
+                assign[inn] = barstar[ov][cv] if sign > 0 else star[ov][cv]
+                changed = True
+    return True
+
+
+def _pick_guess_arc(assign, relations):
+    for out, inn, over, _ in relations:
+        if assign[over] is None and (assign[inn] is not None or assign[out] is not None):
+            return over
+    for arc, value in enumerate(assign):
+        if value is None:
+            return arc
+    return None
+
+
+def propagating_rows(num_arcs: int, relations, preset: dict, q: qk.FiniteQuandle):
+    """Sorted solutions of a compiled relation system: every branch re-propagates
+    to a fixed point and picks its own guess arc."""
+    star, barstar = q.star, q.barstar
+    results = []
+    stack = [[preset.get(arc) for arc in range(num_arcs)]]
+    while stack:
+        state = stack.pop()
+        if not _propagate(state, relations, star, barstar):
+            continue
+        arc = _pick_guess_arc(state, relations)
+        if arc is None:
+            results.append(tuple(state))
+            continue
+        for g in range(len(q)):
+            branch = list(state)
+            branch[arc] = g
+            stack.append(branch)
+    return sorted(results)
+
+
 def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
                                        coloring: qk.Coloring) -> qk.Automorphism:
     """Build the colored longitude by composing translation automorphisms,
@@ -97,6 +153,10 @@ def conjugation_tables(elements: pg.ElementSet):
                     f"{pg.print_cycles(b)} = {pg.print_cycles(c)} is missing"
                 )
             star[i][j] = index[c]
+    # a * b permutes the finite set for each b, so b a b^-1 is in it once every a * b is
+    for j, b in enumerate(members):
+        binv = pg.inverse(b)
+        for i, a in enumerate(members):
             barstar[i][j] = index[pg.compose(pg.compose(b, a), binv)]
     labels = tuple(pg.print_cycles(p) for p in members)
     return labels, tuple(map(tuple, star)), tuple(map(tuple, barstar))

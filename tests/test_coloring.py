@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandleknot as qk
 from quandleknot import coloring
@@ -151,38 +155,78 @@ class TestParallelism:
         parallel = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), a6, q.basepoint, jobs=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("jobs, cpus, started", [
-        (8, 2, [2]),    # capped by the CPU count
-        (2, 8, [2]),
-        (50, 64, [3]),  # capped by the number of chunks: |Q| = 3
-        (4, 1, []),     # one worker left: serial, no pool
-        (4, None, []),
+
+# barstar is not the inverse of star, so Q2 (backwards) deductions can reject
+# branches a forward one would keep: the planned search must deduce alike
+NOT_Q2 = qk.FiniteQuandle(("a", "b", "c"), qk.dihedral(3).star,
+                          tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+DIFFERENTIAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(5), qk.trivial(3),
+                         qk.parse_quandle_spec("conjclass:S4:(1,2)"), NOT_Q2)
+SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def codes(draw):
+    """Long, closed and tangle codes with 0-7 crossings and any over-arcs, so
+    virtual codes are included."""
+    kind = draw(st.sampled_from((qk.LongDiagram, qk.ClosedDiagram, qk.TangleDiagram)))
+    n = draw(st.integers(kind is qk.ClosedDiagram, 7))
+    if kind is not qk.TangleDiagram:
+        arcs = n + (kind is qk.LongDiagram)
+        return kind(tuple(draw(st.integers(1, arcs)) for _ in range(n)),
+                    tuple(draw(SIGNS) for _ in range(n)))
+    first = draw(st.integers(0, n))
+    sizes = (first, n - first)
+    strands = []
+    for size in sizes:
+        over_strands = [draw(st.integers(1, 2)) for _ in range(size)]
+        strands.append(tuple(qk.TangleCrossing(s, draw(st.integers(1, sizes[s - 1] + 1)), draw(SIGNS))
+                             for s in over_strands))
+    return qk.TangleDiagram(tuple(strands))
+
+
+def _assert_matches_oracles(d, q, basepoint, every_end):
+    """``_solve`` against the propagating search it replaced and, where feasible, brute force."""
+    arcs, relations, _ = coloring._compile(d)
+    starts = (0, *itertools.accumulate(arcs))
+    ends = [arc for lo, hi in itertools.pairwise(starts) for arc in (lo, hi - 1)] if every_end else [0]
+    preset = dict.fromkeys(ends, basepoint)
+    rows = coloring._solve(starts[-1], relations, preset, q)
+    assert rows == oracles.propagating_rows(starts[-1], relations, preset, q)
+    if q is NOT_Q2 or len(q) ** (starts[-1] - len(preset)) > oracles.BRUTE_LIMIT:
+        return
+    if isinstance(d, qk.TangleDiagram) and every_end:
+        strands = [tuple(row[lo:hi] for lo, hi in itertools.pairwise(starts)) for row in rows]
+        assert strands == oracles.brute_colorings_tangle_mono(d, q, basepoint)
+    elif isinstance(d, qk.LongDiagram) and not every_end:
+        assert rows == oracles.brute_colorings_long(d, q, basepoint)
+    elif isinstance(d, qk.ClosedDiagram) and not every_end:
+        assert rows == oracles.brute_colorings_closed(d, q, basepoint)
+
+
+class TestPlannedSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(codes(), st.sampled_from(DIFFERENTIAL_QUANDLES), st.booleans(), st.data())
+    def test_matches_propagating_search_and_brute_force(self, d, q, every_end, data):
+        _assert_matches_oracles(d, q, data.draw(st.integers(0, len(q) - 1)), every_end)
+
+    @pytest.mark.parametrize("d, basepoint", [
+        (qk.LongDiagram((6, 7, 1, 1, 6, 2), (-1, 1, -1, 1, -1, -1)), 1),
+        (qk.LongDiagram((6, 7, 3, 6, 1, 6), (1, 1, 1, 1, -1, -1)), 1),
     ])
-    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, started):
-        pools = []
+    def test_deduces_in_sweep_order(self, d, basepoint):
+        # rare codes where visiting a relation before the next sweep would deduce
+        # an arc backwards instead of forwards, which NOT_Q2 tells apart
+        _assert_matches_oracles(d, NOT_Q2, basepoint, every_end=False)
 
-        class InlinePool:
-            def __init__(self, workers, initializer, initargs):
-                pools.append(workers)
-                initializer(*initargs)
+    def test_not_q2_quandle_is_not_a_quandle(self):
+        assert any(NOT_Q2.barstar[NOT_Q2.star[i][j]][j] != i for i in range(3) for j in range(3))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        class InlineContext:
-            Pool = InlinePool
-
-        monkeypatch.setattr(coloring.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(coloring.multiprocessing, "get_context", lambda method: InlineContext())
-        d, d3 = qk.break_at(fx.TREFOIL_CLOSED, 1), qk.dihedral(3)
-        assert qk.colorings_long(d, d3, 0, jobs=jobs) == qk.colorings_long(d, d3, 0)
-        assert pools == started
+    def test_deep_chain_is_walked_without_recursion(self):
+        # the arc leaving each crossing passes over it: one guess per crossing, 2,000 levels deep
+        n = 2000
+        d = qk.LongDiagram(tuple(range(2, n + 2)), (1,) * n)
+        assert len(qk.colorings_long(d, qk.dihedral(3), 0)) == 1
 
 
 def _mono(shape):
