@@ -5,7 +5,8 @@ nonclassical, connected-sum.  Quandles are given as spec strings
 (``conjclass:S5:(1,2)(3,4,5)``, ``conjgroup:A6``, ``dihedral:3``,
 ``trivial:5``, generators via ``gens:...``) or as a path to a quandle JSON
 file; elements are given in cycle notation (or by label for table quandles).
-Exit status is nonzero only for parse/validation failures; a negative verdict
+Exit status is 1 for parse/validation failures and when ``verify-quandle``
+finds an axiom violated (its report still goes to stdout); a negative verdict
 is a result, not an error.
 """
 from __future__ import annotations
@@ -64,7 +65,7 @@ def cmd_verify_quandle(args) -> int:
     }
     text = f"{len(q)} elements\n{report.summary()}\n" + ("PASS" if report.all_ok else "FAIL")
     _emit(args, payload, text)
-    return 0
+    return 0 if report.all_ok else 1
 
 
 def cmd_colorings(args) -> int:

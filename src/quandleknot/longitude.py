@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .coloring import Coloring, InvariantQuery, _compile, colorings_long, colorings_tangle_boundary_mono
 from .diagram import LongDiagram, TangleDiagram
 from .quandle import Automorphism, FiniteQuandle, QuandleWord, eval_word
@@ -40,16 +42,37 @@ def _colored_parts(letters, coloring: Coloring) -> list[QuandleWord]:
     return [tuple([(colors[arc], barred) for arc, barred in part]) for part in letters]
 
 
-def _automorphism(q: FiniteQuandle, word: QuandleWord) -> Automorphism:
-    return Automorphism(q, tuple(eval_word(q, x, word) for x in range(len(q))))
+def _color_rows(colorings: tuple[Coloring, ...], num_arcs: int) -> np.ndarray:
+    """The colorings as a k x num_arcs index array, each row strand after strand."""
+    return np.array([sum(c.strands, ()) for c in colorings], dtype=np.intp).reshape(len(colorings), num_arcs)
+
+
+def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
+    """Row c, column x: x folded through the letters ``(arc, barred)`` colored by row c.
+
+    One gather per letter over all colorings at once, from the flattened right
+    translations, where ``x op j`` sits at ``(barred * m + j) * m + x``.
+    """
+    m = len(q)
+    table = q._translations.ravel()
+    arcs = [arc for arc, _ in letters]
+    barred = np.array([b for _, b in letters], dtype=np.intp)
+    offsets = ((barred * m + rows[:, arcs]) * m).T[:, :, None]  # letter, coloring, 1
+    acc = np.broadcast_to(np.arange(m), (len(rows), m))
+    for offset in offsets:
+        acc = table.take(offset + acc)
+    return acc
 
 
 def colored_longitude(d: LongDiagram, q: FiniteQuandle, coloring: Coloring) -> Automorphism:
     """Evaluate the longitude word in a coloring, as a quandle automorphism."""
     if coloring.diagram != d:
         raise ValueError("coloring does not belong to this diagram")
-    _, _, letters = _compile(d)
-    return _automorphism(q, _colored_parts(letters, coloring)[0])
+    arcs, _, (letters,) = _compile(d)
+    if not all(0 <= x < len(q) for x in coloring.strands[0]):
+        raise ValueError("coloring has a color outside the quandle")
+    images = _images(q, letters, _color_rows((coloring,), arcs[0]))
+    return Automorphism(q, tuple(images[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -66,11 +89,10 @@ class AutomorphismFamily:
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int,
                      jobs: int = 1) -> AutomorphismFamily:
     """All colored longitudes over the colorings with the given basepoint."""
-    _, _, letters = _compile(d)
-    autos = [_automorphism(q, _colored_parts(letters, c)[0])
-             for c in colorings_long(d, q, basepoint, jobs)]
-    autos.sort(key=lambda a: a.images)
-    return AutomorphismFamily(q, tuple(autos))
+    arcs, _, (letters,) = _compile(d)
+    rows = _color_rows(colorings_long(d, q, basepoint, jobs), arcs[0])
+    images = sorted(map(tuple, _images(q, letters, rows).tolist()))
+    return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
 
 
 @dataclass(frozen=True)

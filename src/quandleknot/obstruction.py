@@ -14,7 +14,8 @@ from .coloring import InvariantQuery, _compile, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, break_at, break_before_underpass, concat, mirror
 from .longitude import (
     FormalSum,
-    _colored_parts,
+    _color_rows,
+    _images,
     formal_sum,
     longitude_family,
     sum_equal,
@@ -22,7 +23,6 @@ from .longitude import (
     sum_render,
     tangle_sums,
 )
-from .quandle import eval_word
 
 DISTINCT = "distinct"
 OBSTRUCTED = "obstructed"
@@ -89,16 +89,11 @@ def tangle_embedding_obstruction_families(t: TangleDiagram, k: ClosedDiagram | L
     order's automorphism multiset embeds into the knot's longitude family.
     """
     q = query.quandle
-    _, _, letters = _compile(t)
-    first: Counter = Counter()
-    second: Counter = Counter()
-    for c in colorings_tangle_boundary_mono(t, q, query.basepoint, jobs):
-        w1, w2 = _colored_parts(letters, c)
-        first[tuple(eval_word(q, x, w1 + w2) for x in range(len(q)))] += 1
-        second[tuple(eval_word(q, x, w2 + w1) for x in range(len(q)))] += 1
+    arcs, _, (w1, w2) = _compile(t)
+    rows = _color_rows(colorings_tangle_boundary_mono(t, q, query.basepoint, jobs), sum(arcs))
+    orders = [Counter(map(tuple, _images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
     family = Counter(a.images for a in longitude_family(_as_long(k), q, query.basepoint, jobs).members)
-    included = any(all(family.get(img, 0) >= mult for img, mult in order.items())
-                   for order in (first, second))
+    included = any(all(family.get(img, 0) >= mult for img, mult in order.items()) for order in orders)
     return Verdict(INCONCLUSIVE if included else OBSTRUCTED)
 
 
@@ -125,12 +120,11 @@ def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
     """Compare K1#K2 with K2#K1 at both the sum and the family level."""
     q = query.quandle
-    ab = concat(k1, k2)
-    ba = concat(k2, k1)
-    s_ab = formal_sum(ab, q, query, jobs)
-    s_ba = formal_sum(ba, q, query, jobs)
-    fam_ab = longitude_family(ab, q, query.basepoint, jobs)
-    fam_ba = longitude_family(ba, q, query.basepoint, jobs)
+    fam_ab = longitude_family(concat(k1, k2), q, query.basepoint, jobs)
+    fam_ba = longitude_family(concat(k2, k1), q, query.basepoint, jobs)
+    # each family holds one longitude per coloring, so its images of act_on are the formal sum
+    s_ab, s_ba = (FormalSum.from_elements(q, (a.images[query.act_on] for a in fam.members))
+                  for fam in (fam_ab, fam_ba))
     families_differ = [a.images for a in fam_ab.members] != [a.images for a in fam_ba.members]
     kind = DISTINCT if (not sum_equal(s_ab, s_ba) or families_differ) else INCONCLUSIVE
     return Verdict(kind, {"K1#K2": s_ab, "K2#K1": s_ba})

@@ -128,6 +128,11 @@ def a6_quandle() -> qk.FiniteQuandle:
     return qk.parse_quandle_spec("conjgroup:A6")
 
 
+# a 3-element table whose barstar is not the inverse of its star: not a quandle
+NOT_Q2 = qk.FiniteQuandle(("a", "b", "c"), qk.dihedral(3).star,
+                          tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+
+
 def query_5_2() -> qk.InvariantQuery:
     q = s5_class_quandle()
     return qk.InvariantQuery(q, q.element_index("(1,2)(3,4,5)"), q.element_index("(1,2,3)(4,5)"))

@@ -1,6 +1,7 @@
 """Independent oracles: brute-force coloring enumeration, the propagating
 coloring search the planned one replaced, the composed-translation route to
-colored longitudes, and conjugation tables built one entry at a time.
+colored longitudes, longitude families evaluated one element at a time, and
+conjugation tables built one entry at a time.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -9,6 +10,7 @@ usable when that count is small.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import quandleknot as qk
 from quandleknot import permgroup as pg
@@ -133,6 +135,41 @@ def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
     for arc, barred in qk.symbolic_longitude(d).letters:
         acc = qk.compose_automorphisms(acc, qk.translation(q, colors[arc - 1], barred))
     return acc
+
+
+def _images_by_eval_word(q: qk.FiniteQuandle, word) -> tuple[int, ...]:
+    return tuple(qk.eval_word(q, x, word) for x in range(len(q)))
+
+
+def longitude_family_images(d: qk.LongDiagram, q: qk.FiniteQuandle, basepoint: int):
+    """The sorted image tuples of every colored longitude: one ``eval_word`` per
+    coloring and element, on words spelled out from the code."""
+    out = []
+    for c in qk.colorings_long(d, q, basepoint):
+        colors = c.arc_colors
+        word = tuple(letter for i in range(d.n) for letter in (
+            (colors[i], d.sign[i] > 0), (colors[d.over_arc[i] - 1], d.sign[i] < 0)))
+        out.append(_images_by_eval_word(q, word))
+    return sorted(out)
+
+
+def tangle_order_images(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepoint: int):
+    """Per boundary-monochromatic coloring, in search order, the image tuples of
+    both concatenation orders of the tangle's longitude parts."""
+    first, second = [], []
+    for c in qk.colorings_tangle_boundary_mono(t, q, basepoint):
+        w1, w2 = qk.tangle_longitude_parts(t, c)
+        first.append(_images_by_eval_word(q, w1 + w2))
+        second.append(_images_by_eval_word(q, w2 + w1))
+    return first, second
+
+
+def family_obstructed(t: qk.TangleDiagram, k: qk.LongDiagram, query: qk.InvariantQuery) -> bool:
+    """The family-level embedding obstruction from the element-at-a-time oracles:
+    neither order's multiset of automorphisms embeds into the knot's family."""
+    family = Counter(longitude_family_images(k, query.quandle, query.basepoint))
+    orders = tangle_order_images(t, query.quandle, query.basepoint)
+    return not any(all(family[img] >= n for img, n in Counter(order).items()) for order in orders)
 
 
 def conjugation_tables(elements: pg.ElementSet):

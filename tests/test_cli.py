@@ -63,6 +63,22 @@ class TestVerifyQuandle:
         code, out = run(capsys, "verify-quandle", "--quandle", str(path))
         assert code == 0 and "PASS" in out
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_failed_axiom_exits_one(self, capsys, tmp_path, json_flag):
+        # passes Q1 and Q2, which loading checks, but not Q3
+        table = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
+        path = tmp_path / "not_q3.json"
+        path.write_text(json.dumps({"degree": 0, "labels": ["a", "b", "c"], "star": table, "barstar": table}))
+        code = main(["verify-quandle", "--quandle", str(path), *json_flag])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        if json_flag:
+            payload = json.loads(captured.out)
+            assert payload["q1_ok"] and payload["q2_ok"] and not payload["q3_ok"] and not payload["passed"]
+        else:
+            assert "Q3 (distributivity, exhaustive, 27 triples): violated at (0, 2, 1)" in captured.out
+            assert captured.out.rstrip().endswith("FAIL")
+
 
 class TestColorings:
     def test_5_2_count(self, capsys):

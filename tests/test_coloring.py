@@ -156,10 +156,9 @@ class TestParallelism:
         assert serial == parallel
 
 
-# barstar is not the inverse of star, so Q2 (backwards) deductions can reject
-# branches a forward one would keep: the planned search must deduce alike
-NOT_Q2 = qk.FiniteQuandle(("a", "b", "c"), qk.dihedral(3).star,
-                          tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+# NOT_Q2's barstar is not the inverse of its star, so Q2 (backwards) deductions can
+# reject branches a forward one would keep: the planned search must deduce alike
+NOT_Q2 = fx.NOT_Q2
 DIFFERENTIAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(5), qk.trivial(3),
                          qk.parse_quandle_spec("conjclass:S4:(1,2)"), NOT_Q2)
 SIGNS = st.sampled_from((1, -1))

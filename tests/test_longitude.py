@@ -1,10 +1,33 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandleknot as qk
+from quandleknot import coloring, longitude
 import fixtures as fx
 import oracles
+
+SIGNS = st.sampled_from((1, -1))
+CLASSICAL_LONG = [fx.UNKNOT_LONG, fx.SINGLE_POSITIVE_KINK, fx.SINGLE_NEGATIVE_KINK, fx.KNOT_5_2_LONG,
+                  qk.break_at(fx.TREFOIL_CLOSED, 1), qk.break_at(fx.KNOT_5_2_CLOSED_ALT, 1),
+                  qk.break_at(fx.KNOT_6_2_CLOSED, 1), qk.break_at(fx.KNOT_6_3_CLOSED, 2),
+                  fx.t62_closure_long()]
+CLASSICAL_LONG += [qk.mirror(d) for d in CLASSICAL_LONG]
+
+
+@st.composite
+def random_long_codes(draw):
+    """Long codes with 0-7 crossings and any over-arcs, so virtual codes are included."""
+    n = draw(st.integers(0, 7))
+    return qk.LongDiagram(tuple(draw(st.integers(1, n + 1)) for _ in range(n)),
+                          tuple(draw(SIGNS) for _ in range(n)))
+
+
+LONG_CODES = st.one_of(st.sampled_from(CLASSICAL_LONG), random_long_codes())
+FAMILY_QUANDLES = st.sampled_from((qk.dihedral(3), qk.dihedral(5), qk.parse_quandle_spec("conjclass:S4:(1,2)"),
+                                   fx.a5_quandle(), fx.NOT_Q2))
 
 
 class TestSymbolicLongitude:
@@ -58,6 +81,12 @@ class TestColoredLongitude:
         for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint):
             phi = qk.colored_longitude(fx.KNOT_5_2_LONG, s5_class, c)
             assert qk.is_automorphism(s5_class, phi.images)
+
+    @pytest.mark.parametrize("colors", [(0, 3, 0, 0), (0, -1, 0, 0)])
+    def test_color_outside_quandle(self, colors):
+        d = qk.break_at(fx.TREFOIL_CLOSED, 1)
+        with pytest.raises(ValueError):
+            qk.colored_longitude(d, qk.dihedral(3), qk.Coloring(d, (colors,)))
 
     def test_coloring_diagram_mismatch(self, s5_class):
         mono = qk.Coloring(fx.UNKNOT_LONG, ((0,),))
@@ -115,6 +144,51 @@ class TestFamiliesAndSums:
             s = qk.formal_sum(d, quandle, query)
             assert s.mass() == count == len(qk.colorings_long(d, quandle, query.basepoint))
             assert s.coefficient(query.act_on) >= 1
+
+
+class TestBatchedEvaluation:
+    """The numpy evaluator against ``eval_word`` run once per coloring and element."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(LONG_CODES, FAMILY_QUANDLES, st.data())
+    def test_family_matches_elementwise_evaluation(self, d, q, data):
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        family = qk.longitude_family(d, q, basepoint)
+        assert [a.images for a in family.members] == oracles.longitude_family_images(d, q, basepoint)
+        act_on = data.draw(st.integers(0, len(q) - 1))
+        images = [a.images[act_on] for a in family.members]
+        assert qk.formal_sum(d, q, qk.InvariantQuery(q, basepoint, act_on)) == qk.FormalSum.from_elements(q, images)
+
+    @pytest.mark.parametrize("q", [qk.dihedral(3), fx.NOT_Q2, fx.s5_class_quandle()])
+    def test_empty_word_gives_identity(self, q):
+        family = qk.longitude_family(fx.UNKNOT_LONG, q, 1)
+        assert family.members == (qk.identity_automorphism(q),)
+
+    @pytest.mark.parametrize("t, k, query", [
+        (fx.tangle_t62(), fx.KNOT_6_3_CLOSED, fx.query_t62),
+        (fx.tangle_t62(), fx.t62_closure_long(), fx.query_t62),
+        (fx.tangle_t62(), fx.KNOT_6_3_CLOSED, fx.query_5_2),
+        (fx.tangle_t62_interleaved(), fx.KNOT_5_2_LONG, fx.query_5_2),
+        (fx.tangle_t62_interleaved(), fx.KNOT_6_3_CLOSED, fx.query_t62),
+    ])
+    def test_tangle_families_match_elementwise_evaluation(self, t, k, query):
+        query = query()
+        q = query.quandle
+        arcs, _, (w1, w2) = coloring._compile(t)
+        rows = longitude._color_rows(qk.colorings_tangle_boundary_mono(t, q, query.basepoint), sum(arcs))
+        batched = [list(map(tuple, longitude._images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
+        assert batched == list(oracles.tangle_order_images(t, q, query.basepoint))
+        long_k = qk.break_at(k, 1) if isinstance(k, qk.ClosedDiagram) else k
+        verdict = qk.tangle_embedding_obstruction_families(t, k, query)
+        assert verdict.kind == ("obstructed" if oracles.family_obstructed(t, long_k, query) else "inconclusive")
+
+    def test_sum_refuses_act_on_outside_the_quandle(self):
+        # a query built for a larger quandle than the one summed over
+        query = qk.InvariantQuery(qk.dihedral(5), 0, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            qk.formal_sum(fx.KNOT_5_2_LONG, qk.dihedral(3), query)
+        with pytest.raises(ValueError, match="out of range"):
+            qk.tangle_sums(fx.tangle_t62(), qk.dihedral(3), query)
 
 
 class TestSumAlgebra:

@@ -3,10 +3,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import quandleknot as qk
 import fixtures as fx
 
 WITNESS_PATH = Path(__file__).parent / "data" / "virtual_witness.json"
+FIXTURE_LONG = (fx.UNKNOT_LONG, fx.SINGLE_POSITIVE_KINK, fx.SINGLE_NEGATIVE_KINK, fx.KNOT_5_2_LONG,
+                qk.break_at(fx.TREFOIL_CLOSED, 1), fx.t62_closure_long(),
+                qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1), qk.break_at(fx.VIRTUAL_WITNESS_CODE, 2))
 
 
 class TestChirality:
@@ -147,6 +153,17 @@ class TestConnectedSum:
         for query in queries:
             verdict = qk.connected_sum_commutativity(fx.KNOT_5_2_LONG, trefoil_long, query)
             assert verdict.kind == "inconclusive"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIXTURE_LONG), st.sampled_from(FIXTURE_LONG),
+           st.sampled_from((qk.dihedral(3), qk.parse_quandle_spec("conjclass:S4:(1,2)"), fx.s5_class_quandle())),
+           st.data())
+    def test_reported_sums_are_formal_sums(self, k1, k2, q, data):
+        # the sums are read off the longitude families, without a search of their own
+        query = qk.InvariantQuery(q, data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1)))
+        verdict = qk.connected_sum_commutativity(k1, k2, query)
+        assert verdict.sums["K1#K2"] == qk.formal_sum(qk.concat(k1, k2), q, query)
+        assert verdict.sums["K2#K1"] == qk.formal_sum(qk.concat(k2, k1), q, query)
 
 
 class TestVerdictSerialization:
