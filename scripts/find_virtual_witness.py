@@ -51,32 +51,21 @@ def codes():
                 yield qk.ClosedDiagram(over, sign)
 
 
-def spectrum_automorphism_images(code, quandle, basepoint):
-    """Per breaking: multiset of longitude image tuples over all colorings."""
-    per_break = []
-    for i in range(1, code.n + 1):
-        broken = qk.break_before_underpass(code, i)
-        images = sorted(
-            qk.colored_longitude(broken, quandle, c).images
-            for c in qk.colorings_long(broken, quandle, basepoint)
-        )
-        per_break.append(images)
-    return per_break
+def longitude_families(code, quandle, basepoint):
+    """Per breaking before each under-passage: its colored longitudes, sorted."""
+    return [qk.longitude_family(qk.break_before_underpass(code, i), quandle, basepoint).members
+            for i in range(1, code.n + 1)]
 
 
 def find_witness_in(code, quandle):
     for basepoint in range(len(quandle)):
-        per_break = spectrum_automorphism_images(code, quandle, basepoint)
-        if all(pb == per_break[0] for pb in per_break[1:]):
+        per_break = longitude_families(code, quandle, basepoint)
+        if all(family == per_break[0] for family in per_break[1:]):
             continue
         for x in range(len(quandle)):
-            sums = []
-            for pb in per_break:
-                counts: dict[int, int] = {}
-                for img in pb:
-                    counts[img[x]] = counts.get(img[x], 0) + 1
-                sums.append(tuple(sorted(counts.items())))
-            if any(s != sums[0] for s in sums[1:]):
+            sums = [qk.FormalSum.from_elements(quandle, (phi(x) for phi in family))
+                    for family in per_break]
+            if any(not qk.sum_equal(s, sums[0]) for s in sums[1:]):
                 return basepoint, x
     return None
 

@@ -150,13 +150,14 @@ def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
     of a strand joins its arcs k and k + 1 (cyclically when closed); its letters
     are the under-arc, barred for sign +1, then the over-arc, barred for -1.
     """
+    closed = False
     if isinstance(d, TangleDiagram):
         strands = [[(c.over_strand - 1, c.over_arc - 1, c.sign) for c in s] for s in d.strands]
     elif isinstance(d, (LongDiagram, ClosedDiagram)):
-        strands = [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]]
+        strands, closed = [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]], d.closed
     else:
         raise TypeError(f"not a diagram: {d!r}")
-    arcs = tuple(len(s) + (not isinstance(d, ClosedDiagram)) for s in strands)
+    arcs = tuple(len(s) + (not closed) for s in strands)
     offsets = (0, *itertools.accumulate(arcs))
     relations, letters = [], []
     for s, crossings in enumerate(strands):

@@ -5,12 +5,19 @@ no planarity or realizability check ever runs, which is what makes virtual
 codes first-class citizens here.  Crossing i of a long diagram separates arc
 i from arc i+1; arcs are 1-based.  A sign of +1 marks the crossing type whose
 coloring relation uses ``*`` (see ``coloring``), -1 the ``*bar`` type.
+
+Long and closed diagrams share one base: the same ``(over_arc, sign)`` data
+and validation.  Its class flag ``closed`` is all that differs: a closed
+diagram's last arc wraps around to arc 1, so it has n arcs instead of n+1 and
+needs n >= 1.  Each kind stays its own class, so equal fields of different
+kinds still compare unequal.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 def _check_signs(sign: tuple[int, ...]):
@@ -19,45 +26,23 @@ def _check_signs(sign: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class LongDiagram:
-    """n crossings over arcs 1..n+1 in traversal order; n = 0 is the unknot."""
+class _GaussCode:
+    """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order."""
 
     over_arc: tuple[int, ...]
     sign: tuple[int, ...]
+    closed: ClassVar[bool]
 
     def __post_init__(self):
         n = len(self.over_arc)
-        if len(self.sign) != n:
-            raise ValueError("over_arc and sign must have equal length")
-        _check_signs(self.sign)
-        if any(not 1 <= a <= n + 1 for a in self.over_arc):
-            raise ValueError(f"over-arc reference outside 1..{n + 1}")
-
-    @property
-    def n(self) -> int:
-        return len(self.over_arc)
-
-    @property
-    def num_arcs(self) -> int:
-        return self.n + 1
-
-
-@dataclass(frozen=True)
-class ClosedDiagram:
-    """n >= 1 crossings over arcs 1..n cyclically."""
-
-    over_arc: tuple[int, ...]
-    sign: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.over_arc)
-        if n < 1:
+        if self.closed and n < 1:
             raise ValueError("closed diagrams need at least one crossing")
         if len(self.sign) != n:
             raise ValueError("over_arc and sign must have equal length")
         _check_signs(self.sign)
-        if any(not 1 <= a <= n for a in self.over_arc):
-            raise ValueError(f"over-arc reference outside 1..{n}")
+        top = n + (not self.closed)
+        if any(not 1 <= a <= top for a in self.over_arc):
+            raise ValueError(f"over-arc reference outside 1..{top}")
 
     @property
     def n(self) -> int:
@@ -65,7 +50,21 @@ class ClosedDiagram:
 
     @property
     def num_arcs(self) -> int:
-        return self.n
+        return self.n + (not self.closed)
+
+
+@dataclass(frozen=True)
+class LongDiagram(_GaussCode):
+    """n crossings over arcs 1..n+1 in traversal order; n = 0 is the unknot."""
+
+    closed = False
+
+
+@dataclass(frozen=True)
+class ClosedDiagram(_GaussCode):
+    """n >= 1 crossings over arcs 1..n cyclically."""
+
+    closed = True
 
 
 @dataclass(frozen=True)
@@ -91,22 +90,18 @@ class TangleDiagram:
             for c in strand:
                 if c.over_strand not in (1, 2):
                     raise ValueError(f"over_strand must be 1 or 2, got {c.over_strand}")
-                if c.sign not in (1, -1):
-                    raise ValueError("signs must be +1 or -1")
+                _check_signs((c.sign,))
                 if not 1 <= c.over_arc <= arcs[c.over_strand - 1]:
                     raise ValueError(
                         f"over-arc {c.over_arc} outside 1..{arcs[c.over_strand - 1]} "
                         f"on strand {c.over_strand}"
                     )
 
-    def strand_crossings(self, s: int) -> tuple[TangleCrossing, ...]:
-        return self.strands[s - 1]
-
-    def num_arcs(self, s: int) -> int:
-        return len(self.strands[s - 1]) + 1
-
 
 Diagram = LongDiagram | ClosedDiagram | TangleDiagram
+
+_CODE_KIND = {LongDiagram: "long", ClosedDiagram: "closed"}
+"""The JSON ``kind`` of each Gauss-code class."""
 
 
 # --- JSON codec -----------------------------------------------------------
@@ -133,10 +128,9 @@ def parse_diagram(text: str) -> Diagram:
         raise ValueError("diagram JSON must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
-        if kind == "long":
-            return LongDiagram(_ints(obj["over_arc"], "over_arc"), _ints(obj["sign"], "sign"))
-        if kind == "closed":
-            return ClosedDiagram(_ints(obj["over_arc"], "over_arc"), _ints(obj["sign"], "sign"))
+        for cls, name in _CODE_KIND.items():
+            if kind == name:
+                return cls(_ints(obj["over_arc"], "over_arc"), _ints(obj["sign"], "sign"))
         if kind == "tangle":
             strands = tuple(
                 tuple(
@@ -153,10 +147,8 @@ def parse_diagram(text: str) -> Diagram:
 
 
 def serialize_diagram(d: Diagram) -> str:
-    if isinstance(d, LongDiagram):
-        obj = {"kind": "long", "over_arc": list(d.over_arc), "sign": list(d.sign)}
-    elif isinstance(d, ClosedDiagram):
-        obj = {"kind": "closed", "over_arc": list(d.over_arc), "sign": list(d.sign)}
+    if type(d) in _CODE_KIND:
+        obj = {"kind": _CODE_KIND[type(d)], "over_arc": list(d.over_arc), "sign": list(d.sign)}
     elif isinstance(d, TangleDiagram):
         obj = {
             "kind": "tangle",
@@ -177,10 +169,8 @@ def serialize_diagram(d: Diagram) -> str:
 
 def mirror(d: Diagram) -> Diagram:
     """Negate every crossing sign; over/under assignments are unchanged."""
-    if isinstance(d, LongDiagram):
-        return LongDiagram(d.over_arc, tuple(-s for s in d.sign))
-    if isinstance(d, ClosedDiagram):
-        return ClosedDiagram(d.over_arc, tuple(-s for s in d.sign))
+    if isinstance(d, _GaussCode):
+        return type(d)(d.over_arc, tuple(-s for s in d.sign))
     if isinstance(d, TangleDiagram):
         return TangleDiagram(tuple(
             tuple(TangleCrossing(c.over_strand, c.over_arc, -c.sign) for c in strand)
@@ -275,11 +265,6 @@ def from_signed_gauss(text: str) -> ClosedDiagram | LongDiagram:
     order = [label for kind, label, _ in tokens if kind == "U"]
     crossing_of = {label: i + 1 for i, label in enumerate(order)}
     n = len(order)
-    if n == 0:
-        if is_long:
-            return LongDiagram((), ())
-        raise ValueError("closed diagrams need at least one crossing")
-
     over = [0] * n
     sign = [0] * n
     seen_under = 0
@@ -293,14 +278,11 @@ def from_signed_gauss(text: str) -> ClosedDiagram | LongDiagram:
             if not is_long and arc == n + 1:
                 arc = 1
             over[c - 1] = arc
-    if is_long:
-        return LongDiagram(tuple(over), tuple(sign))
-    return ClosedDiagram(tuple(over), tuple(sign))
+    return (LongDiagram if is_long else ClosedDiagram)(tuple(over), tuple(sign))
 
 
 def to_signed_gauss(d: ClosedDiagram | LongDiagram) -> str:
     """Canonical token text; within an arc, over-passages are ordered by crossing."""
-    is_long = isinstance(d, LongDiagram)
     n = d.n
     overs_on = {arc: [] for arc in range(1, d.num_arcs + 1)}
     for i, a in enumerate(d.over_arc, 1):
@@ -310,7 +292,7 @@ def to_signed_gauss(d: ClosedDiagram | LongDiagram) -> str:
         for c in sorted(overs_on[arc]):
             parts.append(f"O{c}{'+' if d.sign[c - 1] > 0 else '-'}")
         parts.append(f"U{arc}{'+' if d.sign[arc - 1] > 0 else '-'}")
-    if is_long:
+    if not d.closed:
         for c in sorted(overs_on[n + 1]):
             parts.append(f"O{c}{'+' if d.sign[c - 1] > 0 else '-'}")
         return "long: " + " ".join(parts) if parts else "long:"

@@ -22,6 +22,13 @@ def check_size(m: int) -> None:
                          + ("more" if m > MAX_ELEMENTS else "none"))
 
 
+def check_degree(degree: int) -> None:
+    """Refuse a permutation degree outside 1..MAX_ELEMENTS before any image list is built.
+    A quandle's m x degree image array then stays within a table's 2**23 entries."""
+    if not 1 <= degree <= MAX_ELEMENTS:
+        raise ValueError(f"a permutation degree must be in 1..{MAX_ELEMENTS}")
+
+
 @dataclass(frozen=True, order=True)
 class Permutation:
     """A bijection of {1..m}, stored as the tuple (p(1), ..., p(m))."""
@@ -45,8 +52,7 @@ class Permutation:
 
 
 def identity(degree: int) -> Permutation:
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    check_degree(degree)
     return Permutation(tuple(range(1, degree + 1)))
 
 
@@ -59,8 +65,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Unmentioned points are fixed.  Whitespace is ignored.  Raises ValueError on
     repeated points, points outside 1..degree, or malformed syntax.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    check_degree(degree)
     compact = re.sub(r"\s+", "", text)
     if compact == "()":
         return identity(degree)
@@ -173,48 +178,40 @@ def element_set(perms: Iterable[Permutation]) -> ElementSet:
     return ElementSet(members[0].degree, tuple(members))
 
 
-def close_under_generators(gens: ElementSet) -> ElementSet:
-    """Smallest set containing gens and the identity, closed under product and inverse.
+def _orbit(start: Permutation, gens: ElementSet, act) -> ElementSet:
+    """Everything reached from start by ``act(f, g)`` with each generator g, then each inverse.
 
-    Plain breadth-first growth; fine for the group orders this package targets.
+    Plain breadth-first growth, refused once it passes MAX_ELEMENTS; fine for
+    the group orders this package targets.
     """
-    if len(gens) == 0:
-        raise ValueError("need at least one generator")
     step = list(gens.members) + [inverse(g) for g in gens.members]
-    start = identity(gens.degree)
     known = {start}
     frontier = [start]
     while frontier:
         new = []
         for f in frontier:
             for g in step:
-                h = compose(f, g)
+                h = act(f, g)
                 if h not in known:
                     known.add(h)
                     check_size(len(known))
                     new.append(h)
         frontier = new
     return element_set(known)
+
+
+def close_under_generators(gens: ElementSet) -> ElementSet:
+    """Smallest set containing gens and the identity, closed under product and inverse."""
+    if len(gens) == 0:
+        raise ValueError("need at least one generator")
+    return _orbit(identity(gens.degree), gens, compose)
 
 
 def conjugacy_class(g: Permutation, gens: ElementSet) -> ElementSet:
     """Orbit of g under conjugation by the group generated by gens."""
     if g.degree != gens.degree:
         raise ValueError(f"degree mismatch: {g.degree} vs {gens.degree}")
-    step = list(gens.members) + [inverse(s) for s in gens.members]
-    known = {g}
-    frontier = [g]
-    while frontier:
-        new = []
-        for f in frontier:
-            for s in step:
-                h = conjugate(f, s)
-                if h not in known:
-                    known.add(h)
-                    check_size(len(known))
-                    new.append(h)
-        frontier = new
-    return element_set(known)
+    return _orbit(g, gens, conjugate)
 
 
 def group_generators(name: str) -> ElementSet:

@@ -364,6 +364,8 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     degree = obj.get("degree", 0)
     if type(degree) is not int:
         raise ValueError("malformed quandle JSON: degree must be an integer")
+    if degree:
+        permgroup.check_degree(degree)
     try:
         labels = obj["labels"]
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):

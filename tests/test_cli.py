@@ -247,6 +247,31 @@ class TestRefusedInputs:
     def test_oversized_gens_spec_refused(self, capsys):
         run_error(capsys, "verify-quandle", "--quandle", "conjgroup:gens:(1,2);(1,2,3,4,5,6,7,8)")
 
+    @pytest.mark.parametrize("spec", [
+        "conjgroup:gens:(1,99999999999999999999999)",
+        "conjclass:gens:(1,2);(1,2897):(1,2)",
+    ])
+    def test_oversized_degree_spec_refused(self, spec, capsys):
+        err = run_error(capsys, "verify-quandle", "--quandle", spec)
+        assert str(qk.permgroup.MAX_ELEMENTS) in err
+
+    @pytest.mark.parametrize("degree", [99999999999999999999999, 2897])
+    def test_oversized_json_degree_refused(self, degree, capsys, tmp_path):
+        obj = json.loads(qk.quandle_to_json(qk.parse_quandle_spec("conjclass:S3:(1,2)")))
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(dict(obj, degree=degree)))
+        err = run_error(capsys, "invariant", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", str(path), "--basepoint", "(1,2)")
+        assert str(qk.permgroup.MAX_ELEMENTS) in err
+
+    def test_largest_degree_accepted(self, capsys, tmp_path):
+        spec = "conjclass:gens:(1,2);(1,2896):(1,2)"
+        argv = ["invariant", "--diagram", fixture("trefoil_long.json"), "--basepoint", "(1,2)"]
+        assert run(capsys, *argv, "--quandle", spec) == (0, "3 · (1,2)\n")
+        path = tmp_path / "q.json"
+        path.write_text(qk.quandle_to_json(qk.parse_quandle_spec(spec)))
+        assert run(capsys, *argv, "--quandle", str(path)) == (0, "3 · (1,2)\n")
+
     @pytest.mark.parametrize("obj", [
         {"kind": "long", "over_arc": [1.0], "sign": [1]},
         {"kind": "long", "over_arc": [1], "sign": [True]},

@@ -21,6 +21,7 @@ class TestJsonCodec:
     def test_round_trip(self, d):
         text = qk.serialize_diagram(d)
         assert qk.parse_diagram(text) == d
+        assert type(qk.parse_diagram(text)) is type(d)
         assert qk.serialize_diagram(qk.parse_diagram(text)) == text
 
     def test_fig_style_long_json(self):
@@ -51,11 +52,31 @@ class TestJsonCodec:
         with pytest.raises(ValueError):
             qk.parse_diagram(bad)
 
+    @pytest.mark.parametrize("kind, over_arc, sign, message", [
+        ("closed", [], [], "^closed diagrams need at least one crossing$"),
+        ("long", [4, 1], [1, 1], r"^over-arc reference outside 1\.\.3$"),
+        ("closed", [1, 4, 2], [1, 1, 1], r"^over-arc reference outside 1\.\.3$"),
+        ("long", [1, 2], [1], "^over_arc and sign must have equal length$"),
+        ("closed", [1, 2], [1, 0], r"^signs must be \+1 or -1$"),
+    ])
+    def test_validation_messages(self, kind, over_arc, sign, message):
+        text = json.dumps({"kind": kind, "over_arc": over_arc, "sign": sign})
+        with pytest.raises(ValueError, match=message):
+            qk.parse_diagram(text)
+
+    def test_kinds_with_equal_fields_differ(self):
+        long, closed = qk.LongDiagram((1, 2), (1, -1)), qk.ClosedDiagram((1, 2), (1, -1))
+        assert long != closed and closed != long
+        assert (long.num_arcs, closed.num_arcs) == (3, 2)
+        assert repr(long) == "LongDiagram(over_arc=(1, 2), sign=(1, -1))"
+        assert repr(closed) == "ClosedDiagram(over_arc=(1, 2), sign=(1, -1))"
+
 
 class TestMirror:
     @pytest.mark.parametrize("d", [fx.KNOT_5_2_LONG, fx.KNOT_6_3_CLOSED, fx.tangle_t62(), fx.UNKNOT_LONG])
     def test_involution(self, d):
         assert qk.mirror(qk.mirror(d)) == d
+        assert type(qk.mirror(d)) is type(d)
 
     def test_mirror_of_5_2(self):
         m = qk.mirror(fx.KNOT_5_2_LONG)
@@ -137,7 +158,7 @@ class TestSignedGauss:
         assert qk.from_signed_gauss("long:") == fx.UNKNOT_LONG
 
     def test_empty_closed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^closed diagrams need at least one crossing$"):
             qk.from_signed_gauss("")
 
     @pytest.mark.parametrize("bad", [
