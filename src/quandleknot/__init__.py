@@ -75,7 +75,6 @@ from .obstruction import (
     connected_sum_commutativity,
     nonclassical_by_basepoints,
     tangle_embedding_obstruction,
-    tangle_embedding_obstruction_families,
 )
 
 __version__ = "0.1.0"

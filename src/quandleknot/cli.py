@@ -5,9 +5,10 @@ nonclassical, connected-sum.  Quandles are given as spec strings
 (``conjclass:S5:(1,2)(3,4,5)``, ``conjgroup:A6``, ``dihedral:3``,
 ``trivial:5``, generators via ``gens:...``) or as a path to a quandle JSON
 file; elements are given in cycle notation (or by label for table quandles).
-Exit status is 1 for parse/validation failures and when ``verify-quandle``
-finds an axiom violated (its report still goes to stdout); a negative verdict
-is a result, not an error.
+``verify-quandle`` checks Q1-Q3 exactly at every size; every other command
+refuses a quandle file that fails an axiom.  Exit status is 1 for
+parse/validation failures and when ``verify-quandle`` finds an axiom violated
+(its report still goes to stdout); a negative verdict is a result, not an error.
 """
 from __future__ import annotations
 
@@ -21,13 +22,20 @@ from . import coloring, diagram, longitude, obstruction, quandle
 _SPEC_PREFIXES = ("conjclass:", "conjgroup:", "dihedral:", "trivial:")
 
 
-def _load_quandle(text: str) -> quandle.FiniteQuandle:
+def _load_quandle(text: str, certify: bool = True) -> quandle.FiniteQuandle:
+    """A spec-built quandle, or a file's table; with ``certify``, a table failing an axiom is refused."""
     if text.startswith(_SPEC_PREFIXES):
-        return quandle.parse_quandle_spec(text)
+        return quandle.parse_quandle_spec(text)  # a quandle by construction
     path = Path(text)
-    if path.exists():
-        return quandle.quandle_from_json(path.read_text())
-    raise ValueError(f"{text!r} is neither a quandle spec nor an existing file")
+    if not path.exists():
+        raise ValueError(f"{text!r} is neither a quandle spec nor an existing file")
+    q = quandle.quandle_from_json(path.read_text())
+    if certify:
+        report = quandle.verify_axioms(q)
+        if not report.all_ok:
+            failed = next(line for line in report.summary().splitlines() if "violated" in line)
+            raise ValueError(f"{text} is not a quandle: {failed}")
+    return q
 
 
 def _load_diagram(path: str) -> diagram.Diagram:
@@ -53,15 +61,15 @@ def _sum_payload(s: longitude.FormalSum) -> dict:
 
 
 def cmd_verify_quandle(args) -> int:
-    q = _load_quandle(args.quandle)
-    report = quandle.verify_axioms(q, q3_samples=args.q3_samples)
+    q = _load_quandle(args.quandle, certify=False)
+    report = quandle.verify_axioms(q)
     payload = {
         "elements": len(q),
         "passed": report.all_ok,
         "q1_ok": report.q1_violation is None,
         "q2_ok": report.q2_violation is None,
         "q3_ok": report.q3_violation is None,
-        "q3_mode": report.q3_mode,
+        "q3_mode": "exhaustive",
     }
     text = f"{len(q)} elements\n{report.summary()}\n" + ("PASS" if report.all_ok else "FAIL")
     _emit(args, payload, text)
@@ -173,12 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Finite-quandle knot invariants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-quandle", help="check the quandle axioms")
+    p = sub.add_parser("verify-quandle", help="check the quandle axioms exactly, on all triples")
     p.add_argument("--quandle", required=True)
-    p.add_argument("--q3-samples", type=int, default=None,
-                   help="sample Q3 on this many random triples instead of exhaustively "
-                        f"(default: exhaustive up to {quandle.Q3_EXHAUSTIVE_MAX} elements, "
-                        f"{quandle.Q3_DEFAULT_SAMPLES} samples above)")
     _add_common(p)
     p.set_defaults(func=cmd_verify_quandle)
 

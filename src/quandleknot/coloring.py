@@ -211,11 +211,23 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint
     return _colorings(d, q, basepoint, every_end=True)
 
 
+def _colors(c: Coloring, arcs: tuple[int, ...], m: int | None) -> list[int]:
+    """The colors strand after strand.  ValueError unless each strand has its
+    compiled arc count and every color lies in range(m), or is >= 0 for m None."""
+    if tuple(map(len, c.strands)) != arcs:
+        raise ValueError(f"coloring has strands of {tuple(map(len, c.strands))} arcs, the diagram {arcs}")
+    colors = [x for strand in c.strands for x in strand]
+    if not all(0 <= x and (m is None or x < m) for x in colors):
+        raise ValueError("coloring has a color outside the quandle")
+    return colors
+
+
 def verify_coloring(c: Coloring, q: FiniteQuandle) -> bool:
     """Re-check every crossing relation, independent of the search; False for a wrong shape."""
     arcs, relations, _ = _compile(c.diagram)
-    colors = [x for strand in c.strands for x in strand]
-    if tuple(map(len, c.strands)) != arcs or not all(0 <= x < len(q) for x in colors):
+    try:
+        colors = _colors(c, arcs, len(q))
+    except ValueError:
         return False
     return all(colors[out] == q.op(colors[inn], colors[over], barred=sign < 0)
                for out, inn, over, sign in relations)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coloring import Coloring, InvariantQuery, _compile, colorings_long, colorings_tangle_boundary_mono
+from .coloring import Coloring, InvariantQuery, _colors, _compile, colorings_long, colorings_tangle_boundary_mono
 from .diagram import LongDiagram, TangleDiagram
 from .quandle import Automorphism, FiniteQuandle, QuandleWord, eval_word
 
@@ -36,15 +36,9 @@ def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
-def _colored_parts(letters, coloring: Coloring) -> list[QuandleWord]:
+def _colored_parts(letters, colors) -> list[QuandleWord]:
     """Each strand's longitude letters with every arc replaced by its color."""
-    colors = sum(coloring.strands, ())
     return [tuple([(colors[arc], barred) for arc, barred in part]) for part in letters]
-
-
-def _color_rows(colorings: tuple[Coloring, ...], num_arcs: int) -> np.ndarray:
-    """The colorings as a k x num_arcs index array, each row strand after strand."""
-    return np.array([sum(c.strands, ()) for c in colorings], dtype=np.intp).reshape(len(colorings), num_arcs)
 
 
 def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
@@ -69,9 +63,7 @@ def colored_longitude(d: LongDiagram, q: FiniteQuandle, coloring: Coloring) -> A
     if coloring.diagram != d:
         raise ValueError("coloring does not belong to this diagram")
     arcs, _, (letters,) = _compile(d)
-    if not all(0 <= x < len(q) for x in coloring.strands[0]):
-        raise ValueError("coloring has a color outside the quandle")
-    images = _images(q, letters, _color_rows((coloring,), arcs[0]))
+    images = _images(q, letters, np.array([_colors(coloring, arcs, len(q))], dtype=np.intp))
     return Automorphism(q, tuple(images[0].tolist()))
 
 
@@ -90,7 +82,8 @@ def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int,
                      jobs: int = 1) -> AutomorphismFamily:
     """All colored longitudes over the colorings with the given basepoint."""
     arcs, _, (letters,) = _compile(d)
-    rows = _color_rows(colorings_long(d, q, basepoint, jobs), arcs[0])
+    colorings = colorings_long(d, q, basepoint, jobs)
+    rows = np.array([c.strands[0] for c in colorings], dtype=np.intp).reshape(-1, arcs[0])
     images = sorted(map(tuple, _images(q, letters, rows).tolist()))
     return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
 
@@ -144,7 +137,7 @@ def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery,
                jobs: int = 1) -> FormalSum:
     """Sum of phi(x) over all colored longitudes phi with basepoint q."""
     _, _, letters = _compile(d)
-    images = [eval_word(q, query.act_on, _colored_parts(letters, c)[0])
+    images = [eval_word(q, query.act_on, _colored_parts(letters, c.strands[0])[0])
               for c in colorings_long(d, q, query.basepoint, jobs)]
     return FormalSum.from_elements(q, images)
 
@@ -152,11 +145,11 @@ def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery,
 # --- tangle longitude parts -------------------------------------------------
 
 def tangle_longitude_parts(t: TangleDiagram, coloring: Coloring) -> tuple[QuandleWord, QuandleWord]:
-    """Per-strand colored longitude words, letters exactly as in the long case."""
+    """Per-strand colored longitude words, letters exactly as in the long case; colors must be indices."""
     if coloring.diagram != t:
         raise ValueError("coloring does not belong to this tangle")
-    _, _, letters = _compile(t)
-    return tuple(_colored_parts(letters, coloring))
+    arcs, _, letters = _compile(t)
+    return tuple(_colored_parts(letters, _colors(coloring, arcs, None)))
 
 
 def tangle_sums(t: TangleDiagram, q: FiniteQuandle, query: InvariantQuery,
@@ -166,7 +159,7 @@ def tangle_sums(t: TangleDiagram, q: FiniteQuandle, query: InvariantQuery,
     _, _, letters = _compile(t)
     first, second = [], []
     for c in colorings_tangle_boundary_mono(t, q, query.basepoint, jobs):
-        w1, w2 = _colored_parts(letters, c)
+        w1, w2 = _colored_parts(letters, sum(c.strands, ()))
         first.append(eval_word(q, query.act_on, w1 + w2))
         second.append(eval_word(q, query.act_on, w2 + w1))
     return FormalSum.from_elements(q, first), FormalSum.from_elements(q, second)

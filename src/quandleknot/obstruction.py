@@ -7,15 +7,12 @@ fallback outcome is always "inconclusive".
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .coloring import InvariantQuery, _compile, colorings_tangle_boundary_mono
+from .coloring import InvariantQuery
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, break_at, break_before_underpass, concat, mirror
 from .longitude import (
     FormalSum,
-    _color_rows,
-    _images,
     formal_sum,
     longitude_family,
     sum_equal,
@@ -76,25 +73,6 @@ def tangle_embedding_obstruction(t: TangleDiagram, k: ClosedDiagram | LongDiagra
     obstructed = not sum_included(s1, s_knot) and not sum_included(s2, s_knot)
     return Verdict(OBSTRUCTED if obstructed else INCONCLUSIVE,
                    {"S1": s1, "S2": s2, "knot": s_knot})
-
-
-def tangle_embedding_obstruction_families(t: TangleDiagram, k: ClosedDiagram | LongDiagram,
-                                          query: InvariantQuery, jobs: int = 1) -> Verdict:
-    """Experimental family-level variant of the embedding obstruction.
-
-    If the tangle embeds, each boundary-monochromatic coloring extends to a
-    coloring of the knot whose colored longitude equals one concatenation of
-    the tangle's longitude parts (the same order for every coloring, fixed by
-    where the basepoint sits relative to the tangle).  Obstructed iff neither
-    order's automorphism multiset embeds into the knot's longitude family.
-    """
-    q = query.quandle
-    arcs, _, (w1, w2) = _compile(t)
-    rows = _color_rows(colorings_tangle_boundary_mono(t, q, query.basepoint, jobs), sum(arcs))
-    orders = [Counter(map(tuple, _images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
-    family = Counter(a.images for a in longitude_family(_as_long(k), q, query.basepoint, jobs).members)
-    included = any(all(family.get(img, 0) >= mult for img, mult in order.items()) for order in orders)
-    return Verdict(INCONCLUSIVE if included else OBSTRUCTED)
 
 
 def basepoint_spectrum(c: ClosedDiagram, query: InvariantQuery,

@@ -1,7 +1,7 @@
 """Independent oracles: brute-force coloring enumeration, the propagating
 coloring search the planned one replaced, the composed-translation route to
-colored longitudes, longitude families evaluated one element at a time, and
-conjugation tables built one entry at a time.
+colored longitudes, longitude families evaluated one element at a time,
+conjugation tables built one entry at a time, and the axioms by a triple loop.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -10,7 +10,6 @@ usable when that count is small.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 import quandleknot as qk
 from quandleknot import permgroup as pg
@@ -164,12 +163,16 @@ def tangle_order_images(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepoint: int
     return first, second
 
 
-def family_obstructed(t: qk.TangleDiagram, k: qk.LongDiagram, query: qk.InvariantQuery) -> bool:
-    """The family-level embedding obstruction from the element-at-a-time oracles:
-    neither order's multiset of automorphisms embeds into the knot's family."""
-    family = Counter(longitude_family_images(k, query.quandle, query.basepoint))
-    orders = tangle_order_images(t, query.quandle, query.basepoint)
-    return not any(all(family[img] >= n for img, n in Counter(order).items()) for order in orders)
+def brute_axioms(q: qk.FiniteQuandle):
+    """The first violation of Q1 (by i), Q2 (by (i, j)) and Q3 (by (k, i, j),
+    reported as (i, j, k)), or None, from one triple loop over the tables."""
+    m, star, barstar = len(q), q.star, q.barstar
+    q1 = next(((i,) for i in range(m) if star[i][i] != i), None)
+    q2 = next(((i, j) for i, j in itertools.product(range(m), repeat=2)
+               if barstar[star[i][j]][j] != i or star[barstar[i][j]][j] != i), None)
+    q3 = next(((i, j, k) for k, i, j in itertools.product(range(m), repeat=3)
+               if star[star[i][j]][k] != star[star[i][k]][star[j][k]]), None)
+    return q1, q2, q3
 
 
 def conjugation_tables(elements: pg.ElementSet):

@@ -237,12 +237,21 @@ class TestRefusedInputs:
         assert time.perf_counter() - start < 2.0
         assert str(qk.permgroup.MAX_ELEMENTS) in err
 
-    @pytest.mark.slow
-    def test_a7_verified_by_sampling(self, capsys):
-        assert main(["verify-quandle", "--quandle", "conjgroup:A7", "--json"]) == 0
+    def test_large_quandle_verified_exactly(self, capsys):
+        # above 720 elements, where Q3 used to be sampled
+        assert main(["verify-quandle", "--quandle", "dihedral:721", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["elements"] == 2520 and payload["passed"]
-        assert payload["q3_mode"] == "sampled"
+        assert payload["elements"] == 721 and payload["passed"]
+        assert payload["q3_mode"] == "exhaustive"
+
+    def test_q3_failing_file_refused(self, capsys, tmp_path):
+        # passes Q1 and Q2, which loading checks, but not Q3
+        table = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
+        path = tmp_path / "not_q3.json"
+        path.write_text(json.dumps({"degree": 0, "labels": ["a", "b", "c"], "star": table, "barstar": table}))
+        err = run_error(capsys, "invariant", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", str(path), "--basepoint", "a", "--act-on", "b")
+        assert "not a quandle" in err and "Q3" in err and "(0, 2, 1)" in err
 
     def test_oversized_gens_spec_refused(self, capsys):
         run_error(capsys, "verify-quandle", "--quandle", "conjgroup:gens:(1,2);(1,2,3,4,5,6,7,8)")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,11 +83,19 @@ class TestColoredLongitude:
             phi = qk.colored_longitude(fx.KNOT_5_2_LONG, s5_class, c)
             assert qk.is_automorphism(s5_class, phi.images)
 
-    @pytest.mark.parametrize("colors", [(0, 3, 0, 0), (0, -1, 0, 0)])
+    # strands of a 4-arc long trefoil: a color past the end, a negative color,
+    # a negative color on a second strand, and a strand one arc short
+    @pytest.mark.parametrize("colors", [((0, 3, 0, 0),), ((0, -1, 0, 0),), ((0, 1), (-1, 0)), ((0, 1, 0),)])
     def test_color_outside_quandle(self, colors):
         d = qk.break_at(fx.TREFOIL_CLOSED, 1)
-        with pytest.raises(ValueError):
-            qk.colored_longitude(d, qk.dihedral(3), qk.Coloring(d, (colors,)))
+        with pytest.raises(ValueError, match="outside the quandle|arcs"):
+            qk.colored_longitude(d, qk.dihedral(3), qk.Coloring(d, colors))
+
+    @pytest.mark.parametrize("colors", [((0, 0, 0, 0), (0, -1, 0, 0)), ((0, 0, 0, 0), (0, 0, 0))])
+    def test_tangle_parts_refuse_a_misshapen_coloring(self, colors):
+        t = fx.tangle_t62()  # strands of 4 and 4 arcs
+        with pytest.raises(ValueError, match="outside the quandle|arcs"):
+            qk.tangle_longitude_parts(t, qk.Coloring(t, colors))
 
     def test_coloring_diagram_mismatch(self, s5_class):
         mono = qk.Coloring(fx.UNKNOT_LONG, ((0,),))
@@ -175,12 +184,14 @@ class TestBatchedEvaluation:
         query = query()
         q = query.quandle
         arcs, _, (w1, w2) = coloring._compile(t)
-        rows = longitude._color_rows(qk.colorings_tangle_boundary_mono(t, q, query.basepoint), sum(arcs))
+        colorings = qk.colorings_tangle_boundary_mono(t, q, query.basepoint)
+        rows = np.array([sum(c.strands, ()) for c in colorings], dtype=np.intp).reshape(-1, sum(arcs))
         batched = [list(map(tuple, longitude._images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
         assert batched == list(oracles.tangle_order_images(t, q, query.basepoint))
-        long_k = qk.break_at(k, 1) if isinstance(k, qk.ClosedDiagram) else k
-        verdict = qk.tangle_embedding_obstruction_families(t, k, query)
-        assert verdict.kind == ("obstructed" if oracles.family_obstructed(t, long_k, query) else "inconclusive")
+        # S1 and S2 are the act-on column of the two orders' images
+        sums = qk.tangle_sums(t, q, query)
+        assert sums == tuple(qk.FormalSum.from_elements(q, (img[query.act_on] for img in order))
+                             for order in batched)
 
     def test_sum_refuses_act_on_outside_the_quandle(self):
         # a query built for a larger quandle than the one summed over

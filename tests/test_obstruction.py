@@ -82,15 +82,6 @@ class TestTangleObstruction:
             verdict = qk.tangle_embedding_obstruction(fx.tangle_t62(), fx.t62_closure_long(), query)
             assert verdict.kind == "inconclusive"
 
-    def test_family_level_variant(self, a6):
-        q = fx.query_t62()
-        obstructed = qk.tangle_embedding_obstruction_families(
-            fx.tangle_t62(), fx.KNOT_6_3_CLOSED, q)
-        assert obstructed.kind == "obstructed"
-        embedded = qk.tangle_embedding_obstruction_families(
-            fx.tangle_t62(), fx.t62_closure_long(), q)
-        assert embedded.kind == "inconclusive"
-
 
 class TestBasepointSpectrum:
     def test_classical_spectra_constant(self, s5_class):

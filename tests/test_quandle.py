@@ -145,6 +145,69 @@ class TestSizeLimit:
             qk.parse_quandle_spec(spec)
 
 
+def _from_star(star) -> qk.FiniteQuandle:
+    """A table quandle on 0..m-1; barstar inverts each column of star that is a
+    permutation, and repeats star's column where it is not."""
+    m = len(star)
+    barstar = [[star[i][j] for j in range(m)] for i in range(m)]
+    for j in range(m):
+        column = [star[i][j] for i in range(m)]
+        if sorted(column) == list(range(m)):
+            for i, image in enumerate(column):
+                barstar[image][j] = i
+    return qk.FiniteQuandle(tuple(map(str, range(m))), tuple(map(tuple, star)), tuple(map(tuple, barstar)))
+
+
+def _column_swap(q: qk.FiniteQuandle, j: int, a: int, b: int) -> qk.FiniteQuandle:
+    star = [list(row) for row in q.star]
+    star[a][j], star[b][j] = star[b][j], star[a][j]
+    return _from_star(star)
+
+
+REAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(6), qk.trivial(3),
+                 qk.parse_quandle_spec("conjclass:S4:(1,2)"), qk.parse_quandle_spec("conjclass:S4:(1,2,3)"),
+                 qk.parse_quandle_spec("conjgroup:S3"), qk.parse_quandle_spec("conjclass:S5:(1,2)(3,4,5)"))
+
+
+@st.composite
+def alexander_quandles(draw):
+    """x * y = t x + (1 - t) y mod p, t a unit."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    t = draw(st.integers(1, p - 1))
+    return _from_star([[(t * x + (1 - t) * y) % p for y in range(p)] for x in range(p)])
+
+
+@st.composite
+def column_swaps(draw):
+    """A real quandle with two entries of one column swapped."""
+    q = draw(st.sampled_from(REAL_QUANDLES))
+    j, a, b = (draw(st.integers(0, len(q) - 1)) for _ in range(3))
+    return _column_swap(q, j, a, b)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two quandles side by side, each acting trivially on the other; one may be corrupt."""
+    first, second = (draw(st.one_of(st.sampled_from(REAL_QUANDLES), column_swaps())) for _ in range(2))
+    m, n = len(first), len(second)
+    star = [[first.star[x][y] if x < m and y < m else
+             second.star[x - m][y - m] + m if x >= m and y >= m else x
+             for y in range(m + n)] for x in range(m + n)]
+    return _from_star(star)
+
+
+@st.composite
+def random_tables(draw):
+    """Random tables whose columns are permutations, so Q2 holds and Q1, Q3
+    mostly fail, or whose entries are arbitrary, so Q2 mostly fails too."""
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        columns = [draw(st.permutations(range(m))) for _ in range(m)]
+    else:
+        columns = [draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)) for _ in range(m)]
+    return _from_star([[columns[j][i] for j in range(m)] for i in range(m)])
+
+
 class TestAxioms:
     def test_corrupted_table_reports_violation(self):
         d5 = qk.dihedral(5)
@@ -164,22 +227,41 @@ class TestAxioms:
         )
         assert ok == qk.verify_axioms(d3).all_ok
 
-    def test_sampled_mode(self, s5_class):
-        report = qk.verify_axioms(s5_class, q3_samples=50_000)
+    def test_exact_above_the_old_sampling_size(self):
+        report = qk.verify_axioms(qk.dihedral(721))
+        assert report.all_ok and report.q3_checked == 721 ** 3
+        assert "Q3 (distributivity, exhaustive, 374805361 triples): ok" in report.summary()
+
+    def test_violation_above_the_old_sampling_size(self):
+        q = _column_swap(qk.dihedral(721), 5, 0, 1)
+        report = qk.verify_axioms(q)
+        i, j, k = report.q3_violation
+        assert q.star[q.star[i][j]][k] != q.star[q.star[i][k]][q.star[j][k]]
+        assert report.q1_violation is None and report.q2_violation is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(alexander_quandles(), column_swaps(), disjoint_unions(), random_tables()))
+    def test_matches_brute_force_triple_check(self, q):
+        report = qk.verify_axioms(q)
+        expected = oracles.brute_axioms(q)
+        assert (report.q1_violation, report.q2_violation, report.q3_violation) == expected
+        assert report.q3_checked == len(q) ** 3
+
+    def test_refuses_more_work_than_a_720_element_scan(self, monkeypatch):
+        # dihedral:5 has two generators, 0 and 1, with distinct translations: 2 * 5**2 triples
+        monkeypatch.setattr(qk.quandle, "_Q3_TRIPLES_MAX", 50)
+        assert qk.verify_axioms(qk.dihedral(5)).all_ok
+        monkeypatch.setattr(qk.quandle, "_Q3_TRIPLES_MAX", 49)
+        with pytest.raises(ValueError, match="Q3 check refused: 2 distinct generator translations"):
+            qk.verify_axioms(qk.dihedral(5))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec", ["trivial:2896", "dihedral:2896", "conjgroup:A7"])
+    def test_largest_quandles_verified_exactly(self, spec):
+        q = qk.parse_quandle_spec(spec)
+        report = qk.verify_axioms(q)
         assert report.all_ok
-        assert report.q3_mode == "sampled"
-        assert report.q3_checked == 50_000
-
-    def test_default_q3_mode_switches_at_threshold(self, monkeypatch):
-        monkeypatch.setattr(qk.quandle, "Q3_EXHAUSTIVE_MAX", 5)
-        at, above = qk.verify_axioms(qk.dihedral(5)), qk.verify_axioms(qk.dihedral(6))
-        assert (at.q3_mode, at.q3_checked) == ("exhaustive", 125)
-        assert (above.q3_mode, above.q3_checked) == ("sampled", qk.quandle.Q3_DEFAULT_SAMPLES)
-        assert at.all_ok and above.all_ok
-
-    def test_default_samples_q3_above_threshold(self):
-        report = qk.verify_axioms(qk.dihedral(qk.quandle.Q3_EXHAUSTIVE_MAX + 1))
-        assert report.all_ok and report.q3_mode == "sampled"
+        assert f"Q3 (distributivity, exhaustive, {len(q) ** 3} triples): ok" in report.summary()
 
 
 class TestTranslationsAndWords:
