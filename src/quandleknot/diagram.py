@@ -122,7 +122,7 @@ def parse_diagram(text: str) -> Diagram:
     """Parse the JSON wire format; inverse of serialize_diagram."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("diagram JSON must be an object with a 'kind' field")

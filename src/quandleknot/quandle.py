@@ -1,13 +1,13 @@
 """Finite quandles as labeled operation tables.
 
 A quandle carries two tables: ``star`` for ``*`` and ``barstar`` for the
-inverse operation.  Elements are identified by position; labels are display
+inverse operation, held as one numpy array and, for the scalar loops, as
+tuple rows.  Elements are identified by position; labels are display
 strings only.  Conjugation quandles use ``a * b = b^-1 a b`` and
 ``a *bar b = b a b^-1`` with the composition convention from ``permgroup``.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -27,6 +27,13 @@ QuandleWord = tuple[tuple[int, bool], ...]
 class FiniteQuandle:
     """Operation tables star[i][j] = i * j and barstar[i][j] = i *bar j.
 
+    Each table may be given as an m x m integer array or as nested int
+    sequences.  The constructor checks both and keeps them as one int32
+    array, ``_translations[barred, j, i] = i op j``, whose row j is the right
+    translation by j; the vectorized readers use it.  ``star`` and
+    ``barstar`` are then stored as tuple rows derived from that array,
+    sharing one int object per element, for the scalar loops.
+
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
     """
@@ -40,26 +47,30 @@ class FiniteQuandle:
         m = len(self.labels)
         if len(set(self.labels)) != m:
             raise ValueError("labels must be pairwise distinct")
-        indices = set(range(m))
-        for table in (self.star, self.barstar):
-            if len(table) != m or any(len(row) != m for row in table):
-                raise ValueError("operation tables must be square of size len(labels)")
-            if not set().union(*table) <= indices:
-                raise ValueError("table entry out of range")
+        translations = np.empty((2, m, m), dtype=np.int32)
+        for barred, name in enumerate(("star", "barstar")):
+            try:
+                table = np.asarray(getattr(self, name))
+            except ValueError:  # ragged rows
+                table = None
+            if table is None or table.shape != (m, m):
+                raise ValueError(f"{name} must be a {m} x {m} table")
+            if table.dtype.kind not in "iu":
+                raise ValueError(f"{name} entries must be integers")
+            if not (table.min() >= 0 and table.max() < m):
+                raise ValueError(f"{name} entry out of range")
+            translations[barred] = table.T
+            del table  # the copy made of a nested-sequence table
+        object.__setattr__(self, "_translations", translations)
+        star, barstar = _as_tuples(translations)
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "barstar", barstar)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def op(self, i: int, j: int, barred: bool = False) -> int:
         return self.barstar[i][j] if barred else self.star[i][j]
-
-    @functools.cached_property
-    def _translations(self) -> np.ndarray:
-        """The right translations as one (2, m, m) array: ``[barred, j, i] = i op j``.
-
-        Built on first use, because converting the tuple tables costs about 10 ms on A6.
-        """
-        return np.array((self.star, self.barstar), dtype=np.int32).transpose(0, 2, 1).copy()
 
     def element_index(self, text: str) -> int:
         """Resolve an element given by label, or by cycle notation when applicable."""
@@ -77,25 +88,30 @@ class FiniteQuandle:
         raise ValueError(f"element {text!r} is not in this quandle")
 
 
-def _as_tuples(*tables: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    """Each m x m table as tuple rows, all sharing one int object per element.
+def _as_tuples(translations: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """Both tables of ``FiniteQuandle._translations`` as tuple rows, ``[barred][i][j] = i op j``.
 
-    ``table.tolist()`` would keep m*m fresh ints alive, and converting a whole
-    table at once would hold m*m temporary references; one row at a time does neither.
+    The rows share one int object per element: ``table.tolist()`` would keep
+    m*m fresh ints alive, and converting a whole table at once would hold m*m
+    temporary references; one row at a time does neither.  Equal tables (an
+    involutory quandle) share their rows as well.
     """
-    shared = np.arange(len(tables[0])).astype(object)
-    return [tuple(tuple(shared[row].tolist()) for row in table) for table in tables]
+    shared = np.arange(translations.shape[-1]).astype(object)
+    star = tuple(tuple(shared[row].tolist()) for row in translations[0].T)
+    if np.array_equal(translations[0], translations[1]):
+        return [star, star]
+    return [star, tuple(tuple(shared[row].tolist()) for row in translations[1].T)]
 
 
-def _invert_columns(star: np.ndarray) -> np.ndarray:
-    """The table with out[star[i, j], j] = i: each right translation inverted.
+def _invert_rows(right: np.ndarray) -> np.ndarray:
+    """The translations with out[j, right[j, i]] = i: each row inverted.
 
-    An entry that no i reaches stays -1, so a table whose columns are not
-    bijections never equals its alleged inverse.
+    An entry that no i reaches stays -1, so a table whose translations are
+    not bijections never equals its alleged inverse.
     """
-    m = len(star)
-    out = np.full_like(star, -1)
-    out[star, np.arange(m)] = np.arange(m)[:, None]
+    m = len(right)
+    out = np.full_like(right, -1)
+    out[np.arange(m)[:, None], right] = np.arange(m)
     return out
 
 
@@ -115,7 +131,7 @@ def from_conjugation(elements: ElementSet) -> FiniteQuandle:
     inverses = np.empty_like(images)
     inverses[np.arange(m)[:, None], images] = np.arange(n)
     keys = _row_keys(images)  # ascending, because members are sorted
-    star = np.empty((m, m), dtype=np.int64)
+    right = np.empty((m, m), dtype=np.int32)  # [j, i] = i * j
     for j in range(m):
         conj = images[j][images[:, inverses[j]]]  # row i: members[j]^-1 members[i] members[j]
         conj_keys = _row_keys(conj)
@@ -128,22 +144,24 @@ def from_conjugation(elements: ElementSet) -> FiniteQuandle:
                 f"set not closed under conjugation: {permgroup.print_cycles(members[i])} * "
                 f"{permgroup.print_cycles(members[j])} = {permgroup.print_cycles(c)} is missing"
             )
-        star[:, j] = found
+        right[j] = found
     labels = tuple(permgroup.print_cycles(p) for p in members)
-    return FiniteQuandle(labels, *_as_tuples(star, _invert_columns(star)), elements.degree)
+    return FiniteQuandle(labels, right.T, _invert_rows(right).T, elements.degree)
 
 
 def dihedral(n: int) -> FiniteQuandle:
     """The involutory quandle on {0..n-1} with i * j = 2j - i mod n."""
     permgroup.check_size(n)
-    table = tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n))
+    elements = np.arange(n, dtype=np.int32)
+    table = 2 * elements - elements[:, None]
+    table %= n
     return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
 
 
 def trivial(n: int) -> FiniteQuandle:
     """The quandle with x * y = x for all x, y."""
     permgroup.check_size(n)
-    table = tuple(tuple(i for _ in range(n)) for i in range(n))
+    table = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n))
     return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
 
 
@@ -263,8 +281,7 @@ def translation(q: FiniteQuandle, by: int, barred: bool = False) -> Automorphism
     """The map x -> x * by (or x *bar by); an automorphism by Q2/Q3."""
     if not 0 <= by < len(q):
         raise ValueError(f"element index {by} out of range")
-    table = q.barstar if barred else q.star
-    return Automorphism(q, tuple(table[i][by] for i in range(len(q))))
+    return Automorphism(q, tuple(q._translations[int(barred), by].tolist()))
 
 
 def compose_automorphisms(f: Automorphism, g: Automorphism) -> Automorphism:
@@ -280,8 +297,8 @@ def is_automorphism(q: FiniteQuandle, images: Sequence[int]) -> bool:
     img = np.asarray(images, dtype=np.int64)
     if img.shape != (m,) or not np.array_equal(np.sort(img), np.arange(m)):
         return False
-    star = np.asarray(q.star, dtype=np.int64)
-    return bool(np.array_equal(img[star], star[np.ix_(img, img)]))
+    right = q._translations[0]  # [j, i] = i * j
+    return bool(np.array_equal(img[right], right[np.ix_(img, img)]))
 
 
 def eval_word(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]]) -> int:
@@ -308,6 +325,8 @@ def _parse_generators(text: str) -> ElementSet:
     if not parts:
         raise ValueError("empty generator list")
     points = [int(tok) for p in parts for tok in re.findall(r"\d+", p)]
+    if not points:
+        raise ValueError(f"generator list {text!r} names no point")
     degree = max(points)
     return permgroup.element_set(permgroup.parse_cycles(p, degree) for p in parts)
 
@@ -354,23 +373,24 @@ def quandle_to_json(q: FiniteQuandle) -> str:
     return json.dumps(obj)
 
 
-def _index_table(rows, name: str, m: int) -> np.ndarray:
-    """A JSON table as an m x m array of element indices; bools and floats are refused."""
+def _json_table(rows, name: str) -> np.ndarray:
+    """A parsed JSON table as an int32 array; ``FiniteQuandle`` checks its shape and range.
+
+    Only ints are accepted: a JSON true would pass as the integer 1 in an array.
+    """
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         raise ValueError(f"malformed quandle JSON: {name} entries must be integers")
     try:
-        table = np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int32)
     except ValueError:
-        table = None
-    if table is None or table.shape != (m, m):
-        raise ValueError(f"malformed quandle JSON: {name} must be a {m} x {m} table")
-    if not (table.min() >= 0 and table.max() < m):
-        raise ValueError(f"malformed quandle JSON: {name} entry out of range")
-    return table
+        raise ValueError(f"malformed quandle JSON: {name} rows differ in length") from None
 
 
 def quandle_from_json(text: str) -> FiniteQuandle:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed quandle JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError("malformed quandle JSON: expected an object")
     degree = obj.get("degree", 0)
@@ -382,18 +402,20 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         labels = obj["labels"]
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise ValueError("malformed quandle JSON: labels must be a list of strings")
-        labels = tuple(labels)
-        m = len(labels)
-        permgroup.check_size(m)
-        star = _index_table(obj["star"], "star", m)
-        barstar = _index_table(obj["barstar"], "barstar", m)
+        permgroup.check_size(len(labels))
+        # popped, so each parsed list of m*m ints is freed as soon as its array exists
+        tables = [_json_table(obj.pop(name), name) for name in ("star", "barstar")]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
-    del obj  # the parsed lists hold m*m ints each; free them before the tuples are built
-    not_idempotent = np.nonzero(np.diagonal(star) != np.arange(m))[0]
+    try:
+        q = FiniteQuandle(tuple(labels), *tables, degree)
+    except ValueError as exc:
+        raise ValueError(f"malformed quandle JSON: {exc}") from None
+    right, right_bar = q._translations
+    not_idempotent = np.nonzero(np.diagonal(right) != np.arange(len(q)))[0]
     if not_idempotent.size:
         i = int(not_idempotent[0])
         raise ValueError(f"malformed quandle JSON: star is not a quandle table ({i} * {i} != {i}, Q1)")
-    if not np.array_equal(_invert_columns(star), barstar):
+    if not np.array_equal(_invert_rows(right), right_bar):
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
-    return FiniteQuandle(labels, *_as_tuples(star, barstar), degree)
+    return q

@@ -281,6 +281,18 @@ class TestRefusedInputs:
         path.write_text(qk.quandle_to_json(qk.parse_quandle_spec(spec)))
         assert run(capsys, *argv, "--quandle", str(path)) == (0, "3 · (1,2)\n")
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"labels": ["0", "1"], "star": [[0, 1], [1,'],
+                             ids=["deep", "truncated"])
+    @pytest.mark.parametrize("kind", ["diagram", "quandle"])
+    def test_unparsable_json_file(self, text, kind, capsys, tmp_path):
+        # nested deeper than the json module recurses, or cut short
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        files = {"diagram": fixture("trefoil_long.json"), "quandle": "dihedral:3", kind: str(path)}
+        err = run_error(capsys, "colorings", "--diagram", files["diagram"],
+                        "--quandle", files["quandle"], "--basepoint", "0")
+        assert f"malformed {kind} JSON" in err
+
     @pytest.mark.parametrize("obj", [
         {"kind": "long", "over_arc": [1.0], "sign": [1]},
         {"kind": "long", "over_arc": [1], "sign": [True]},

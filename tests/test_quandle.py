@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,6 +50,29 @@ class TestConstructors:
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
             qk.FiniteQuandle(("a", "a"), ((0, 0), (1, 1)), ((0, 0), (1, 1)))
+
+    def test_array_tables_equal_tuple_tables(self, s5_class):
+        star = np.array(s5_class.star, dtype=np.int64)
+        barstar = np.array(s5_class.barstar, dtype=np.uint16)
+        from_arrays = qk.FiniteQuandle(s5_class.labels, star, barstar, s5_class.degree)
+        assert from_arrays == s5_class
+        assert from_arrays == qk.FiniteQuandle(s5_class.labels, s5_class.star, s5_class.barstar, 5)
+        assert all(type(row) is tuple for table in (from_arrays.star, from_arrays.barstar) for row in table)
+
+    @pytest.mark.parametrize("star, match", [
+        (((0.0, 0.0), (1.0, 1.0)), "star entries must be integers"),
+        (((False, False), (True, True)), "star entries must be integers"),
+        (np.zeros((2, 2)), "star entries must be integers"),
+        ((("0", "0"), ("1", "1")), "star entries must be integers"),
+        (((0, 0), (1,)), "star must be a 2 x 2 table"),
+        (((0, 0), (1, 1), (1, 1)), "star must be a 2 x 2 table"),
+        (np.zeros((2, 2, 1), dtype=int), "star must be a 2 x 2 table"),
+        (((0, 0), (1, 2)), "star entry out of range"),
+        (np.array([[0, -1], [1, 1]]), "star entry out of range"),
+    ])
+    def test_misshapen_tables_refused(self, star, match):
+        with pytest.raises(ValueError, match=match):
+            qk.FiniteQuandle(("a", "b"), star, ((0, 0), (1, 1)))
 
 
 def _assert_matches_oracle(elements: pg.ElementSet):
@@ -119,8 +147,9 @@ class TestConjugationBuild:
         assert (a6.labels, a6.star, a6.barstar) == oracles.conjugation_tables(elements)
 
     def test_rows_share_int_objects(self, a6):
-        ids = {id(v) for table in (a6.star, a6.barstar) for row in table for v in row}
-        assert len(ids) == len(a6)
+        for q in (a6, qk.dihedral(300), qk.trivial(300)):
+            ids = {id(v) for table in (q.star, q.barstar) for row in table for v in row}
+            assert len(ids) == len(q)
 
 
 class TestSizeLimit:
@@ -263,6 +292,19 @@ class TestAxioms:
         assert report.all_ok
         assert f"Q3 (distributivity, exhaustive, {len(q) ** 3} triples): ok" in report.summary()
 
+    @pytest.mark.slow
+    def test_largest_dihedral_peak_memory(self):
+        # the child's own high-water mark: ru_maxrss would inherit this process's
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read VmHWM from")
+        code = ("import re, quandleknot as qk\n"
+                "assert qk.verify_axioms(qk.parse_quandle_spec('dihedral:2896')).all_ok\n"
+                "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n")
+        src = str(Path(qk.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) / 1024 < 400
+
 
 class TestTranslationsAndWords:
     def test_translation_fixes_its_element(self):
@@ -337,6 +379,8 @@ class TestSpecStringsAndJson:
         for bad in ("conjclass:S5", "wibble:3", "dihedral:x", "conjgroup:Q8"):
             with pytest.raises(ValueError):
                 qk.parse_quandle_spec(bad)
+        with pytest.raises(ValueError, match="names no point"):
+            qk.parse_quandle_spec("conjgroup:gens:()")
 
     def test_json_round_trip(self, s5_class):
         text = qk.quandle_to_json(s5_class)
