@@ -2,23 +2,31 @@
 
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
 with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Which arcs a
-search has colored never depends on the colors, so the order is planned once:
-segments of forced steps (derive an under-arc forwards, or backwards by Q2, or
-check a relation), each opened by guessing one over-arc.  One depth-first
-walk tries every color per guess and rejects on conflict, so branching is
-bounded by |Q|^(number of genuinely free over-arcs).  The public functions
-accept ``jobs`` for compatibility; it has no effect.
+search has colored never depends on the colors, so the order is planned once
+as levels, each coloring one arc and then running forced steps (derive an
+out-arc from its in- and over-arc, or check a relation whose arcs are all
+colored).  A solve level colors the one uncolored arc of a relation with
+exactly the colors that satisfy it, read from an index built as the search
+needs it; a guess level tries every color, and is planned only where no
+relation pins an arc.  Every level enumerates every color its relation allows
+and every relation is enforced, so the result is the true solution set for
+any operation table.  One depth-first walk visits the levels.  The public
+functions accept ``jobs`` for compatibility; it has no effect.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram
 from .quandle import FiniteQuandle
 
 Relation = tuple[int, int, int, int]  # (out_arc, in_arc, over_arc, sign), 0-based arcs
+Candidates = Callable[[int, int], Sequence[int]]  # (color of arc a, color of arc b) -> colors
 
 
 @dataclass(frozen=True)
@@ -52,87 +60,282 @@ class InvariantQuery:
             raise ValueError(f"act-on index {self.act_on} out of range")
 
 
-def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple[int | None, list]]:
-    """The search order: segments of a guessed arc (none in the first) and fixed steps.
+def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
+    """The search order: levels that each color one arc, then run forced steps.
 
-    Step ``(dst, a, b, barred, check)`` stores ``a op b`` at ``dst`` or, with
-    ``check``, compares it with ``dst``.  The order replays a fixed-point sweep
-    over the relations: a known over-arc derives ``out`` from ``in``, else
-    ``in`` from ``out`` by Q2, and checks a relation whose three arcs are known
-    unless ``out`` came from it.  When stuck, guess the over-arc of the first
-    relation with a known end, else the first unknown arc.  A heap of (sweep,
-    relation) visits revisits only relations touching a newly known arc.
+    A level is ``(arc, steps, solve)``.  The first colors a preset arc with its
+    preset color, or guesses arc 0 when nothing is preset.  With ``solve``
+    None a level guesses: it tries every color.  Otherwise ``solve`` is
+    ``(pattern, barred, a, b)``: the arc is the one unknown arc of a relation
+    and the level tries exactly the colors that satisfy that relation, given
+    the colors of arcs ``a`` and ``b`` (see ``_SOLVERS``).  Step
+    ``(dst, a, b, barred, check)`` stores ``a op b`` at ``dst`` or, with
+    ``check``, compares it with ``dst``.
+
+    Which arcs are known never depends on the colors, so the plan is made
+    once: derive an out-arc whose in- and over-arc are known, and check a
+    relation whose arcs are all known.  When stuck, solve a relation with one
+    unknown arc, preferring an unknown in-arc or a repeated arc (at most one
+    candidate on a quandle) to an unknown over-arc.  Only when no relation has
+    one, guess the over-arc of a relation with a known end (else the first
+    unknown arc); among the first few such over-arcs, the one whose guess
+    would check the most relations and then pin the most arcs (``_cascade``).
+    Each relation is revisited only when one of its arcs becomes known.
     """
     touching: list[list[int]] = [[] for _ in range(num_arcs)]
+    unknown = []  # distinct arcs of each relation not yet known
     for j, (out, inn, over, _) in enumerate(relations):
-        for arc in {out, inn, over}:
+        arcs = {out, inn, over}
+        unknown.append(len(arcs))
+        for arc in arcs:
             touching[arc].append(j)
     known = [False] * num_arcs
-    settled = [False] * len(relations)  # out derived from it, or checked
-    visits: list[tuple[int, int]] = []
-    guessable: list[int] = []  # relations that got a known end while their over-arc was unknown
-
-    def learn(arc: int, sweep: int, at: int) -> None:
+    settled = [False] * len(relations)  # derived, checked or solved by a level
+    fresh = list(preset) or [0]  # known arcs whose relations are not yet updated
+    for arc in fresh:
         known[arc] = True
-        for j in touching[arc]:
-            heapq.heappush(visits, (sweep + (j <= at), j))
-            if not known[relations[j][2]]:
-                heapq.heappush(guessable, j)
-
-    for arc in preset:
-        learn(arc, 0, -1)
-    segments, guess = [], None
+    remaining, first_unknown = num_arcs - len(fresh), 0
+    ready: list[int] = []  # relations that got down to one or no unknown arc
+    pinned: list[tuple[int, str]] = []  # (relation, pattern) of an unknown in-arc or repeated arc
+    loose: list[tuple[int, str]] = []  # the same for an unknown over-arc
+    guessable: list[int] = []  # relations that got a known end while their over-arc was unknown
+    levels: list[tuple] = []
+    arc, solve = fresh[0], None
     while True:
         steps = []
-        while visits:
-            sweep, j = visit = heapq.heappop(visits)
-            out, inn, over, sign = relations[j]
-            if settled[j] or not known[over] or (visits and visits[0] == visit):
+        while fresh or ready:
+            if fresh:
+                new = fresh.pop()
+                for j in touching[new]:
+                    unknown[j] -= 1
+                    if unknown[j] < 2:
+                        ready.append(j)
+                    elif new != relations[j][2]:
+                        heapq.heappush(guessable, j)
                 continue
-            if known[inn]:
+            j = ready.pop()
+            if settled[j]:
+                continue
+            out, inn, over, sign = relations[j]
+            if not unknown[j] or (known[inn] and known[over]):
                 steps.append((out, inn, over, sign < 0, known[out]))
                 settled[j] = True
                 if not known[out]:
-                    learn(out, sweep, j)
+                    known[out], remaining = True, remaining - 1
+                    fresh.append(out)
             elif known[out]:
-                steps.append((inn, out, over, sign > 0, False))
-                learn(inn, sweep, j)
-        segments.append((guess, steps))
-        while guessable and known[relations[guessable[0]][2]]:
-            heapq.heappop(guessable)
-        if not guessable and all(known):
-            return segments
-        guess = relations[guessable[0]][2] if guessable else known.index(False)
-        learn(guess, 0, -1)
+                if known[over]:
+                    pinned.append((j, "in"))
+                elif known[inn]:
+                    loose.append((j, "over"))
+                else:
+                    pinned.append((j, "kink"))
+            elif known[inn]:
+                pinned.append((j, "fixed"))
+            # else the unknown arc is both out and in: a guess colors it, then it is checked
+        levels.append((arc, steps, solve))
+        if not remaining:
+            return levels
+        solve = None
+        while pinned and settled[pinned[-1][0]]:
+            pinned.pop()
+        while loose and settled[loose[-1][0]]:
+            loose.pop()
+        if pinned or loose:
+            j, pattern = (pinned or loose).pop()
+            settled[j] = True
+            arc, a, b = (relations[j][k] for k in _SOLVERS[pattern][1])
+            solve = (pattern, relations[j][3] < 0, a, b)
+        else:
+            while guessable and known[relations[guessable[0]][2]]:
+                heapq.heappop(guessable)
+            candidates = [c for c in dict.fromkeys(relations[j][2] for j in guessable[:_LOOKAHEAD])
+                          if not known[c]]
+            if len(candidates) > 1:
+                arc = max(candidates, key=lambda c: _cascade(c, relations, touching, unknown, known, settled))
+            elif candidates:
+                arc = candidates[0]
+            else:
+                while known[first_unknown]:
+                    first_unknown += 1
+                arc = first_unknown
+        known[arc], remaining = True, remaining - 1
+        fresh.append(arc)
 
 
-def _search(segments: list, assign: list[int | None], q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Every full assignment the segments accept, by a depth-first walk without recursion.
-    ``assign`` is reused: a segment writes each arc it derives before deeper levels read it."""
-    levels = [(arc, [(dst, (q.star, q.barstar)[barred], a, b, check) for dst, a, b, barred, check in steps])
-              for arc, steps in segments]
-    m, tried = len(q), [0] * len(levels)  # colors tried so far at each level
-    results, level = [], 0
+def _cascade(arc: int, relations: list[Relation], touching: list[list[int]], unknown: list[int],
+             known: list[bool], settled: list[bool]) -> tuple[int, int]:
+    """What knowing ``arc`` would lead to before the next guess: the relations it
+    would check, and the arcs it would pin (itself, and every arc then derived
+    or solved with at most one candidate on a quandle, transitively)."""
+    pinned, stack, seen, used, checks = {arc}, [arc], {}, set(), 0
+    while stack:
+        for j in touching[stack.pop()]:
+            if settled[j] or j in used:
+                continue
+            seen[j] = seen.get(j, 0) + 1
+            left = unknown[j] - seen[j]
+            if left == 0:
+                checks += 1
+            elif left == 1:
+                out, inn, over, _ = relations[j]
+                new = next((a for a in (out, inn, over) if not known[a] and a not in pinned), None)
+                if new is not None and (new == out) != (new == inn):  # not a bare over-arc, nor out = in
+                    pinned.add(new)
+                    stack.append(new)
+                    used.add(j)
+    return checks, len(pinned)
+
+
+def _buckets(values) -> dict[int, list[int]]:
+    """``{z: [y : values[y] = z]}``."""
+    buckets: dict[int, list[int]] = {}
+    for y, z in enumerate(values):
+        if z in buckets:
+            buckets[z].append(y)
+        else:
+            buckets[z] = [y]
+    return buckets
+
+
+def _bucketed(line: Callable[[int], Sequence[int]]) -> Candidates:
+    """``(key, z) -> [y : line(key)[y] = z]``, each key's line bucketed on first use."""
+    lines: dict[int, dict[int, list[int]]] = {}
+
+    def candidates(key: int, z: int) -> Sequence[int]:
+        buckets = lines.get(key)
+        if buckets is None:
+            buckets = lines[key] = _buckets(line(key))
+        return buckets.get(z, ())
+    return candidates
+
+
+def _over_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
+    """``(x, z) -> {y : x op y = z}``, from row x of the table."""
+    return _bucketed((q.star, q.barstar)[barred].__getitem__)
+
+
+def _in_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
+    """``(b, z) -> {y : y op b = z}``.  Where the other table inverts the right
+    translation by b (Q2 at b, checked on first use of b) that is ``z op' b``
+    alone; otherwise the translation is bucketed."""
+    inverse, right = (q.barstar, q.star)[barred], q._translations[int(barred)]
+    back, identity, columns = q._translations[1 - int(barred)], np.arange(len(q)), {}
+
+    def candidates(b: int, z: int) -> Sequence[int]:
+        exact = columns.get(b)
+        if exact is None:
+            exact = columns[b] = np.array_equal(back[b][right[b]], identity) or _buckets(right[b].tolist())
+        return (inverse[z][b],) if exact is True else exact.get(z, ())
+    return candidates
+
+
+def _kink_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
+    """``(z, z) -> {y : y op y = z}``, from the diagonal."""
+    table = (q.star, q.barstar)[barred]
+    return _bucketed(lambda _: [table[y][y] for y in range(len(q))])
+
+
+def _fixed_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
+    """``(x, x) -> {y : x op y = y}``, from row x of the table with those y filed under x."""
+    table = (q.star, q.barstar)[barred]
+    return _bucketed(lambda x: [x if z == y else -1 for y, z in enumerate(table[x])])
+
+
+# How a relation (out, in, over) with one unknown arc is solved, by the pattern of that
+# arc: the maker of its candidate function, and the positions of the arc and of the
+# arcs a and b whose colors the function takes
+_SOLVERS = {
+    "in": (_in_candidates, (1, 2, 0)),
+    "over": (_over_candidates, (2, 1, 0)),
+    "kink": (_kink_candidates, (1, 0, 0)),  # in = over
+    "fixed": (_fixed_candidates, (2, 1, 1)),  # out = over
+}
+_LOOKAHEAD = 16  # guess candidates scored at a stuck point
+# Tables of at most this many entries are checked for Q2 whole, once per search, so that
+# in-arc solves can run as steps; larger ones are checked one translation at a time
+_FOLD_ENTRIES = 1 << 16
+
+
+def _inverts(q: FiniteQuandle) -> bool:
+    """Whether ``(i op j) op' j = i`` for all i and j, op' the other operation (Q2).
+    Then every right translation is a bijection, inverted by the other table's."""
+    m = len(q)
+    right, back = q._translations  # [j, i] = i op j, i op' j
+    composed = back.ravel()[right + np.arange(0, m * m, m)[:, None]]  # [j, i] = (i op j) op' j
+    return bool((composed == np.arange(m)).all())
+
+
+def _fold_in_solves(levels: list) -> list:
+    """The levels with every in-arc solve run as a step of the level before it.
+
+    On a table that satisfies Q2, ``{y : y op b = z}`` is ``{z op' b}``, so the
+    level has exactly one candidate, which a step derives backwards.
+    """
+    folded: list = []
+    for arc, steps, solve in levels:
+        if solve and solve[0] == "in":
+            _, barred, over, out = solve
+            before, before_steps, before_solve = folded[-1]
+            folded[-1] = (before, before_steps + [(arc, out, over, not barred, False)] + steps, before_solve)
+        else:
+            folded.append((arc, steps, solve))
+    return folded
+
+
+def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tuple[int, ...]]:
+    """Every full assignment the levels accept, by a depth-first walk without recursion.
+
+    ``assign`` is reused: a level writes each arc it colors or derives before
+    deeper levels read it.  A guess level tries ``range(m)``; a solve level
+    asks, on entry, its pattern's candidate function (one per pattern and
+    table in this call), whose index grows as the walk needs it: one pass
+    over a table row or column serves every later entry with the same key.
+    When small tables satisfy Q2, checked once here, in-arc solves have one
+    candidate each and run as steps instead (``_fold_in_solves``).
+    """
+    m = len(q)
+    every = range(m)
+    tables = (q.star, q.barstar)
+    if m * m <= _FOLD_ENTRIES and any(solve and solve[0] == "in" for _, _, solve in levels) and _inverts(q):
+        levels = _fold_in_solves(levels)
+    solvers: dict = {}
+    plan, sources = [], []
+    for arc, steps, solve in levels:
+        plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
+        if solve is None:
+            sources.append(None)
+            continue
+        pattern, barred, a, b = solve
+        if (pattern, barred) not in solvers:
+            solvers[pattern, barred] = _SOLVERS[pattern][0](q, barred)
+        sources.append((solvers[pattern, barred], a, b))
+    first = assign[levels[0][0]]
+    options: list = [iter(every if first is None else (first,))] + [None] * (len(levels) - 1)
+    results, level, last = [], 0, len(levels) - 1
     while level >= 0:
-        arc, steps = levels[level]
-        if tried[level] == (m if level else 1):  # level 0 guesses nothing and runs once
+        arc, steps = plan[level]
+        for assign[arc] in options[level]:  # resumes where the level left off
+            for dst, table, a, b, check in steps:
+                value = table[assign[a]][assign[b]]
+                if not check:
+                    assign[dst] = value
+                elif value != assign[dst]:
+                    break
+            else:
+                if level < last:
+                    break
+                results.append(tuple(assign))  # type: ignore[arg-type]
+        else:
             level -= 1
             continue
-        if level:
-            assign[arc] = tried[level]
-        tried[level] += 1
-        for dst, table, a, b, check in steps:
-            value = table[assign[a]][assign[b]]
-            if not check:
-                assign[dst] = value
-            elif value != assign[dst]:
-                break
+        level += 1
+        source = sources[level]
+        if source is None:
+            options[level] = iter(every)
         else:
-            if level + 1 == len(levels):
-                results.append(tuple(assign))  # type: ignore[arg-type]
-            else:
-                level += 1
-                tried[level] = 0
+            candidates, a, b = source
+            options[level] = iter(candidates(assign[a], assign[b]))
     return results
 
 

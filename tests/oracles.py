@@ -1,11 +1,12 @@
-"""Independent oracles: brute-force coloring enumeration, the propagating
-coloring search the planned one replaced, the composed-translation route to
-colored longitudes, longitude families evaluated one element at a time,
-conjugation tables built one entry at a time, and the axioms by a triple loop.
+"""Independent oracles: brute-force coloring enumeration, coloring counts of
+Alexander quandles by linear algebra, the propagating coloring search the
+planned one replaced, the composed-translation route to colored longitudes,
+longitude families evaluated one element at a time, conjugation tables built
+one entry at a time, and the axioms by a triple loop.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
-usable when that count is small.
+usable when that count is small; the Alexander count works at any size.
 """
 from __future__ import annotations
 
@@ -46,6 +47,22 @@ def brute_colorings_closed(d: qk.ClosedDiagram, q: qk.FiniteQuandle, basepoint: 
     return sorted(out)
 
 
+def brute_rows(num_arcs: int, relations, preset: dict, q: qk.FiniteQuandle):
+    """Sorted solutions of a compiled relation system ``(out, in, over, sign)``
+    with ``preset`` arcs fixed: every assignment filtered."""
+    m = len(q)
+    assert m ** (num_arcs - len(preset)) <= BRUTE_LIMIT, "instance too large for brute force"
+    free = [arc for arc in range(num_arcs) if arc not in preset]
+    out = []
+    for rest in itertools.product(range(m), repeat=len(free)):
+        colors = [preset.get(arc) for arc in range(num_arcs)]
+        for arc, color in zip(free, rest):
+            colors[arc] = color
+        if all(colors[o] == _op(q, colors[i], colors[v], sign) for o, i, v, sign in relations):
+            out.append(tuple(colors))
+    return sorted(out)
+
+
 def brute_colorings_tangle_mono(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepoint: int):
     m = len(q)
     n1, n2 = len(t.strands[0]), len(t.strands[1])
@@ -68,6 +85,59 @@ def brute_colorings_tangle_mono(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepo
         if ok:
             out.append(strands)
     return sorted(out)
+
+
+def alexander_quandle(p: int, t: int) -> qk.FiniteQuandle:
+    """The Alexander quandle ``x * y = t·x + (1 - t)·y mod p`` (p prime, t a
+    unit); ``x *bar y`` uses t^-1.  ``dihedral(p)`` is t = -1."""
+    star, barstar = (tuple(tuple((s * x + (1 - s) * y) % p for y in range(p)) for x in range(p))
+                     for s in (t % p, pow(t, -1, p)))
+    return qk.FiniteQuandle(tuple(map(str, range(p))), star, barstar)
+
+
+def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over Z_p of sparse rows ``{column: coefficient}``: each row is
+    reduced by the pivot rows of its highest columns until it is zero or
+    gives a new pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {col: v % p for col, v in row.items() if v % p}
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inverse = pow(row[col], -1, p)
+                pivots[col] = {c: v * inverse % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                reduced = (row.get(c, 0) - factor * v) % p
+                if reduced:
+                    row[c] = reduced
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int:
+    """The number of colorings by ``alexander_quandle(p, t)`` with arc 1 fixed.
+
+    Each crossing is the linear equation ``out = s·in + (1 - s)·over`` with s
+    = t^sign.  The colorings with arc 1 fixed form an affine space over Z_p,
+    never empty because the constant coloring lies in it, so there are
+    p^nullity of them, where the nullity is that of the equations with arc 1's
+    column dropped.
+    """
+    arcs = d.n + (not d.closed)
+    equations = []
+    for i, (over, sign) in enumerate(zip(d.over_arc, d.sign)):
+        s = t if sign > 0 else pow(t, -1, p)
+        row: dict[int, int] = {}
+        for arc, coefficient in (((i + 1) % arcs, 1), (i, -s), (over - 1, s - 1)):
+            if arc:  # arc 1 is fixed
+                row[arc] = row.get(arc, 0) + coefficient
+        equations.append(row)
+    return p ** (arcs - 1 - _rank_mod_p(equations, p))
 
 
 def _propagate(assign, relations, star, barstar) -> bool:
