@@ -3,15 +3,17 @@
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
 with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Which arcs a
 search has colored never depends on the colors, so the order is planned once
-as levels, each coloring one arc and then running forced steps (derive an
-out-arc from its in- and over-arc, or check a relation whose arcs are all
-colored).  A solve level colors the one uncolored arc of a relation with
-exactly the colors that satisfy it, read from an index built as the search
-needs it; a guess level tries every color, and is planned only where no
-relation pins an arc.  Every level enumerates every color its relation allows
-and every relation is enforced, so the result is the true solution set for
-any operation table.  One depth-first walk visits the levels.  The public
-functions accept ``jobs`` for compatibility; it has no effect.
+per call, from the diagram and the quandle's Q2 answer, as levels, each
+coloring one arc and then running forced steps (derive an out-arc from its
+in- and over-arc, check a relation whose arcs are all colored and, when Q2
+holds, derive an in-arc backwards from its out- and over-arc).  A solve
+level colors the one uncolored arc of a relation with exactly the colors
+that satisfy it, read from an index built as the search needs it; a guess
+level tries every color, and is planned only where no relation pins an arc.
+Every level enumerates every color its relation allows and every relation is
+enforced, so the result is the true solution set for any operation table.
+One depth-first walk visits the levels.  The public functions accept
+``jobs`` for compatibility; it has no effect.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram
 from .quandle import FiniteQuandle
@@ -60,7 +60,7 @@ class InvariantQuery:
             raise ValueError(f"act-on index {self.act_on} out of range")
 
 
-def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
+def _plan(num_arcs: int, relations: list[Relation], preset, q2: bool) -> list[tuple]:
     """The search order: levels that each color one arc, then run forced steps.
 
     A level is ``(arc, steps, solve)``.  The first colors a preset arc with its
@@ -74,9 +74,12 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
 
     Which arcs are known never depends on the colors, so the plan is made
     once: derive an out-arc whose in- and over-arc are known, and check a
-    relation whose arcs are all known.  When stuck, solve a relation with one
-    unknown arc, preferring an unknown in-arc or a repeated arc (at most one
-    candidate on a quandle) to an unknown over-arc.  Only when no relation has
+    relation whose arcs are all known.  When ``q2`` says the other table
+    inverts each right translation, an in-arc whose out- and over-arc are
+    known is derived too, as ``out op' over`` (the step's ``barred`` flipped).
+    When stuck, solve a relation with one unknown arc, preferring an unknown
+    in-arc (only without Q2) or a repeated arc (at most one candidate on a
+    quandle) to an unknown over-arc.  Only when no relation has
     one, guess the over-arc of a relation with a known end (else the first
     unknown arc); among the first few such over-arcs, the one whose guess
     would check the most relations and then pin the most arcs (``_cascade``).
@@ -123,6 +126,11 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
                 if not known[out]:
                     known[out], remaining = True, remaining - 1
                     fresh.append(out)
+            elif q2 and known[out] and known[over]:
+                steps.append((inn, out, over, sign > 0, False))
+                settled[j] = True
+                known[inn], remaining = True, remaining - 1
+                fresh.append(inn)
             elif known[out]:
                 if known[over]:
                     pinned.append((j, "in"))
@@ -216,18 +224,10 @@ def _over_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
 
 
 def _in_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
-    """``(b, z) -> {y : y op b = z}``.  Where the other table inverts the right
-    translation by b (Q2 at b, checked on first use of b) that is ``z op' b``
-    alone; otherwise the translation is bucketed."""
-    inverse, right = (q.barstar, q.star)[barred], q._translations[int(barred)]
-    back, identity, columns = q._translations[1 - int(barred)], np.arange(len(q)), {}
-
-    def candidates(b: int, z: int) -> Sequence[int]:
-        exact = columns.get(b)
-        if exact is None:
-            exact = columns[b] = np.array_equal(back[b][right[b]], identity) or _buckets(right[b].tolist())
-        return (inverse[z][b],) if exact is True else exact.get(z, ())
-    return candidates
+    """``(b, z) -> {y : y op b = z}``, from the right translation by b (planned
+    only without Q2; with it the in-arc is derived by a step)."""
+    right = q._translations[int(barred)]
+    return _bucketed(lambda b: right[b].tolist())
 
 
 def _kink_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
@@ -252,35 +252,6 @@ _SOLVERS = {
     "fixed": (_fixed_candidates, (2, 1, 1)),  # out = over
 }
 _LOOKAHEAD = 16  # guess candidates scored at a stuck point
-# Tables of at most this many entries are checked for Q2 whole, once per search, so that
-# in-arc solves can run as steps; larger ones are checked one translation at a time
-_FOLD_ENTRIES = 1 << 16
-
-
-def _inverts(q: FiniteQuandle) -> bool:
-    """Whether ``(i op j) op' j = i`` for all i and j, op' the other operation (Q2).
-    Then every right translation is a bijection, inverted by the other table's."""
-    m = len(q)
-    right, back = q._translations  # [j, i] = i op j, i op' j
-    composed = back.ravel()[right + np.arange(0, m * m, m)[:, None]]  # [j, i] = (i op j) op' j
-    return bool((composed == np.arange(m)).all())
-
-
-def _fold_in_solves(levels: list) -> list:
-    """The levels with every in-arc solve run as a step of the level before it.
-
-    On a table that satisfies Q2, ``{y : y op b = z}`` is ``{z op' b}``, so the
-    level has exactly one candidate, which a step derives backwards.
-    """
-    folded: list = []
-    for arc, steps, solve in levels:
-        if solve and solve[0] == "in":
-            _, barred, over, out = solve
-            before, before_steps, before_solve = folded[-1]
-            folded[-1] = (before, before_steps + [(arc, out, over, not barred, False)] + steps, before_solve)
-        else:
-            folded.append((arc, steps, solve))
-    return folded
 
 
 def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tuple[int, ...]]:
@@ -291,14 +262,12 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
     asks, on entry, its pattern's candidate function (one per pattern and
     table in this call), whose index grows as the walk needs it: one pass
     over a table row or column serves every later entry with the same key.
-    When small tables satisfy Q2, checked once here, in-arc solves have one
-    candidate each and run as steps instead (``_fold_in_solves``).
+    Every level runs as planned, on a table of any size: the plan already
+    holds the quandle's Q2 answer.
     """
     m = len(q)
     every = range(m)
     tables = (q.star, q.barstar)
-    if m * m <= _FOLD_ENTRIES and any(solve and solve[0] == "in" for _, _, solve in levels) and _inverts(q):
-        levels = _fold_in_solves(levels)
     solvers: dict = {}
     plan, sources = [], []
     for arc, steps, solve in levels:
@@ -342,7 +311,7 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
 def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
            q: FiniteQuandle) -> list[tuple[int, ...]]:
     assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
-    return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
+    return sorted(_search(_plan(num_arcs, relations, preset, q._q2), assign, q))
 
 
 def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:

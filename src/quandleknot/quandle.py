@@ -32,7 +32,10 @@ class FiniteQuandle:
     array, ``_translations[barred, j, i] = i op j``, whose row j is the right
     translation by j; the vectorized readers use it.  ``star`` and
     ``barstar`` are then stored as tuple rows derived from that array,
-    sharing one int object per element, for the scalar loops.
+    sharing one int object per element, for the scalar loops.  The
+    constructor also decides Q2 once, as ``_q2``: whether ``barstar``
+    inverts every right translation of ``star``.  The loader, the axiom
+    check and the coloring search read that answer.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -62,6 +65,9 @@ class FiniteQuandle:
             translations[barred] = table.T
             del table  # the copy made of a nested-sequence table
         object.__setattr__(self, "_translations", translations)
+        # (i * j) *bar j = i for all i, j: on a finite set this also gives (i *bar j) * j = i
+        object.__setattr__(self, "_q2", bool((np.take_along_axis(translations[1], translations[0], 1)
+                                              == np.arange(m)).all()))
         star, barstar = _as_tuples(translations)
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "barstar", barstar)
@@ -103,18 +109,6 @@ def _as_tuples(translations: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
     return [star, tuple(tuple(shared[row].tolist()) for row in translations[1].T)]
 
 
-def _invert_rows(right: np.ndarray) -> np.ndarray:
-    """The translations with out[j, right[j, i]] = i: each row inverted.
-
-    An entry that no i reaches stays -1, so a table whose translations are
-    not bijections never equals its alleged inverse.
-    """
-    m = len(right)
-    out = np.full_like(right, -1)
-    out[np.arange(m)[:, None], right] = np.arange(m)
-    return out
-
-
 def _row_keys(images: np.ndarray) -> np.ndarray:
     """Keys of 0-based image rows that order like the rows themselves:
     each row as one big-endian byte string."""
@@ -145,8 +139,10 @@ def from_conjugation(elements: ElementSet) -> FiniteQuandle:
                 f"{permgroup.print_cycles(members[j])} = {permgroup.print_cycles(c)} is missing"
             )
         right[j] = found
+    right_bar = np.empty_like(right)  # each row of right inverted
+    right_bar[np.arange(m)[:, None], right] = np.arange(m)
     labels = tuple(permgroup.print_cycles(p) for p in members)
-    return FiniteQuandle(labels, right.T, _invert_rows(right).T, elements.degree)
+    return FiniteQuandle(labels, right.T, right_bar.T, elements.degree)
 
 
 def dihedral(n: int) -> FiniteQuandle:
@@ -218,6 +214,9 @@ def _generators(right: np.ndarray) -> list[int]:
 def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     """Check Q1 over all i, Q2 over all (i, j) and Q3 over all (i, j, k), exactly.
 
+    Q2 is decided by the constructor (``_q2``); only a table that fails it is
+    searched here for its first violating (i, j).
+
     Q3 says each R_k: x -> x * k is a homomorphism.  Under Q2, R_{a*b} =
     R_b R_a R_b^-1, so the k that pass are closed under * and *bar: Q3 holds
     iff it holds on a generating set, whose least element failing it is the
@@ -237,11 +236,10 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
         q1_violation = (int(bad[0]),)
 
     q2_violation = None
-    ok = ((np.take_along_axis(right_bar, right, 1) == elements)
-          & (np.take_along_axis(right, right_bar, 1) == elements))
-    bad2 = np.argwhere(~ok.T)
-    if bad2.size:
-        q2_violation = tuple(int(v) for v in bad2[0])
+    if not q._q2:
+        ok = ((np.take_along_axis(right_bar, right, 1) == elements)
+              & (np.take_along_axis(right, right_bar, 1) == elements))
+        q2_violation = tuple(int(v) for v in np.argwhere(~ok.T)[0])
 
     candidates = range(m) if q2_violation is not None else _generators(right)
     first: dict[bytes, int] = {}  # the smallest candidate per distinct translation
@@ -411,11 +409,10 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         q = FiniteQuandle(tuple(labels), *tables, degree)
     except ValueError as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
-    right, right_bar = q._translations
-    not_idempotent = np.nonzero(np.diagonal(right) != np.arange(len(q)))[0]
+    not_idempotent = np.nonzero(np.diagonal(q._translations[0]) != np.arange(len(q)))[0]
     if not_idempotent.size:
         i = int(not_idempotent[0])
         raise ValueError(f"malformed quandle JSON: star is not a quandle table ({i} * {i} != {i}, Q1)")
-    if not np.array_equal(_invert_rows(right), right_bar):
+    if not q._q2:
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
     return q

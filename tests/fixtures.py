@@ -43,6 +43,27 @@ def braid_closure(word: list[int], strands: int) -> qk.ClosedDiagram:
     return d
 
 
+def knot_word(word: list[int], strands: int) -> list[int]:
+    """``word`` with letters appended until its closure is a knot: each added
+    letter swaps two adjacent positions in different cycles of the braid's
+    permutation, which merges those cycles."""
+    word, perm = list(word), list(range(strands))
+    for letter in word:
+        j = abs(letter) - 1
+        perm[j], perm[j + 1] = perm[j + 1], perm[j]
+    while True:
+        cycle = [-1] * strands
+        for start in range(strands):
+            pos = start
+            while cycle[pos] < 0:
+                cycle[pos], pos = start, perm[pos]
+        split = next((i for i in range(strands - 1) if cycle[i] != cycle[i + 1]), None)
+        if split is None:
+            return word
+        word.append(split + 1)
+        perm[split], perm[split + 1] = perm[split + 1], perm[split]
+
+
 # --- knot diagram fixtures ---------------------------------------------------
 
 UNKNOT_LONG = qk.LongDiagram((), ())
