@@ -1,19 +1,20 @@
 """Quandle coloring enumeration for long, closed, and tangle diagrams.
 
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
-with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Which arcs a
-search has colored never depends on the colors, so the order is planned once
-per call, from the diagram and the quandle's Q2 answer, as levels, each
-coloring one arc and then running forced steps (derive an out-arc from its
-in- and over-arc, check a relation whose arcs are all colored and, when Q2
-holds, derive an in-arc backwards from its out- and over-arc).  A solve
-level colors the one uncolored arc of a relation with exactly the colors
-that satisfy it, read from an index built as the search needs it; a guess
-level tries every color, and is planned only where no relation pins an arc.
-Every level enumerates every color its relation allows and every relation is
-enforced, so the result is the true solution set for any operation table.
-One depth-first walk visits the levels.  The public functions accept
-``jobs`` for compatibility; it has no effect.
+with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Colorings are
+defined for quandles, and the search refuses (ValueError) a table that fails
+Q1 or Q2, which it relies on: ``y op b = z`` exactly when ``y = z op' b``,
+and ``a op a = a`` in both tables.  Which arcs a search has colored never
+depends on the colors, so the order is planned once per call, from the
+diagram alone, as levels, each coloring one arc and then running forced
+steps: derive an out-arc forwards from its in- and over-arc, derive an
+in-arc backwards from its out- and over-arc, and check a relation whose arcs
+are all colored.  A solve level colors the one uncolored over-arc of a
+relation with exactly the colors that satisfy it, read from an index built
+as the search needs it; a guess level tries every color, and is planned only
+where no relation pins an arc.  The result is the full solution set.  One
+depth-first walk visits the levels.  The public functions accept ``jobs``
+for compatibility; it has no effect.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram
 from .quandle import FiniteQuandle
 
 Relation = tuple[int, int, int, int]  # (out_arc, in_arc, over_arc, sign), 0-based arcs
-Candidates = Callable[[int, int], Sequence[int]]  # (color of arc a, color of arc b) -> colors
+Candidates = Callable[[int, int], Sequence[int]]  # (color of in-arc, color of out-arc) -> colors
 
 
 @dataclass(frozen=True)
@@ -60,29 +61,30 @@ class InvariantQuery:
             raise ValueError(f"act-on index {self.act_on} out of range")
 
 
-def _plan(num_arcs: int, relations: list[Relation], preset, q2: bool) -> list[tuple]:
+def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
     """The search order: levels that each color one arc, then run forced steps.
 
     A level is ``(arc, steps, solve)``.  The first colors a preset arc with its
     preset color, or guesses arc 0 when nothing is preset.  With ``solve``
     None a level guesses: it tries every color.  Otherwise ``solve`` is
-    ``(pattern, barred, a, b)``: the arc is the one unknown arc of a relation
-    and the level tries exactly the colors that satisfy that relation, given
-    the colors of arcs ``a`` and ``b`` (see ``_SOLVERS``).  Step
-    ``(dst, a, b, barred, check)`` stores ``a op b`` at ``dst`` or, with
-    ``check``, compares it with ``dst``.
+    ``(barred, a, b)``: the arc is the unknown over-arc of a relation whose
+    in-arc ``a`` and out-arc ``b`` are known, and the level tries exactly the
+    colors y with ``color(a) op y = color(b)``.  Step ``(dst, a, b, barred,
+    check)`` stores ``a op b`` at ``dst`` or, with ``check``, compares it
+    with ``dst``.
 
     Which arcs are known never depends on the colors, so the plan is made
-    once: derive an out-arc whose in- and over-arc are known, and check a
-    relation whose arcs are all known.  When ``q2`` says the other table
-    inverts each right translation, an in-arc whose out- and over-arc are
-    known is derived too, as ``out op' over`` (the step's ``barred`` flipped).
-    When stuck, solve a relation with one unknown arc, preferring an unknown
-    in-arc (only without Q2) or a repeated arc (at most one candidate on a
-    quandle) to an unknown over-arc.  Only when no relation has
-    one, guess the over-arc of a relation with a known end (else the first
-    unknown arc); among the first few such over-arcs, the one whose guess
-    would check the most relations and then pin the most arcs (``_cascade``).
+    once.  Forced steps derive an out-arc whose in-arc is known, and whose
+    over-arc is known or is the out-arc itself; derive an in-arc, as ``out
+    op' over`` (the step's ``barred`` flipped), whose out-arc is known and
+    whose over-arc is known or is the in-arc itself; and check a relation
+    whose arcs are all known.  A repeated arc is derived from the step
+    ``(dst, a, a, ...)``: on a quandle ``a op a = a``, so ``x op y = y`` and
+    ``y op y = x`` both force ``y = x``.  When stuck, solve a relation whose
+    one unknown arc is its over-arc.  Only when no relation has one, guess
+    the over-arc of a relation with a known end (else the first unknown
+    arc); among the first few such over-arcs, the one whose guess would
+    check the most relations and then pin the most arcs (``_cascade``).
     Each relation is revisited only when one of its arcs becomes known.
     """
     touching: list[list[int]] = [[] for _ in range(num_arcs)]
@@ -99,8 +101,7 @@ def _plan(num_arcs: int, relations: list[Relation], preset, q2: bool) -> list[tu
         known[arc] = True
     remaining, first_unknown = num_arcs - len(fresh), 0
     ready: list[int] = []  # relations that got down to one or no unknown arc
-    pinned: list[tuple[int, str]] = []  # (relation, pattern) of an unknown in-arc or repeated arc
-    loose: list[tuple[int, str]] = []  # the same for an unknown over-arc
+    loose: list[int] = []  # relations whose one unknown arc is their over-arc
     guessable: list[int] = []  # relations that got a known end while their over-arc was unknown
     levels: list[tuple] = []
     arc, solve = fresh[0], None
@@ -120,40 +121,31 @@ def _plan(num_arcs: int, relations: list[Relation], preset, q2: bool) -> list[tu
             if settled[j]:
                 continue
             out, inn, over, sign = relations[j]
-            if not unknown[j] or (known[inn] and known[over]):
-                steps.append((out, inn, over, sign < 0, known[out]))
+            if known[inn] and (known[over] or over == out):
+                steps.append((out, inn, over if known[over] else inn, sign < 0, known[out]))
                 settled[j] = True
                 if not known[out]:
                     known[out], remaining = True, remaining - 1
                     fresh.append(out)
-            elif q2 and known[out] and known[over]:
-                steps.append((inn, out, over, sign > 0, False))
+            elif known[out] and (known[over] or over == inn):
+                steps.append((inn, out, over if known[over] else out, sign > 0, False))
                 settled[j] = True
                 known[inn], remaining = True, remaining - 1
                 fresh.append(inn)
-            elif known[out]:
-                if known[over]:
-                    pinned.append((j, "in"))
-                elif known[inn]:
-                    loose.append((j, "over"))
-                else:
-                    pinned.append((j, "kink"))
-            elif known[inn]:
-                pinned.append((j, "fixed"))
+            elif known[out] and known[inn]:
+                loose.append(j)
             # else the unknown arc is both out and in: a guess colors it, then it is checked
         levels.append((arc, steps, solve))
         if not remaining:
             return levels
         solve = None
-        while pinned and settled[pinned[-1][0]]:
-            pinned.pop()
-        while loose and settled[loose[-1][0]]:
+        while loose and settled[loose[-1]]:
             loose.pop()
-        if pinned or loose:
-            j, pattern = (pinned or loose).pop()
+        if loose:
+            j = loose.pop()
             settled[j] = True
-            arc, a, b = (relations[j][k] for k in _SOLVERS[pattern][1])
-            solve = (pattern, relations[j][3] < 0, a, b)
+            out, inn, arc, sign = relations[j]
+            solve = (sign < 0, inn, out)
         else:
             while guessable and known[relations[guessable[0]][2]]:
                 heapq.heappop(guessable)
@@ -175,7 +167,7 @@ def _cascade(arc: int, relations: list[Relation], touching: list[list[int]], unk
              known: list[bool], settled: list[bool]) -> tuple[int, int]:
     """What knowing ``arc`` would lead to before the next guess: the relations it
     would check, and the arcs it would pin (itself, and every arc then derived
-    or solved with at most one candidate on a quandle, transitively)."""
+    by a step, transitively)."""
     pinned, stack, seen, used, checks = {arc}, [arc], {}, set(), 0
     while stack:
         for j in touching[stack.pop()]:
@@ -195,62 +187,23 @@ def _cascade(arc: int, relations: list[Relation], touching: list[list[int]], unk
     return checks, len(pinned)
 
 
-def _buckets(values) -> dict[int, list[int]]:
-    """``{z: [y : values[y] = z]}``."""
-    buckets: dict[int, list[int]] = {}
-    for y, z in enumerate(values):
-        if z in buckets:
-            buckets[z].append(y)
-        else:
-            buckets[z] = [y]
-    return buckets
+def _over_candidates(table: Sequence[Sequence[int]]) -> Candidates:
+    """``(x, z) -> [y : table[x][y] = z]``, each row x bucketed on first use."""
+    rows: dict[int, dict[int, list[int]]] = {}
 
-
-def _bucketed(line: Callable[[int], Sequence[int]]) -> Candidates:
-    """``(key, z) -> [y : line(key)[y] = z]``, each key's line bucketed on first use."""
-    lines: dict[int, dict[int, list[int]]] = {}
-
-    def candidates(key: int, z: int) -> Sequence[int]:
-        buckets = lines.get(key)
+    def candidates(x: int, z: int) -> Sequence[int]:
+        buckets = rows.get(x)
         if buckets is None:
-            buckets = lines[key] = _buckets(line(key))
+            buckets = rows[x] = {}
+            for y, value in enumerate(table[x]):
+                if value in buckets:
+                    buckets[value].append(y)
+                else:
+                    buckets[value] = [y]
         return buckets.get(z, ())
     return candidates
 
 
-def _over_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
-    """``(x, z) -> {y : x op y = z}``, from row x of the table."""
-    return _bucketed((q.star, q.barstar)[barred].__getitem__)
-
-
-def _in_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
-    """``(b, z) -> {y : y op b = z}``, from the right translation by b (planned
-    only without Q2; with it the in-arc is derived by a step)."""
-    right = q._translations[int(barred)]
-    return _bucketed(lambda b: right[b].tolist())
-
-
-def _kink_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
-    """``(z, z) -> {y : y op y = z}``, from the diagonal."""
-    table = (q.star, q.barstar)[barred]
-    return _bucketed(lambda _: [table[y][y] for y in range(len(q))])
-
-
-def _fixed_candidates(q: FiniteQuandle, barred: bool) -> Candidates:
-    """``(x, x) -> {y : x op y = y}``, from row x of the table with those y filed under x."""
-    table = (q.star, q.barstar)[barred]
-    return _bucketed(lambda x: [x if z == y else -1 for y, z in enumerate(table[x])])
-
-
-# How a relation (out, in, over) with one unknown arc is solved, by the pattern of that
-# arc: the maker of its candidate function, and the positions of the arc and of the
-# arcs a and b whose colors the function takes
-_SOLVERS = {
-    "in": (_in_candidates, (1, 2, 0)),
-    "over": (_over_candidates, (2, 1, 0)),
-    "kink": (_kink_candidates, (1, 0, 0)),  # in = over
-    "fixed": (_fixed_candidates, (2, 1, 1)),  # out = over
-}
 _LOOKAHEAD = 16  # guess candidates scored at a stuck point
 
 
@@ -259,26 +212,17 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
 
     ``assign`` is reused: a level writes each arc it colors or derives before
     deeper levels read it.  A guess level tries ``range(m)``; a solve level
-    asks, on entry, its pattern's candidate function (one per pattern and
-    table in this call), whose index grows as the walk needs it: one pass
-    over a table row or column serves every later entry with the same key.
-    Every level runs as planned, on a table of any size: the plan already
-    holds the quandle's Q2 answer.
+    asks, on entry, the candidate function of its table (one per table in
+    this call), whose index grows as the walk needs it: one pass over a
+    table row serves every later entry with the same in-arc color.
     """
-    m = len(q)
-    every = range(m)
+    every = range(len(q))
     tables = (q.star, q.barstar)
-    solvers: dict = {}
+    solvers = [_over_candidates(table) for table in tables]
     plan, sources = [], []
     for arc, steps, solve in levels:
         plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
-        if solve is None:
-            sources.append(None)
-            continue
-        pattern, barred, a, b = solve
-        if (pattern, barred) not in solvers:
-            solvers[pattern, barred] = _SOLVERS[pattern][0](q, barred)
-        sources.append((solvers[pattern, barred], a, b))
+        sources.append(None if solve is None else (solvers[solve[0]], *solve[1:]))
     first = assign[levels[0][0]]
     options: list = [iter(every if first is None else (first,))] + [None] * (len(levels) - 1)
     results, level, last = [], 0, len(levels) - 1
@@ -310,8 +254,13 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
 
 def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
            q: FiniteQuandle) -> list[tuple[int, ...]]:
+    """Every solution of the relations with the preset arcs fixed, sorted.
+    ValueError on a table that fails Q1 or Q2, which the plan relies on."""
+    for holds, axiom in ((q._q1, "Q1 (idempotence)"), (q._q2, "Q2 (invertibility)")):
+        if not holds:
+            raise ValueError(f"colorings need a quandle; the table fails {axiom}")
     assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
-    return sorted(_search(_plan(num_arcs, relations, preset, q._q2), assign, q))
+    return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
 
 
 def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:

@@ -33,9 +33,11 @@ class FiniteQuandle:
     translation by j; the vectorized readers use it.  ``star`` and
     ``barstar`` are then stored as tuple rows derived from that array,
     sharing one int object per element, for the scalar loops.  The
-    constructor also decides Q2 once, as ``_q2``: whether ``barstar``
-    inverts every right translation of ``star``.  The loader, the axiom
-    check and the coloring search read that answer.
+    constructor also decides Q1 and Q2 once, as ``_q1`` (whether ``i * i =
+    i`` for every i) and ``_q2`` (whether ``barstar`` inverts every right
+    translation of ``star``).  It accepts a table failing either, so that
+    ``verify_axioms`` can report on it; the loader and the coloring search
+    refuse one, and the axiom check reads the answers.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -65,6 +67,7 @@ class FiniteQuandle:
             translations[barred] = table.T
             del table  # the copy made of a nested-sequence table
         object.__setattr__(self, "_translations", translations)
+        object.__setattr__(self, "_q1", bool((np.diagonal(translations[0]) == np.arange(m)).all()))
         # (i * j) *bar j = i for all i, j: on a finite set this also gives (i *bar j) * j = i
         object.__setattr__(self, "_q2", bool((np.take_along_axis(translations[1], translations[0], 1)
                                               == np.arange(m)).all()))
@@ -214,8 +217,8 @@ def _generators(right: np.ndarray) -> list[int]:
 def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     """Check Q1 over all i, Q2 over all (i, j) and Q3 over all (i, j, k), exactly.
 
-    Q2 is decided by the constructor (``_q2``); only a table that fails it is
-    searched here for its first violating (i, j).
+    Q1 and Q2 are decided by the constructor (``_q1``, ``_q2``); only a table
+    that fails one is searched here for its first violation.
 
     Q3 says each R_k: x -> x * k is a homomorphism.  Under Q2, R_{a*b} =
     R_b R_a R_b^-1, so the k that pass are closed under * and *bar: Q3 holds
@@ -231,9 +234,8 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     elements = np.arange(m)
 
     q1_violation = None
-    bad = np.nonzero(np.diagonal(right) != elements)[0]
-    if bad.size:
-        q1_violation = (int(bad[0]),)
+    if not q._q1:
+        q1_violation = (int(np.nonzero(np.diagonal(right) != elements)[0][0]),)
 
     q2_violation = None
     if not q._q2:
@@ -409,9 +411,8 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         q = FiniteQuandle(tuple(labels), *tables, degree)
     except ValueError as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
-    not_idempotent = np.nonzero(np.diagonal(q._translations[0]) != np.arange(len(q)))[0]
-    if not_idempotent.size:
-        i = int(not_idempotent[0])
+    if not q._q1:
+        i = int(np.nonzero(np.diagonal(q._translations[0]) != np.arange(len(q)))[0][0])
         raise ValueError(f"malformed quandle JSON: star is not a quandle table ({i} * {i} != {i}, Q1)")
     if not q._q2:
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")

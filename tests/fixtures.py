@@ -152,6 +152,10 @@ def a6_quandle() -> qk.FiniteQuandle:
 # a 3-element table whose barstar is not the inverse of its star: not a quandle
 NOT_Q2 = qk.FiniteQuandle(("a", "b", "c"), qk.dihedral(3).star,
                           tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+# a rack that is not a quandle: every right translation is the same 3-cycle, so Q2
+# (and Q3) hold but i * i != i
+NOT_Q1 = qk.FiniteQuandle(("a", "b", "c"), tuple(((i + 1) % 3,) * 3 for i in range(3)),
+                          tuple(((i - 1) % 3,) * 3 for i in range(3)))
 
 
 def query_5_2() -> qk.InvariantQuery:

@@ -1,16 +1,20 @@
 """Independent oracles: brute-force coloring enumeration, coloring counts of
-Alexander quandles by linear algebra, the propagating coloring search the
+Alexander quandles by linear algebra, coloring counts of braid closures as
+fixed points of the braid's action on Q^n, the propagating coloring search the
 planned one replaced, the composed-translation route to colored longitudes,
 longitude families evaluated one element at a time, conjugation tables built
 one entry at a time, and the axioms by a triple loop.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
-usable when that count is small; the Alexander count works at any size.
+usable when that count is small; the Alexander count works at any size, and
+the fixed-point count at any number of crossings.
 """
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 import quandleknot as qk
 from quandleknot import permgroup as pg
@@ -138,6 +142,23 @@ def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int
                 row[arc] = row.get(arc, 0) + coefficient
         equations.append(row)
     return p ** (arcs - 1 - _rank_mod_p(equations, p))
+
+
+def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle) -> int:
+    """The number of x in Q^strands with β·x = x, which is the number of colorings
+    of the closure of the braid β = ``word`` summed over the color of arc 1.
+
+    Letter +j sends the colors (a, b) at positions (j, j+1) to (b * a, a), and
+    -j sends them to (b, a *bar b): one gather per letter over all m^strands
+    vectors, without compiling the closure's diagram."""
+    star, barstar = np.array(q.star), np.array(q.barstar)
+    x = np.indices((len(q),) * strands).reshape(strands, -1)  # [position, vector]
+    y = x.copy()
+    for letter in word:
+        j = abs(letter) - 1
+        a, b = y[j].copy(), y[j + 1].copy()
+        y[j], y[j + 1] = (star[b, a], a) if letter > 0 else (b, barstar[a, b])
+    return int((y == x).all(axis=0).sum())
 
 
 def _propagate(assign, relations, star, barstar) -> bool:

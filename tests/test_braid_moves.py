@@ -1,8 +1,10 @@
-"""Metamorphic tests: braid moves change the diagram but never the answers.
+"""Metamorphic tests: braid moves and curls change the diagram but never the answers.
 
 Each move turns a braid word into another word whose closure
 (``fixtures.braid_closure``) is the same knot, so the planner gets a different
-relation system that must give the same colorings, sums and verdicts.
+relation system that must give the same colorings, sums and verdicts.  A curl
+(Reidemeister I) added to a long diagram gives relations whose over-arc
+repeats their in- or out-arc.
 """
 from __future__ import annotations
 
@@ -45,19 +47,42 @@ def _move(draw, word: list[int], strands: int) -> tuple[list[int], int]:
     return word + [strands * draw(SIGNS)], strands + 1  # Markov stabilisation
 
 
+def _knot_word(draw) -> tuple[list[int], int]:
+    """A random 2-4-strand braid word whose closure is a knot, and its strand count."""
+    strands = draw(st.integers(2, 4))
+    letters = st.tuples(st.integers(1, strands - 1), SIGNS).map(lambda pair: pair[0] * pair[1])
+    return fx.knot_word(draw(st.lists(letters, max_size=8)), strands), strands
+
+
 @st.composite
 def moved_pairs(draw, words=None):
     """A knot's braid word (random, or one of ``words``) and 1-3 moves later."""
     if words is None:
-        strands = draw(st.integers(2, 4))
-        letters = st.tuples(st.integers(1, strands - 1), SIGNS).map(lambda pair: pair[0] * pair[1])
-        word = fx.knot_word(draw(st.lists(letters, max_size=8)), strands)
+        word, strands = _knot_word(draw)
     else:
         word, strands = draw(st.sampled_from(words)), 3
     moved, moved_strands = word, strands
     for _ in range(draw(st.integers(1, 3))):
         moved, moved_strands = _move(draw, moved, moved_strands)
     return fx.braid_closure(word, strands), fx.braid_closure(moved, moved_strands)
+
+
+def _curl(d: qk.LongDiagram, a: int, over: int, sign: int) -> qk.LongDiagram:
+    """``d`` with a curl at the end of arc ``a``: new crossing ``a``, whose
+    over-arc ``over`` is ``a`` or the new arc ``a + 1``; later arcs shift by one."""
+    shifted = tuple(b + (b > a) for b in d.over_arc)
+    return qk.LongDiagram(shifted[:a - 1] + (over,) + shifted[a - 1:], d.sign[:a - 1] + (sign,) + d.sign[a - 1:])
+
+
+@st.composite
+def curled_pairs(draw):
+    """A braid closure broken into a long knot, and the same with 1-3 curls added."""
+    closed = fx.braid_closure(*_knot_word(draw))
+    long = curled = qk.break_at(closed, draw(st.integers(1, closed.n)))
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(1, curled.n + 1))
+        curled = _curl(curled, a, a + draw(st.integers(0, 1)), draw(SIGNS))
+    return long, curled
 
 
 def _query(q, data):
@@ -72,6 +97,14 @@ class TestBraidMoves:
         for q in QUANDLES:
             query = _query(q, data)
             # equal sums have equal mass, the number of colorings
+            assert qk.formal_sum(before, q, query) == qk.formal_sum(after, q, query)
+
+    @settings(max_examples=40, deadline=None)
+    @given(curled_pairs(), st.data())
+    def test_curls_do_not_change_formal_sums(self, pair, data):
+        before, after = pair
+        for q in QUANDLES:
+            query = _query(q, data)
             assert qk.formal_sum(before, q, query) == qk.formal_sum(after, q, query)
 
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -353,3 +354,42 @@ class TestVerdictOutput:
         assert out == verdict.to_json() + "\n"
         _, plain = run(capsys, *argv)
         assert plain == verdict.render() + "\n"
+
+
+README = FIXTURE_DIR.parent / "README.md"
+README_GOLDEN = Path(__file__).parent / "data" / "readme_cli.json"
+
+
+def readme_commands() -> list[list[str]]:
+    """The `quandleknot` commands of README.md's sh blocks, as argument lists."""
+    commands, block = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            block = [] if line == "```sh" and block is None else None
+            continue
+        if block is None or line.lstrip().startswith("#"):
+            continue
+        block.append(line.strip())
+        if not line.endswith("\\"):
+            words = shlex.split(" ".join(part.rstrip("\\") for part in block))
+            if words and words[0] == "quandleknot":
+                commands.append(words[1:])
+            block = []
+    return commands
+
+
+def readme_outputs(capsys) -> list[dict]:
+    """Exit status and stdout of each README command, plain and with --json."""
+    outputs = []
+    for argv in readme_commands():
+        record = {"argv": argv}
+        for key, extra in (("plain", []), ("json", ["--json"])):
+            code = main(argv + extra)
+            record[key] = {"exit": code, "stdout": capsys.readouterr().out}
+        outputs.append(record)
+    return outputs
+
+
+def test_readme_commands_match_golden_output(capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)
+    assert readme_outputs(capsys) == json.loads(README_GOLDEN.read_text())

@@ -157,12 +157,8 @@ class TestParallelism:
         assert serial == parallel
 
 
-# NOT_Q2's barstar is not the inverse of its star, so a search that deduced an in-arc
-# backwards by Q2 would lose or invent solutions: the planned search must still
-# return the true solution set
-NOT_Q2 = fx.NOT_Q2
 DIFFERENTIAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(5), qk.trivial(3),
-                         qk.parse_quandle_spec("conjclass:S4:(1,2)"), NOT_Q2)
+                         qk.parse_quandle_spec("conjclass:S4:(1,2)"))
 SIGNS = st.sampled_from((1, -1))
 
 
@@ -186,21 +182,15 @@ def codes(draw):
     return qk.TangleDiagram(tuple(strands))
 
 
-def _q2_holds(q):
-    return all(q.barstar[q.star[i][j]][j] == i and q.star[q.barstar[i][j]][j] == i
-               for i, j in itertools.product(range(len(q)), repeat=2))
-
-
 def _assert_matches_oracles(d, q, basepoint, every_end):
-    """``_solve`` against brute force where feasible and, on tables satisfying Q2,
-    the propagating search it replaced (which deduces in-arcs backwards by Q2)."""
+    """``_solve`` against the propagating search it replaced and, where feasible,
+    brute force."""
     arcs, relations, _ = coloring._compile(d)
     starts = (0, *itertools.accumulate(arcs))
     ends = [arc for lo, hi in itertools.pairwise(starts) for arc in (lo, hi - 1)] if every_end else [0]
     preset = dict.fromkeys(ends, basepoint)
     rows = coloring._solve(starts[-1], relations, preset, q)
-    if _q2_holds(q):
-        assert rows == oracles.propagating_rows(starts[-1], relations, preset, q)
+    assert rows == oracles.propagating_rows(starts[-1], relations, preset, q)
     if len(q) ** (starts[-1] - len(preset)) > oracles.BRUTE_LIMIT:
         return
     if isinstance(d, qk.TangleDiagram) and every_end:
@@ -225,31 +215,52 @@ class TestPlannedSearch:
         (qk.LongDiagram((5, 4, 1, 2), (-1, -1, 1, -1)), 0),
     ])
     def test_true_solution_set_without_q2(self, d, basepoint):
-        # codes whose answer on NOT_Q2 a backward deduction by Q2 gets wrong: the
-        # first two in the order an old sweep made them (the first lost two of
-        # three solutions), the last two where an in-arc solve is run as one
-        # (losing two of three, and inventing two)
-        _assert_matches_oracles(d, NOT_Q2, basepoint, every_end=False)
+        # codes whose answer on NOT_Q2 a backward deduction by Q2 once got wrong: the
+        # first two in the order an old sweep made them (the first lost two of three
+        # solutions), the last two where an in-arc solve was run as one (losing two
+        # of three, and inventing two). Brute force still finds solutions on NOT_Q2,
+        # so the search must refuse that table rather than answer from it, and on
+        # every quandle these codes must get their true solution set
+        arcs, relations, _ = coloring._compile(d)
+        assert oracles.brute_rows(sum(arcs), relations, {0: basepoint}, fx.NOT_Q2)
+        with pytest.raises(ValueError, match="fails Q2 "):
+            qk.colorings_long(d, fx.NOT_Q2, basepoint)
+        for q in DIFFERENTIAL_QUANDLES:
+            _assert_matches_oracles(d, q, basepoint, every_end=False)
+
+    @pytest.mark.parametrize("q, axiom", [(fx.NOT_Q2, "Q2"), (fx.NOT_Q1, "Q1")], ids=["not_q2", "not_q1"])
+    def test_refuses_tables_failing_q1_or_q2(self, q, axiom):
+        query = qk.InvariantQuery(q, 0, 0)
+        long, tangle = qk.break_at(fx.TREFOIL_CLOSED, 1), fx.tangle_t62()
+        calls = [
+            lambda: qk.colorings_long(long, q, 0),
+            lambda: qk.colorings_closed(fx.TREFOIL_CLOSED, q, 0),
+            lambda: qk.colorings_tangle_boundary_mono(tangle, q, 0),
+            lambda: qk.formal_sum(long, q, query),
+            lambda: qk.longitude_family(fx.UNKNOT_LONG, q, 0),
+            lambda: qk.tangle_sums(tangle, q, query),
+            lambda: coloring._solve(1, [], {}, q),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"fails {axiom} "):
+                call()
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_any_table_and_relations_match_brute_force(self, data):
-        # tables need not be quandles, and arcs may repeat within a relation; half the
-        # tables satisfy Q2 (random tables almost never do), so in-arcs are derived
-        # backwards on relations with repeated arcs too
-        m = data.draw(st.integers(1, 3))
-        if data.draw(st.booleans()):
-            columns = [data.draw(st.permutations(range(m))) for _ in range(m)]  # [j][i] = i * j
-            star, barstar = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
-            for j, i in itertools.product(range(m), repeat=2):
-                star[i][j] = columns[j][i]
-                barstar[columns[j][i]][j] = i
-            q = qk.FiniteQuandle(tuple(map(str, range(m))), star, barstar)
-            assert q._q2
-        else:
-            row = st.tuples(*[st.integers(0, m - 1)] * m)
-            q = qk.FiniteQuandle(tuple(map(str, range(m))), data.draw(st.tuples(*[row] * m)),
-                                 data.draw(st.tuples(*[row] * m)))
+        # tables that satisfy Q1 and Q2 but mostly not Q3, and relations in which arcs
+        # may repeat, so every forward, backward and repeated-arc step is exercised
+        m = data.draw(st.integers(1, 4))
+        columns = []  # [j][i] = i * j: a permutation that fixes j
+        for j in range(m):
+            column = list(data.draw(st.permutations([i for i in range(m) if i != j])))
+            columns.append(column[:j] + [j] + column[j:])
+        star, barstar = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
+        for j, i in itertools.product(range(m), repeat=2):
+            star[i][j] = columns[j][i]
+            barstar[columns[j][i]][j] = i
+        q = qk.FiniteQuandle(tuple(map(str, range(m))), star, barstar)
+        assert q._q1 and q._q2
         n = data.draw(st.integers(1, 6))
         arc = st.integers(0, n - 1)
         relations = data.draw(st.lists(st.tuples(arc, arc, arc, SIGNS), max_size=7))
@@ -257,7 +268,9 @@ class TestPlannedSearch:
         assert coloring._solve(n, relations, preset, q) == oracles.brute_rows(n, relations, preset, q)
 
     def test_not_q2_quandle_is_not_a_quandle(self):
-        assert any(NOT_Q2.barstar[NOT_Q2.star[i][j]][j] != i for i in range(3) for j in range(3))
+        q = fx.NOT_Q2
+        assert any(q.barstar[q.star[i][j]][j] != i for i in range(3) for j in range(3))
+        assert not q._q2 and fx.NOT_Q1._q2 and not fx.NOT_Q1._q1
 
     def test_deep_chain_is_walked_without_recursion(self):
         # the arc leaving each crossing passes over it: one level per crossing, 2,000 levels deep
@@ -276,13 +289,18 @@ class TestPlannedSearch:
 
 
 @st.composite
-def braid_knots(draw):
-    """Closures of random 3- and 4-braids with 30-500 crossings."""
-    strands = draw(st.sampled_from((3, 4)))
+def braid_words(draw, strands, lengths):
+    """A random braid word on one of ``strands`` strands whose closure is a knot,
+    its length drawn from ``lengths`` before letters are added to make it one."""
+    strands = draw(st.sampled_from(strands))
     letters = st.tuples(st.integers(1, strands - 1), SIGNS).map(lambda pair: pair[0] * pair[1])
-    length = draw(st.integers(30, 500))
-    word = draw(st.lists(letters, min_size=length, max_size=length))
-    return fx.braid_closure(fx.knot_word(word, strands), strands)
+    length = draw(lengths)
+    return fx.knot_word(draw(st.lists(letters, min_size=length, max_size=length)), strands), strands
+
+
+def braid_knots():
+    """Closures of random 3- and 4-braids with 30-500 crossings."""
+    return braid_words((3, 4), st.integers(30, 500)).map(lambda pair: fx.braid_closure(*pair))
 
 
 # (p, t): the dihedral quandles (t = -1) and some that are not involutory
@@ -306,6 +324,20 @@ class TestAlexanderCounts:
         assert len(qk.colorings_closed(d, q, basepoint)) == oracles.alexander_count(d, p, t)
         long = qk.break_at(d, data.draw(st.integers(1, d.n)))
         assert len(qk.colorings_long(long, q, basepoint)) == oracles.alexander_count(long, p, t)
+
+
+FIXED_POINT_QUANDLES = (qk.parse_quandle_spec("conjgroup:S3"), qk.parse_quandle_spec("conjclass:S4:(1,2)"),
+                        qk.parse_quandle_spec("conjgroup:A4"))
+
+
+class TestBraidFixedPoints:
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words((2, 3, 4), st.integers(13, 60)), st.sampled_from(FIXED_POINT_QUANDLES))
+    def test_closure_counts_match_fixed_points(self, braid, q):
+        # non-abelian quandles, where the Alexander count does not reach
+        d = fx.braid_closure(*braid)
+        total = sum(len(qk.colorings_closed(d, q, basepoint)) for basepoint in range(len(q)))
+        assert total == oracles.braid_fixed_points(*braid, q)
 
 
 def _mono(shape):
