@@ -86,9 +86,7 @@ def main() -> int:
                 "quandle": spec,
                 "basepoint": quandle.labels[basepoint],
                 "act_on": quandle.labels[x],
-                "spectrum": [
-                    {quandle.labels[e]: c for e, c in s.terms} for s in spectrum
-                ],
+                "spectrum": [s.by_label() for s in spectrum],
                 "grid": {"max_crossings": MAX_CROSSINGS, "quandles": QUANDLE_SPECS},
             }
             OUT_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -56,10 +56,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _sum_payload(s: longitude.FormalSum) -> dict:
-    return {s.quandle.labels[e]: c for e, c in s.terms}
-
-
 def cmd_verify_quandle(args) -> int:
     q = _load_quandle(args.quandle, certify=False)
     report = quandle.verify_axioms(q)
@@ -77,6 +73,8 @@ def cmd_verify_quandle(args) -> int:
 
 
 def cmd_colorings(args) -> int:
+    if bool(args.diagram) == bool(args.tangle):
+        raise ValueError("give either --diagram or --tangle")
     query = _query(args)
     q = query.quandle
     if args.tangle:
@@ -85,15 +83,13 @@ def cmd_colorings(args) -> int:
         d = _load_diagram(args.tangle)
         if not isinstance(d, diagram.TangleDiagram):
             raise ValueError("--tangle file must contain a tangle diagram")
-        found = coloring.colorings_tangle_boundary_mono(d, q, query.basepoint, args.jobs)
+        found = coloring.colorings_tangle_boundary_mono(d, q, query.basepoint)
     else:
-        if not args.diagram:
-            raise ValueError("give either --diagram or --tangle")
         d = _load_diagram(args.diagram)
         if isinstance(d, diagram.LongDiagram):
-            found = coloring.colorings_long(d, q, query.basepoint, args.jobs)
+            found = coloring.colorings_long(d, q, query.basepoint)
         elif isinstance(d, diagram.ClosedDiagram):
-            found = coloring.colorings_closed(d, q, query.basepoint, args.jobs)
+            found = coloring.colorings_closed(d, q, query.basepoint)
         else:
             raise ValueError("--diagram expects a long or closed diagram (use --tangle)")
     payload: dict = {"count": len(found)}
@@ -114,9 +110,8 @@ def cmd_invariant(args) -> int:
         d = diagram.break_at(d, 1)
     if not isinstance(d, diagram.LongDiagram):
         raise ValueError("invariant expects a long or closed diagram")
-    s = longitude.formal_sum(d, query.quandle, query, args.jobs)
-    _emit(args, {"sum": _sum_payload(s), "colorings": s.mass()},
-          longitude.sum_render(s))
+    s = longitude.formal_sum(d, query.quandle, query)
+    _emit(args, {"sum": s.by_label(), "colorings": s.mass()}, longitude.sum_render(s))
     return 0
 
 
@@ -130,7 +125,7 @@ def cmd_chirality(args) -> int:
     d = _load_diagram(args.diagram)
     if not isinstance(d, (diagram.LongDiagram, diagram.ClosedDiagram)):
         raise ValueError("chirality expects a long or closed diagram")
-    return _emit_verdict(args, obstruction.chirality_test(d, query, args.jobs))
+    return _emit_verdict(args, obstruction.chirality_test(d, query))
 
 
 def cmd_tangle_obstruction(args) -> int:
@@ -141,7 +136,7 @@ def cmd_tangle_obstruction(args) -> int:
         raise ValueError("--tangle file must contain a tangle diagram")
     if not isinstance(k, (diagram.LongDiagram, diagram.ClosedDiagram)):
         raise ValueError("--knot file must contain a long or closed diagram")
-    return _emit_verdict(args, obstruction.tangle_embedding_obstruction(t, k, query, args.jobs))
+    return _emit_verdict(args, obstruction.tangle_embedding_obstruction(t, k, query))
 
 
 def cmd_nonclassical(args) -> int:
@@ -149,7 +144,7 @@ def cmd_nonclassical(args) -> int:
     d = _load_diagram(args.diagram)
     if not isinstance(d, diagram.ClosedDiagram):
         raise ValueError("nonclassical expects a closed diagram")
-    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(d, query, args.jobs))
+    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(d, query))
 
 
 def cmd_connected_sum(args) -> int:
@@ -159,7 +154,7 @@ def cmd_connected_sum(args) -> int:
     k1, k2 = (_load_diagram(p) for p in args.diagram)
     if not isinstance(k1, diagram.LongDiagram) or not isinstance(k2, diagram.LongDiagram):
         raise ValueError("connected-sum expects two long diagrams")
-    return _emit_verdict(args, obstruction.connected_sum_commutativity(k1, k2, query, args.jobs))
+    return _emit_verdict(args, obstruction.connected_sum_commutativity(k1, k2, query))
 
 
 def _add_query_flags(p: argparse.ArgumentParser, need_act_on: bool = True):

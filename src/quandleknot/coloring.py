@@ -13,8 +13,7 @@ are all colored.  A solve level colors the one uncolored over-arc of a
 relation with exactly the colors that satisfy it, read from an index built
 as the search needs it; a guess level tries every color, and is planned only
 where no relation pins an arc.  The result is the full solution set.  One
-depth-first walk visits the levels.  The public functions accept ``jobs``
-for compatibility; it has no effect.
+depth-first walk visits the levels.
 """
 from __future__ import annotations
 
@@ -305,8 +304,7 @@ def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int,
     return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
 
 
-def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int,
-                   jobs: int = 1) -> tuple[Coloring, ...]:
+def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """All colorings of a long diagram with arc 1 colored ``basepoint``.
 
     The final arc is not constrained; for classical codes it comes out equal
@@ -316,14 +314,13 @@ def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int,
     return _colorings(d, q, basepoint)
 
 
-def colorings_closed(d: ClosedDiagram, q: FiniteQuandle, basepoint: int,
-                     jobs: int = 1) -> tuple[Coloring, ...]:
+def colorings_closed(d: ClosedDiagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """All colorings of a closed diagram with arc 1 colored ``basepoint``."""
     return _colorings(d, q, basepoint)
 
 
-def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle, basepoint: int,
-                                   jobs: int = 1) -> tuple[Coloring, ...]:
+def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle,
+                                   basepoint: int) -> tuple[Coloring, ...]:
     """Boundary-monochromatic colorings: all four boundary arcs get ``basepoint``.
 
     The end-arc constraints are installed up front, so the search simply

@@ -78,11 +78,10 @@ class AutomorphismFamily:
         return len(self.members)
 
 
-def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int,
-                     jobs: int = 1) -> AutomorphismFamily:
+def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
     """All colored longitudes over the colorings with the given basepoint."""
     arcs, _, (letters,) = _compile(d)
-    colorings = colorings_long(d, q, basepoint, jobs)
+    colorings = colorings_long(d, q, basepoint)
     rows = np.array([c.strands[0] for c in colorings], dtype=np.intp).reshape(-1, arcs[0])
     images = sorted(map(tuple, _images(q, letters, rows).tolist()))
     return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
@@ -105,6 +104,10 @@ class FormalSum:
 
     def mass(self) -> int:
         return sum(c for _, c in self.terms)
+
+    def by_label(self) -> dict[str, int]:
+        """Coefficient per element label, as the JSON outputs give it."""
+        return {self.quandle.labels[e]: c for e, c in self.terms}
 
 
 def sum_equal(a: FormalSum, b: FormalSum) -> bool:
@@ -130,15 +133,14 @@ def sum_render(a: FormalSum) -> str:
 
 
 def sum_to_json(a: FormalSum) -> str:
-    return json.dumps({a.quandle.labels[e]: c for e, c in a.terms}, sort_keys=True)
+    return json.dumps(a.by_label(), sort_keys=True)
 
 
-def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery,
-               jobs: int = 1) -> FormalSum:
+def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery) -> FormalSum:
     """Sum of phi(x) over all colored longitudes phi with basepoint q."""
     _, _, letters = _compile(d)
     images = [eval_word(q, query.act_on, _colored_parts(letters, c.strands[0])[0])
-              for c in colorings_long(d, q, query.basepoint, jobs)]
+              for c in colorings_long(d, q, query.basepoint)]
     return FormalSum.from_elements(q, images)
 
 
@@ -152,13 +154,13 @@ def tangle_longitude_parts(t: TangleDiagram, coloring: Coloring) -> tuple[Quandl
     return tuple(_colored_parts(letters, _colors(coloring, arcs, None)))
 
 
-def tangle_sums(t: TangleDiagram, q: FiniteQuandle, query: InvariantQuery,
-                jobs: int = 1) -> tuple[FormalSum, FormalSum]:
+def tangle_sums(t: TangleDiagram, q: FiniteQuandle,
+                query: InvariantQuery) -> tuple[FormalSum, FormalSum]:
     """S1 and S2: both concatenation orders of the longitude parts, summed over
     all boundary-monochromatic colorings with the query's basepoint."""
     _, _, letters = _compile(t)
     first, second = [], []
-    for c in colorings_tangle_boundary_mono(t, q, query.basepoint, jobs):
+    for c in colorings_tangle_boundary_mono(t, q, query.basepoint):
         w1, w2 = _colored_parts(letters, sum(c.strands, ()))
         first.append(eval_word(q, query.act_on, w1 + w2))
         second.append(eval_word(q, query.act_on, w2 + w1))

@@ -36,8 +36,7 @@ class Verdict:
     def payload(self) -> dict:
         return {
             "verdict": self.kind,
-            "sums": {name: {s.quandle.labels[e]: c for e, c in s.terms}
-                     for name, s in sorted(self.sums.items())},
+            "sums": {name: s.by_label() for name, s in sorted(self.sums.items())},
         }
 
     def to_json(self) -> str:
@@ -55,40 +54,39 @@ def _as_long(k: ClosedDiagram | LongDiagram) -> LongDiagram:
     return break_at(k, 1) if isinstance(k, ClosedDiagram) else k
 
 
-def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery,
-                   jobs: int = 1) -> Verdict:
-    """Distinct sums for a diagram and its mirror certify a chiral knot."""
+def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery, jobs: int = 1) -> Verdict:
+    """Distinct sums for a diagram and its mirror certify a chiral knot.
+    ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     long_d = _as_long(d)
-    s = formal_sum(long_d, query.quandle, query, jobs)
-    s_mirror = formal_sum(mirror(long_d), query.quandle, query, jobs)
+    s = formal_sum(long_d, query.quandle, query)
+    s_mirror = formal_sum(mirror(long_d), query.quandle, query)
     kind = DISTINCT if not sum_equal(s, s_mirror) else INCONCLUSIVE
     return Verdict(kind, {"diagram": s, "mirror": s_mirror})
 
 
 def tangle_embedding_obstruction(t: TangleDiagram, k: ClosedDiagram | LongDiagram,
-                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
+                                 query: InvariantQuery) -> Verdict:
     """Obstructed iff neither tangle sum is included in the knot's formal sum."""
-    s1, s2 = tangle_sums(t, query.quandle, query, jobs)
-    s_knot = formal_sum(_as_long(k), query.quandle, query, jobs)
+    s1, s2 = tangle_sums(t, query.quandle, query)
+    s_knot = formal_sum(_as_long(k), query.quandle, query)
     obstructed = not sum_included(s1, s_knot) and not sum_included(s2, s_knot)
     return Verdict(OBSTRUCTED if obstructed else INCONCLUSIVE,
                    {"S1": s1, "S2": s2, "knot": s_knot})
 
 
-def basepoint_spectrum(c: ClosedDiagram, query: InvariantQuery,
-                       jobs: int = 1) -> tuple[FormalSum, ...]:
+def basepoint_spectrum(c: ClosedDiagram, query: InvariantQuery) -> tuple[FormalSum, ...]:
     """One formal sum per arc, breaking just before each under-passage."""
     return tuple(
-        formal_sum(break_before_underpass(c, i), query.quandle, query, jobs)
+        formal_sum(break_before_underpass(c, i), query.quandle, query)
         for i in range(1, c.n + 1)
     )
 
 
-def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery,
-                               jobs: int = 1) -> Verdict:
+def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery, jobs: int = 1) -> Verdict:
     """Two differing basepoint sums certify that the code is non-classical:
-    a classical diagram would have a basepoint-independent invariant."""
-    spectrum = basepoint_spectrum(c, query, jobs)
+    a classical diagram would have a basepoint-independent invariant.
+    ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
+    spectrum = basepoint_spectrum(c, query)
     sums = {f"break_{i}": s for i, s in enumerate(spectrum, 1)}
     distinct = any(not sum_equal(spectrum[0], s) for s in spectrum[1:])
     return Verdict(DISTINCT if distinct else INCONCLUSIVE, sums)
@@ -96,10 +94,11 @@ def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery,
 
 def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
-    """Compare K1#K2 with K2#K1 at both the sum and the family level."""
+    """Compare K1#K2 with K2#K1 at both the sum and the family level.
+    ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     q = query.quandle
-    fam_ab = longitude_family(concat(k1, k2), q, query.basepoint, jobs)
-    fam_ba = longitude_family(concat(k2, k1), q, query.basepoint, jobs)
+    fam_ab = longitude_family(concat(k1, k2), q, query.basepoint)
+    fam_ba = longitude_family(concat(k2, k1), q, query.basepoint)
     # each family holds one longitude per coloring, so its images of act_on are the formal sum
     s_ab, s_ba = (FormalSum.from_elements(q, (a.images[query.act_on] for a in fam.members))
                   for fam in (fam_ab, fam_ba))

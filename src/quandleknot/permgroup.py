@@ -179,18 +179,17 @@ def element_set(perms: Iterable[Permutation]) -> ElementSet:
 
 
 def _orbit(start: Permutation, gens: ElementSet, act) -> ElementSet:
-    """Everything reached from start by ``act(f, g)`` with each generator g, then each inverse.
+    """Everything reached from start by ``act(f, g)`` with each generator g.
 
-    Plain breadth-first growth, refused once it passes MAX_ELEMENTS; fine for
-    the group orders this package targets.
+    Inverses need no steps of their own: in a finite group each is a power of
+    its element.  Breadth-first, refused once it passes MAX_ELEMENTS.
     """
-    step = list(gens.members) + [inverse(g) for g in gens.members]
     known = {start}
     frontier = [start]
     while frontier:
         new = []
         for f in frontier:
-            for g in step:
+            for g in gens.members:
                 h = act(f, g)
                 if h not in known:
                     known.add(h)

@@ -3,7 +3,8 @@ Alexander quandles by linear algebra, coloring counts of braid closures as
 fixed points of the braid's action on Q^n, the propagating coloring search the
 planned one replaced, the composed-translation route to colored longitudes,
 longitude families evaluated one element at a time, conjugation tables built
-one entry at a time, and the axioms by a triple loop.
+one entry at a time, the axioms by a triple loop, and orbits grown by every
+generator and its inverse.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -291,3 +292,14 @@ def conjugation_tables(elements: pg.ElementSet):
             barstar[i][j] = index[pg.compose(pg.compose(b, a), binv)]
     labels = tuple(pg.print_cycles(p) for p in members)
     return labels, tuple(map(tuple, star)), tuple(map(tuple, barstar))
+
+
+def orbit_with_inverses(start: pg.Permutation, gens, act) -> set[pg.Permutation]:
+    """Everything reached from start by ``act(f, g)`` with each generator g and
+    each inverse, by breadth-first growth."""
+    step = list(gens) + [pg.inverse(g) for g in gens]
+    known, frontier = {start}, [start]
+    while frontier:
+        frontier = [h for h in {act(f, g) for f in frontier for g in step} if h not in known]
+        known.update(frontier)
+    return known

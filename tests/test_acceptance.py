@@ -173,7 +173,7 @@ def test_criterion_7_virtual_witness():
 
     # exact re-verification of the committed spectrum
     spectrum = qk.basepoint_spectrum(code, query)
-    stored = [{quandle.labels[e]: c for e, c in s.terms} for s in spectrum]
+    stored = [s.by_label() for s in spectrum]
     ok = ok and stored == data["spectrum"]
     ok = ok and any(not qk.sum_equal(spectrum[0], s) for s in spectrum[1:])
     ok = ok and qk.nonclassical_by_basepoints(code, query).kind == "distinct"

@@ -205,6 +205,9 @@ class TestDeterminismAndErrors:
         ["connected-sum", "--diagram", str(FIXTURE_DIR / "knot_5_2_long.json"),
          "--quandle", "dihedral:3", "--basepoint", "0"],
         ["colorings", "--quandle", "dihedral:3", "--basepoint", "0"],
+        ["colorings", "--diagram", str(FIXTURE_DIR / "trefoil_long.json"),
+         "--tangle", str(FIXTURE_DIR / "tangle_t62.json"), "--boundary-mono",
+         "--quandle", "dihedral:3", "--basepoint", "0"],
     ])
     def test_validation_failures_exit_nonzero(self, argv, capsys):
         assert main(argv) != 0

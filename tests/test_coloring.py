@@ -143,20 +143,6 @@ class TestOracleAgreementSmall:
             assert got == oracles.brute_colorings_closed(code, q, 0)
 
 
-class TestParallelism:
-    def test_jobs_do_not_change_results(self, s5_class):
-        q = fx.query_5_2()
-        serial = qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint, jobs=1)
-        parallel = qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint, jobs=3)
-        assert serial == parallel
-
-    def test_jobs_tangle(self, a6):
-        q = fx.query_t62()
-        serial = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), a6, q.basepoint, jobs=1)
-        parallel = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), a6, q.basepoint, jobs=2)
-        assert serial == parallel
-
-
 DIFFERENTIAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(5), qk.trivial(3),
                          qk.parse_quandle_spec("conjclass:S4:(1,2)"))
 SIGNS = st.sampled_from((1, -1))

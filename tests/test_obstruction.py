@@ -108,9 +108,7 @@ class TestBasepointSpectrum:
             quandle.element_index(data["act_on"]),
         )
         spectrum = qk.basepoint_spectrum(code, query)
-        stored = [
-            {quandle.labels[e]: c for e, c in s.terms} for s in spectrum
-        ]
+        stored = [s.by_label() for s in spectrum]
         assert stored == data["spectrum"]
         verdict = qk.nonclassical_by_basepoints(code, query)
         assert verdict.kind == "distinct"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quandleknot import permgroup as pg
+import oracles
 
 
 def perm(text: str, degree: int = 5) -> pg.Permutation:
@@ -136,6 +137,18 @@ class TestClosureAndClasses:
         group = pg.close_under_generators(gens)
         members = set(cls.members)
         assert all(pg.conjugate(c, h) in members for c in members for h in group)
+
+    @given(st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.lists(random_perms(n), min_size=1, max_size=3), random_perms(n))))
+    def test_generators_alone_reach_what_inverses_reach(self, case):
+        perms, g = case
+        gens = pg.element_set(perms)
+        closure = pg.close_under_generators(gens)
+        reference = oracles.orbit_with_inverses(pg.identity(gens.degree), gens, pg.compose)
+        assert closure == pg.element_set(reference)
+        cls = pg.conjugacy_class(g, gens)
+        assert cls == pg.element_set(oracles.orbit_with_inverses(g, gens, pg.conjugate))
+        assert cls == pg.element_set(pg.conjugate(g, h) for h in closure)
 
     def test_group_generators_validation(self):
         with pytest.raises(ValueError):
