@@ -1,19 +1,18 @@
 """Quandle coloring enumeration for long, closed, and tangle diagrams.
 
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
-with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  Colorings are
-defined for quandles, and the search refuses (ValueError) a table that fails
-Q1 or Q2, which it relies on: ``y op b = z`` exactly when ``y = z op' b``,
-and ``a op a = a`` in both tables.  Which arcs a search has colored never
-depends on the colors, so the order is planned once per call, from the
-diagram alone, as levels, each coloring one arc and then running forced
-steps: derive an out-arc forwards from its in- and over-arc, derive an
-in-arc backwards from its out- and over-arc, and check a relation whose arcs
-are all colored.  A solve level colors the one uncolored over-arc of a
-relation with exactly the colors that satisfy it, read from an index built
-as the search needs it; a guess level tries every color, and is planned only
-where no relation pins an arc.  The result is the full solution set.  One
-depth-first walk visits the levels.
+with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  The search
+relies on Q1 and Q2, which every ``FiniteQuandle`` satisfies by construction:
+``y op b = z`` exactly when ``y = z op' b``, and ``a op a = a`` in both
+tables.  Which arcs a search has colored never depends on the colors, so the
+order is planned once per call, from the diagram alone, as levels, each
+coloring one arc and then running forced steps: derive an out-arc forwards
+from its in- and over-arc, derive an in-arc backwards from its out- and
+over-arc, and check a relation whose arcs are all colored.  A solve level
+colors the one uncolored over-arc of a relation with exactly the colors that
+satisfy it, read from an index built as the search needs it; a guess level
+tries every color, and is planned only where no relation pins an arc.  The
+result is the full solution set.  One depth-first walk visits the levels.
 """
 from __future__ import annotations
 
@@ -253,11 +252,7 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
 
 def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
            q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Every solution of the relations with the preset arcs fixed, sorted.
-    ValueError on a table that fails Q1 or Q2, which the plan relies on."""
-    for holds, axiom in ((q._q1, "Q1 (idempotence)"), (q._q2, "Q2 (invertibility)")):
-        if not holds:
-            raise ValueError(f"colorings need a quandle; the table fails {axiom}")
+    """Every solution of the relations with the preset arcs fixed, sorted."""
     assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
     return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
 

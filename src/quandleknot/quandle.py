@@ -1,17 +1,18 @@
 """Finite quandles as labeled operation tables.
 
-A quandle carries two tables: ``star`` for ``*`` and ``barstar`` for the
-inverse operation, held as one numpy array and, for the scalar loops, as
-tuple rows.  Elements are identified by position; labels are display
-strings only.  Conjugation quandles use ``a * b = b^-1 a b`` and
-``a *bar b = b a b^-1`` with the composition convention from ``permgroup``.
+A quandle is given by its ``star`` table for ``*``; ``barstar``, for the
+inverse operation, is derived from it.  Both are held as one numpy array and,
+for the scalar loops, as tuple rows.  Elements are identified by position;
+labels are display strings only.  Conjugation quandles use ``a * b = b^-1 a
+b`` and ``a *bar b = b a b^-1`` with the composition convention from
+``permgroup``.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,19 +26,17 @@ QuandleWord = tuple[tuple[int, bool], ...]
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """Operation tables star[i][j] = i * j and barstar[i][j] = i *bar j.
+    """The operation table star[i][j] = i * j, with barstar[i][j] = i *bar j derived from it.
 
-    Each table may be given as an m x m integer array or as nested int
-    sequences.  The constructor checks both and keeps them as one int32
-    array, ``_translations[barred, j, i] = i op j``, whose row j is the right
-    translation by j; the vectorized readers use it.  ``star`` and
-    ``barstar`` are then stored as tuple rows derived from that array,
-    sharing one int object per element, for the scalar loops.  The
-    constructor also decides Q1 and Q2 once, as ``_q1`` (whether ``i * i =
-    i`` for every i) and ``_q2`` (whether ``barstar`` inverts every right
-    translation of ``star``).  It accepts a table failing either, so that
-    ``verify_axioms`` can report on it; the loader and the coloring search
-    refuse one, and the axiom check reads the answers.
+    ``star`` may be given as an m x m integer array or as nested int
+    sequences.  The constructor refuses, with a ValueError naming the first
+    violation, a table that fails Q1 (``i * i = i``) or Q2 (each right
+    translation ``x -> x * j`` is a bijection), so only Q3 is left to
+    ``verify_axioms``.  ``barstar`` holds the inverse translations.  Both are
+    kept as one int32 array, ``_translations[barred, j, i] = i op j``, whose
+    row j is the right translation by j; the vectorized readers use it.
+    ``star`` and ``barstar`` are then stored as tuple rows derived from that
+    array, sharing one int object per element, for the scalar loops.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -45,32 +44,41 @@ class FiniteQuandle:
 
     labels: tuple[str, ...]
     star: tuple[tuple[int, ...], ...]
-    barstar: tuple[tuple[int, ...], ...]
-    degree: int = 0
+    degree: int = field(default=0, kw_only=True)
+    barstar: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.labels)
         if len(set(self.labels)) != m:
             raise ValueError("labels must be pairwise distinct")
+        if type(self.degree) is not int or self.degree < 0:
+            raise ValueError(f"degree must be a non-negative integer, got {self.degree!r}")
+        try:
+            table = np.asarray(self.star)
+        except ValueError:  # ragged rows
+            table = None
+        if table is None or table.shape != (m, m):
+            raise ValueError(f"star must be a {m} x {m} table")
+        if table.dtype.kind not in "iu":
+            raise ValueError("star entries must be integers")
+        if not (table.min() >= 0 and table.max() < m):
+            raise ValueError("star entry out of range")
         translations = np.empty((2, m, m), dtype=np.int32)
-        for barred, name in enumerate(("star", "barstar")):
-            try:
-                table = np.asarray(getattr(self, name))
-            except ValueError:  # ragged rows
-                table = None
-            if table is None or table.shape != (m, m):
-                raise ValueError(f"{name} must be a {m} x {m} table")
-            if table.dtype.kind not in "iu":
-                raise ValueError(f"{name} entries must be integers")
-            if not (table.min() >= 0 and table.max() < m):
-                raise ValueError(f"{name} entry out of range")
-            translations[barred] = table.T
-            del table  # the copy made of a nested-sequence table
+        right, right_bar = translations  # [j, i] = i * j, i *bar j
+        right[:] = table.T
+        del table  # the copy made of a nested-sequence table
+        elements = np.arange(m)
+        fixed = np.diagonal(right) == elements
+        if not fixed.all():
+            i = int(np.argmin(fixed))
+            raise ValueError(f"star is not a quandle table ({i} * {i} != {i}, Q1)")
+        right_bar[elements[:, None], right] = elements
+        # a row that is not a bijection sends two elements to one, and only one of them comes back
+        inverted = (np.take_along_axis(right_bar, right, 1) == elements).all(axis=1)
+        if not inverted.all():
+            j = int(np.argmin(inverted))
+            raise ValueError(f"star is not a quandle table (x -> x * {j} is not a bijection, Q2)")
         object.__setattr__(self, "_translations", translations)
-        object.__setattr__(self, "_q1", bool((np.diagonal(translations[0]) == np.arange(m)).all()))
-        # (i * j) *bar j = i for all i, j: on a finite set this also gives (i *bar j) * j = i
-        object.__setattr__(self, "_q2", bool((np.take_along_axis(translations[1], translations[0], 1)
-                                              == np.arange(m)).all()))
         star, barstar = _as_tuples(translations)
         object.__setattr__(self, "star", star)
         object.__setattr__(self, "barstar", barstar)
@@ -142,10 +150,8 @@ def from_conjugation(elements: ElementSet) -> FiniteQuandle:
                 f"{permgroup.print_cycles(members[j])} = {permgroup.print_cycles(c)} is missing"
             )
         right[j] = found
-    right_bar = np.empty_like(right)  # each row of right inverted
-    right_bar[np.arange(m)[:, None], right] = np.arange(m)
     labels = tuple(permgroup.print_cycles(p) for p in members)
-    return FiniteQuandle(labels, right.T, right_bar.T, elements.degree)
+    return FiniteQuandle(labels, right.T, degree=elements.degree)
 
 
 def dihedral(n: int) -> FiniteQuandle:
@@ -154,33 +160,32 @@ def dihedral(n: int) -> FiniteQuandle:
     elements = np.arange(n, dtype=np.int32)
     table = 2 * elements - elements[:, None]
     table %= n
-    return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
+    return FiniteQuandle(tuple(str(i) for i in range(n)), table)
 
 
 def trivial(n: int) -> FiniteQuandle:
     """The quandle with x * y = x for all x, y."""
     permgroup.check_size(n)
     table = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n))
-    return FiniteQuandle(tuple(str(i) for i in range(n)), table, table)
+    return FiniteQuandle(tuple(str(i) for i in range(n)), table)
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of checking Q1-Q3; violations are data, not exceptions."""
+    """Outcome of checking Q3, the one axiom a ``FiniteQuandle`` may fail; a
+    violation is data, not an exception.  Q1 and Q2 hold by construction."""
 
-    q1_violation: tuple[int, ...] | None
-    q2_violation: tuple[int, ...] | None
     q3_violation: tuple[int, ...] | None
     q3_checked: int  # triples the Q3 verdict covers: all m**3
 
     @property
     def all_ok(self) -> bool:
-        return self.q1_violation is None and self.q2_violation is None and self.q3_violation is None
+        return self.q3_violation is None
 
     def summary(self) -> str:
         lines = [
-            "Q1 (idempotence): " + ("ok" if self.q1_violation is None else f"violated at {self.q1_violation}"),
-            "Q2 (invertibility): " + ("ok" if self.q2_violation is None else f"violated at {self.q2_violation}"),
+            "Q1 (idempotence): ok",
+            "Q2 (invertibility): ok",
             f"Q3 (distributivity, exhaustive, {self.q3_checked} triples): "
             + ("ok" if self.q3_violation is None else f"violated at {self.q3_violation}"),
         ]
@@ -215,37 +220,22 @@ def _generators(right: np.ndarray) -> list[int]:
 
 
 def verify_axioms(q: FiniteQuandle) -> AxiomReport:
-    """Check Q1 over all i, Q2 over all (i, j) and Q3 over all (i, j, k), exactly.
-
-    Q1 and Q2 are decided by the constructor (``_q1``, ``_q2``); only a table
-    that fails one is searched here for its first violation.
+    """Check Q3 over all (i, j, k), exactly; Q1 and Q2 hold by construction.
 
     Q3 says each R_k: x -> x * k is a homomorphism.  Under Q2, R_{a*b} =
     R_b R_a R_b^-1, so the k that pass are closed under * and *bar: Q3 holds
     iff it holds on a generating set, whose least element failing it is the
     least k failing it.  So only ``_generators`` are checked, in ascending
     order and once per distinct translation, and a violation is the first in
-    (k, i, j) order, as a scan of all triples would report it.  Without Q2
-    every k is checked.  Raises ValueError when the translations checked
-    times m**2 exceed ``_Q3_TRIPLES_MAX``.
+    (k, i, j) order, as a scan of all triples would report it.  Raises
+    ValueError when the translations checked times m**2 exceed
+    ``_Q3_TRIPLES_MAX``.
     """
     m = len(q)
-    right, right_bar = q._translations  # [k, x] = x * k, x *bar k
-    elements = np.arange(m)
-
-    q1_violation = None
-    if not q._q1:
-        q1_violation = (int(np.nonzero(np.diagonal(right) != elements)[0][0]),)
-
-    q2_violation = None
-    if not q._q2:
-        ok = ((np.take_along_axis(right_bar, right, 1) == elements)
-              & (np.take_along_axis(right, right_bar, 1) == elements))
-        q2_violation = tuple(int(v) for v in np.argwhere(~ok.T)[0])
-
-    candidates = range(m) if q2_violation is not None else _generators(right)
-    first: dict[bytes, int] = {}  # the smallest candidate per distinct translation
-    for k, key in zip(candidates, _row_keys(right[candidates]).tolist()):
+    right = q._translations[0]  # [k, x] = x * k
+    gens = _generators(right)
+    first: dict[bytes, int] = {}  # the smallest generator per distinct translation
+    for k, key in zip(gens, _row_keys(right[gens]).tolist()):
         first.setdefault(key, k)
     checked = list(first.values())
     if len(checked) * m * m > _Q3_TRIPLES_MAX:
@@ -259,7 +249,7 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
             i, j = np.argwhere(differ.T)[0]
             q3_violation = (int(i), int(j), k)
             break
-    return AxiomReport(q1_violation, q2_violation, q3_violation, m ** 3)
+    return AxiomReport(q3_violation, m ** 3)
 
 
 @dataclass(frozen=True)
@@ -368,7 +358,6 @@ def quandle_to_json(q: FiniteQuandle) -> str:
         "degree": q.degree,
         "labels": list(q.labels),
         "star": [list(row) for row in q.star],
-        "barstar": [list(row) for row in q.barstar],
     }
     return json.dumps(obj)
 
@@ -387,6 +376,8 @@ def _json_table(rows, name: str) -> np.ndarray:
 
 
 def quandle_from_json(text: str) -> FiniteQuandle:
+    """A quandle file ``{degree, labels, star}``.  A ``barstar`` table, which
+    older files hold, is refused unless it is the one derived from ``star``."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -404,16 +395,14 @@ def quandle_from_json(text: str) -> FiniteQuandle:
             raise ValueError("malformed quandle JSON: labels must be a list of strings")
         permgroup.check_size(len(labels))
         # popped, so each parsed list of m*m ints is freed as soon as its array exists
-        tables = [_json_table(obj.pop(name), name) for name in ("star", "barstar")]
+        star = _json_table(obj.pop("star"), "star")
+        barstar = _json_table(obj.pop("barstar"), "barstar") if "barstar" in obj else None
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
     try:
-        q = FiniteQuandle(tuple(labels), *tables, degree)
+        q = FiniteQuandle(tuple(labels), star, degree=degree)
     except ValueError as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
-    if not q._q1:
-        i = int(np.nonzero(np.diagonal(q._translations[0]) != np.arange(len(q)))[0][0])
-        raise ValueError(f"malformed quandle JSON: star is not a quandle table ({i} * {i} != {i}, Q1)")
-    if not q._q2:
+    if barstar is not None and not np.array_equal(barstar, q._translations[1].T):
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
     return q

@@ -149,13 +149,11 @@ def a6_quandle() -> qk.FiniteQuandle:
     return qk.parse_quandle_spec("conjgroup:A6")
 
 
-# a 3-element table whose barstar is not the inverse of its star: not a quandle
-NOT_Q2 = qk.FiniteQuandle(("a", "b", "c"), qk.dihedral(3).star,
-                          tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
-# a rack that is not a quandle: every right translation is the same 3-cycle, so Q2
-# (and Q3) hold but i * i != i
-NOT_Q1 = qk.FiniteQuandle(("a", "b", "c"), tuple(((i + 1) % 3,) * 3 for i in range(3)),
-                          tuple(((i - 1) % 3,) * 3 for i in range(3)))
+# star tables that FiniteQuandle refuses. NOT_Q2 satisfies Q1, but x -> x * 0 (and x * 2)
+# sends 0 and 1 to 0. NOT_Q1 is a rack: every right translation is the same 3-cycle, so
+# Q2 (and Q3) hold but i * i != i
+NOT_Q2 = ((0, 0, 0), (0, 1, 0), (2, 2, 2))
+NOT_Q1 = tuple(((i + 1) % 3,) * 3 for i in range(3))
 
 
 def query_5_2() -> qk.InvariantQuery:

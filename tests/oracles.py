@@ -95,9 +95,8 @@ def brute_colorings_tangle_mono(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepo
 def alexander_quandle(p: int, t: int) -> qk.FiniteQuandle:
     """The Alexander quandle ``x * y = t·x + (1 - t)·y mod p`` (p prime, t a
     unit); ``x *bar y`` uses t^-1.  ``dihedral(p)`` is t = -1."""
-    star, barstar = (tuple(tuple((s * x + (1 - s) * y) % p for y in range(p)) for x in range(p))
-                     for s in (t % p, pow(t, -1, p)))
-    return qk.FiniteQuandle(tuple(map(str, range(p))), star, barstar)
+    star = tuple(tuple((t * x + (1 - t) * y) % p for y in range(p)) for x in range(p))
+    return qk.FiniteQuandle(tuple(map(str, range(p))), star)
 
 
 def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
@@ -255,13 +254,13 @@ def tangle_order_images(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepoint: int
     return first, second
 
 
-def brute_axioms(q: qk.FiniteQuandle):
-    """The first violation of Q1 (by i), Q2 (by (i, j)) and Q3 (by (k, i, j),
-    reported as (i, j, k)), or None, from one triple loop over the tables."""
-    m, star, barstar = len(q), q.star, q.barstar
+def brute_axioms(star):
+    """The first violation of Q1 (by i), Q2 (by j, a right translation x -> x * j
+    that is not a bijection) and Q3 (by (k, i, j), reported as (i, j, k)), or
+    None, from loops over a star table given as nested sequences."""
+    m = len(star)
     q1 = next(((i,) for i in range(m) if star[i][i] != i), None)
-    q2 = next(((i, j) for i, j in itertools.product(range(m), repeat=2)
-               if barstar[star[i][j]][j] != i or star[barstar[i][j]][j] != i), None)
+    q2 = next(((j,) for j in range(m) if len({star[i][j] for i in range(m)}) != m), None)
     q3 = next(((i, j, k) for k, i, j in itertools.product(range(m), repeat=3)
                if star[star[i][j]][k] != star[star[i][k]][star[j][k]]), None)
     return q1, q2, q3

@@ -334,9 +334,13 @@ class TestRefusedInputs:
                                barstar=[[(i - 1) % 3] * 3 for i in range(3)]),
         lambda obj: obj.__setitem__("labels", [[0], [1], [2]]),
         lambda obj: obj.__setitem__("labels", "012"),
+        # a file without barstar whose x -> x * 0 sends 0 and 1 to 0: not Q2
+        lambda obj: obj.update(star=[[0, 0, 0], [0, 1, 0], [2, 2, 2]]) or obj.pop("barstar"),
     ])
     def test_bad_quandle_json(self, corrupt, capsys, tmp_path):
+        # the older format, which also holds barstar: dihedral:3 is involutory
         obj = json.loads(qk.quandle_to_json(qk.dihedral(3)))
+        obj["barstar"] = [row[:] for row in obj["star"]]
         corrupt(obj)
         path = tmp_path / "q.json"
         path.write_text(json.dumps(obj))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import quandleknot as qk
 from quandleknot import permgroup as pg
 import oracles
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConstructors:
@@ -49,15 +52,26 @@ class TestConstructors:
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
-            qk.FiniteQuandle(("a", "a"), ((0, 0), (1, 1)), ((0, 0), (1, 1)))
+            qk.FiniteQuandle(("a", "a"), ((0, 0), (1, 1)))
 
     def test_array_tables_equal_tuple_tables(self, s5_class):
-        star = np.array(s5_class.star, dtype=np.int64)
-        barstar = np.array(s5_class.barstar, dtype=np.uint16)
-        from_arrays = qk.FiniteQuandle(s5_class.labels, star, barstar, s5_class.degree)
-        assert from_arrays == s5_class
-        assert from_arrays == qk.FiniteQuandle(s5_class.labels, s5_class.star, s5_class.barstar, 5)
-        assert all(type(row) is tuple for table in (from_arrays.star, from_arrays.barstar) for row in table)
+        for dtype in (np.int64, np.uint16):
+            from_array = qk.FiniteQuandle(s5_class.labels, np.array(s5_class.star, dtype=dtype), degree=5)
+            assert from_array == s5_class and from_array.barstar == s5_class.barstar
+            assert all(type(row) is tuple for table in (from_array.star, from_array.barstar) for row in table)
+        assert qk.FiniteQuandle(s5_class.labels, s5_class.star, degree=5) == s5_class
+
+    def test_three_table_call_refused(self, s5_class):
+        # the old (labels, star, barstar) form must not store barstar as the degree
+        with pytest.raises(TypeError):
+            qk.FiniteQuandle(s5_class.labels, s5_class.star, s5_class.barstar)
+        with pytest.raises(TypeError):
+            qk.FiniteQuandle(s5_class.labels, s5_class.star, 5)
+
+    @pytest.mark.parametrize("degree", ["5", 5.0, True, -1, None])
+    def test_degree_must_be_a_non_negative_int(self, s5_class, degree):
+        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+            qk.FiniteQuandle(s5_class.labels, s5_class.star, degree=degree)
 
     @pytest.mark.parametrize("star, match", [
         (((0.0, 0.0), (1.0, 1.0)), "star entries must be integers"),
@@ -72,7 +86,7 @@ class TestConstructors:
     ])
     def test_misshapen_tables_refused(self, star, match):
         with pytest.raises(ValueError, match=match):
-            qk.FiniteQuandle(("a", "b"), star, ((0, 0), (1, 1)))
+            qk.FiniteQuandle(("a", "b"), star)
 
 
 def _assert_matches_oracle(elements: pg.ElementSet):
@@ -175,22 +189,15 @@ class TestSizeLimit:
 
 
 def _from_star(star) -> qk.FiniteQuandle:
-    """A table quandle on 0..m-1; barstar inverts each column of star that is a
-    permutation, and repeats star's column where it is not."""
-    m = len(star)
-    barstar = [[star[i][j] for j in range(m)] for i in range(m)]
-    for j in range(m):
-        column = [star[i][j] for i in range(m)]
-        if sorted(column) == list(range(m)):
-            for i, image in enumerate(column):
-                barstar[image][j] = i
-    return qk.FiniteQuandle(tuple(map(str, range(m))), tuple(map(tuple, star)), tuple(map(tuple, barstar)))
+    """A table quandle on 0..m-1."""
+    return qk.FiniteQuandle(tuple(map(str, range(len(star)))), star)
 
 
-def _column_swap(q: qk.FiniteQuandle, j: int, a: int, b: int) -> qk.FiniteQuandle:
-    star = [list(row) for row in q.star]
+def _column_swap(star, j: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """``star`` with entries a and b of column j swapped."""
+    star = [list(row) for row in star]
     star[a][j], star[b][j] = star[b][j], star[a][j]
-    return _from_star(star)
+    return tuple(map(tuple, star))
 
 
 REAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(6), qk.trivial(3),
@@ -199,30 +206,30 @@ REAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(6), qk.trivial(3),
 
 
 @st.composite
-def alexander_quandles(draw):
+def alexander_tables(draw):
     """x * y = t x + (1 - t) y mod p, t a unit."""
     p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     t = draw(st.integers(1, p - 1))
-    return _from_star([[(t * x + (1 - t) * y) % p for y in range(p)] for x in range(p)])
+    return tuple(tuple((t * x + (1 - t) * y) % p for y in range(p)) for x in range(p))
 
 
 @st.composite
 def column_swaps(draw):
-    """A real quandle with two entries of one column swapped."""
+    """A real quandle's table with two entries of one column swapped."""
     q = draw(st.sampled_from(REAL_QUANDLES))
     j, a, b = (draw(st.integers(0, len(q) - 1)) for _ in range(3))
-    return _column_swap(q, j, a, b)
+    return _column_swap(q.star, j, a, b)
 
 
 @st.composite
 def disjoint_unions(draw):
-    """Two quandles side by side, each acting trivially on the other; one may be corrupt."""
-    first, second = (draw(st.one_of(st.sampled_from(REAL_QUANDLES), column_swaps())) for _ in range(2))
+    """Two tables side by side, each acting trivially on the other; one may be corrupt."""
+    first, second = (draw(st.one_of(st.sampled_from([q.star for q in REAL_QUANDLES]), column_swaps()))
+                     for _ in range(2))
     m, n = len(first), len(second)
-    star = [[first.star[x][y] if x < m and y < m else
-             second.star[x - m][y - m] + m if x >= m and y >= m else x
-             for y in range(m + n)] for x in range(m + n)]
-    return _from_star(star)
+    return tuple(tuple(first[x][y] if x < m and y < m else
+                       second[x - m][y - m] + m if x >= m and y >= m else x
+                       for y in range(m + n)) for x in range(m + n))
 
 
 @st.composite
@@ -234,18 +241,15 @@ def random_tables(draw):
         columns = [draw(st.permutations(range(m))) for _ in range(m)]
     else:
         columns = [draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)) for _ in range(m)]
-    return _from_star([[columns[j][i] for j in range(m)] for i in range(m)])
+    return tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
 
 
 class TestAxioms:
     def test_corrupted_table_reports_violation(self):
-        d5 = qk.dihedral(5)
-        star = [list(row) for row in d5.star]
-        star[0][1] = (star[0][1] + 1) % 5
-        corrupt = qk.FiniteQuandle(d5.labels, tuple(map(tuple, star)), d5.barstar)
+        # a swap in a column keeps Q1 and Q2, which the constructor checks, but breaks Q3
+        corrupt = _from_star(_column_swap(qk.dihedral(5).star, 1, 0, 2))
         report = qk.verify_axioms(corrupt)
-        assert not report.all_ok
-        assert report.q2_violation is not None or report.q3_violation is not None
+        assert not report.all_ok and report.q3_violation is not None
         assert "violated" in report.summary()
 
     def test_exhaustive_matches_brute_force_triple_check(self):
@@ -262,19 +266,28 @@ class TestAxioms:
         assert "Q3 (distributivity, exhaustive, 374805361 triples): ok" in report.summary()
 
     def test_violation_above_the_old_sampling_size(self):
-        q = _column_swap(qk.dihedral(721), 5, 0, 1)
+        q = _from_star(_column_swap(qk.dihedral(721).star, 5, 0, 1))
         report = qk.verify_axioms(q)
         i, j, k = report.q3_violation
         assert q.star[q.star[i][j]][k] != q.star[q.star[i][k]][q.star[j][k]]
-        assert report.q1_violation is None and report.q2_violation is None
+        assert report.summary().startswith("Q1 (idempotence): ok\nQ2 (invertibility): ok\n")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(alexander_quandles(), column_swaps(), disjoint_unions(), random_tables()))
-    def test_matches_brute_force_triple_check(self, q):
-        report = qk.verify_axioms(q)
-        expected = oracles.brute_axioms(q)
-        assert (report.q1_violation, report.q2_violation, report.q3_violation) == expected
-        assert report.q3_checked == len(q) ** 3
+    @given(st.one_of(alexander_tables(), column_swaps(), disjoint_unions(), random_tables()))
+    def test_matches_brute_force_triple_check(self, star):
+        # the constructor refuses a table failing Q1 or Q2, naming the first violation;
+        # on the rest, verify_axioms reports the first Q3 violation of a triple loop
+        q1, q2, q3 = oracles.brute_axioms(star)
+        if q1 is not None:
+            with pytest.raises(ValueError, match=re.escape(f"({q1[0]} * {q1[0]} != {q1[0]}, Q1)")):
+                _from_star(star)
+        elif q2 is not None:
+            with pytest.raises(ValueError, match=re.escape(f"(x -> x * {q2[0]} is not a bijection, Q2)")):
+                _from_star(star)
+        else:
+            report = qk.verify_axioms(_from_star(star))
+            assert report.q3_violation == q3
+            assert report.q3_checked == len(star) ** 3
 
     def test_refuses_more_work_than_a_720_element_scan(self, monkeypatch):
         # dihedral:5 has two generators, 0 and 1, with distinct translations: 2 * 5**2 triples
@@ -387,7 +400,20 @@ class TestSpecStringsAndJson:
         back = qk.quandle_from_json(text)
         assert back == s5_class
         obj = json.loads(text)
-        assert set(obj) == {"degree", "labels", "star", "barstar"}
+        assert set(obj) == {"degree", "labels", "star"}
+
+    def test_two_table_file_still_loads(self):
+        # a file in the older format, which also stored barstar
+        text = (DATA / "quandle_two_tables.json").read_text()
+        assert set(json.loads(text)) == {"degree", "labels", "star", "barstar"}
+        assert qk.quandle_from_json(text) == qk.parse_quandle_spec("conjclass:S4:(1,2)")
+
+    def test_two_table_file_with_wrong_barstar_refused(self):
+        obj = json.loads((DATA / "quandle_two_tables.json").read_text())
+        obj["barstar"][1] = obj["barstar"][1][1:] + obj["barstar"][1][:1]
+        with pytest.raises(ValueError, match="^malformed quandle JSON: barstar does not invert "
+                                             "the right translations of star$"):
+            qk.quandle_from_json(json.dumps(obj))
 
     def test_json_malformed(self):
         with pytest.raises(ValueError):
