@@ -107,11 +107,9 @@ def cmd_colorings(args) -> int:
 def cmd_invariant(args) -> int:
     query = _query(args)
     d = _load_diagram(args.diagram)
-    if isinstance(d, diagram.ClosedDiagram):
-        d = diagram.break_at(d, 1)
-    if not isinstance(d, diagram.LongDiagram):
+    if not isinstance(d, (diagram.LongDiagram, diagram.ClosedDiagram)):
         raise ValueError("invariant expects a long or closed diagram")
-    s = longitude.formal_sum(d, query.quandle, query)
+    s = longitude.formal_sum(obstruction._as_long(d), query)
     _emit(args, {"sum": s.by_label(), "colorings": s.mass()}, longitude.sum_render(s))
     return 0
 

@@ -36,11 +36,6 @@ def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
-def _colored_parts(letters, colors) -> list[QuandleWord]:
-    """Each strand's longitude letters with every arc replaced by its color."""
-    return [tuple([(colors[arc], barred) for arc, barred in part]) for part in letters]
-
-
 def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
     """Row c, column x: x folded through the letters ``(arc, barred)`` colored by row c.
 
@@ -58,11 +53,11 @@ def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def colored_longitude(d: LongDiagram, q: FiniteQuandle, coloring: Coloring) -> Automorphism:
-    """Evaluate the longitude word in a coloring, as a quandle automorphism."""
-    if coloring.diagram != d:
-        raise ValueError("coloring does not belong to this diagram")
-    arcs, _, (letters,) = _compile(d)
+def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
+    """The longitude word of the coloring's long diagram, evaluated in it, as a quandle automorphism."""
+    if not isinstance(coloring.diagram, LongDiagram):
+        raise ValueError("colored_longitude needs a coloring of a long diagram")
+    arcs, _, (letters,) = _compile(coloring.diagram)
     images = _images(q, letters, np.array([_colors(coloring, arcs, len(q))], dtype=np.intp))
     return Automorphism(q, tuple(images[0].tolist()))
 
@@ -136,32 +131,36 @@ def sum_to_json(a: FormalSum) -> str:
     return json.dumps(a.by_label(), sort_keys=True)
 
 
-def formal_sum(d: LongDiagram, q: FiniteQuandle, query: InvariantQuery) -> FormalSum:
-    """Sum of phi(x) over all colored longitudes phi with basepoint q."""
-    _, _, letters = _compile(d)
-    images = [eval_word(q, query.act_on, _colored_parts(letters, c.strands[0])[0])
-              for c in colorings_long(d, q, query.basepoint)]
-    return FormalSum.from_elements(q, images)
+def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[FormalSum, ...]:
+    """Per word of letters ``(arc, barred)``, arcs numbered strand after strand: the sum over
+    the colorings of the query's element folded through the word, each arc replaced by its color."""
+    q, x = query.quandle, query.act_on
+    rows = [sum(c.strands, ()) for c in colorings]
+    return tuple(FormalSum.from_elements(q, [eval_word(q, x, [(row[arc], barred) for arc, barred in word])
+                                             for row in rows]) for word in words)
+
+
+def formal_sum(d: LongDiagram, query: InvariantQuery) -> FormalSum:
+    """Sum of phi(x) over all colored longitudes phi of d, for the query's quandle, basepoint q and x."""
+    if isinstance(d, TangleDiagram):
+        raise ValueError("formal_sum needs a long diagram; tangle_sums sums a tangle")
+    return _sums(query, _compile(d)[2], colorings_long(d, query.quandle, query.basepoint))[0]
 
 
 # --- tangle longitude parts -------------------------------------------------
 
-def tangle_longitude_parts(t: TangleDiagram, coloring: Coloring) -> tuple[QuandleWord, QuandleWord]:
-    """Per-strand colored longitude words, letters exactly as in the long case; colors must be indices."""
-    if coloring.diagram != t:
-        raise ValueError("coloring does not belong to this tangle")
-    arcs, _, letters = _compile(t)
-    return tuple(_colored_parts(letters, _colors(coloring, arcs, None)))
+def tangle_longitude_parts(coloring: Coloring) -> tuple[QuandleWord, QuandleWord]:
+    """The coloring's per-strand longitude words, letters as in the long case; colors must be indices."""
+    if not isinstance(coloring.diagram, TangleDiagram):
+        raise ValueError("tangle_longitude_parts needs a coloring of a tangle diagram")
+    arcs, _, letters = _compile(coloring.diagram)
+    colors = _colors(coloring, arcs, None)
+    return tuple(tuple([(colors[arc], barred) for arc, barred in part]) for part in letters)
 
 
-def tangle_sums(t: TangleDiagram, q: FiniteQuandle,
-                query: InvariantQuery) -> tuple[FormalSum, FormalSum]:
+def tangle_sums(t: TangleDiagram, query: InvariantQuery) -> tuple[FormalSum, FormalSum]:
     """S1 and S2: both concatenation orders of the longitude parts, summed over
     all boundary-monochromatic colorings with the query's basepoint."""
-    _, _, letters = _compile(t)
-    first, second = [], []
-    for c in colorings_tangle_boundary_mono(t, q, query.basepoint):
-        w1, w2 = _colored_parts(letters, sum(c.strands, ()))
-        first.append(eval_word(q, query.act_on, w1 + w2))
-        second.append(eval_word(q, query.act_on, w2 + w1))
-    return FormalSum.from_elements(q, first), FormalSum.from_elements(q, second)
+    _, _, (w1, w2) = _compile(t)
+    return _sums(query, (w1 + w2, w2 + w1),
+                 colorings_tangle_boundary_mono(t, query.quandle, query.basepoint))

@@ -58,8 +58,8 @@ def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery, jobs: 
     """Distinct sums for a diagram and its mirror certify a chiral knot.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     long_d = _as_long(d)
-    s = formal_sum(long_d, query.quandle, query)
-    s_mirror = formal_sum(mirror(long_d), query.quandle, query)
+    s = formal_sum(long_d, query)
+    s_mirror = formal_sum(mirror(long_d), query)
     kind = DISTINCT if not sum_equal(s, s_mirror) else INCONCLUSIVE
     return Verdict(kind, {"diagram": s, "mirror": s_mirror})
 
@@ -67,8 +67,8 @@ def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery, jobs: 
 def tangle_embedding_obstruction(t: TangleDiagram, k: ClosedDiagram | LongDiagram,
                                  query: InvariantQuery) -> Verdict:
     """Obstructed iff neither tangle sum is included in the knot's formal sum."""
-    s1, s2 = tangle_sums(t, query.quandle, query)
-    s_knot = formal_sum(_as_long(k), query.quandle, query)
+    s1, s2 = tangle_sums(t, query)
+    s_knot = formal_sum(_as_long(k), query)
     obstructed = not sum_included(s1, s_knot) and not sum_included(s2, s_knot)
     return Verdict(OBSTRUCTED if obstructed else INCONCLUSIVE,
                    {"S1": s1, "S2": s2, "knot": s_knot})
@@ -77,7 +77,7 @@ def tangle_embedding_obstruction(t: TangleDiagram, k: ClosedDiagram | LongDiagra
 def basepoint_spectrum(c: ClosedDiagram, query: InvariantQuery) -> tuple[FormalSum, ...]:
     """One formal sum per arc, breaking just before each under-passage."""
     return tuple(
-        formal_sum(break_before_underpass(c, i), query.quandle, query)
+        formal_sum(break_before_underpass(c, i), query)
         for i in range(1, c.n + 1)
     )
 

@@ -144,6 +144,32 @@ def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int
     return p ** (arcs - 1 - _rank_mod_p(equations, p))
 
 
+def alexander_count_tangle_mono(t: qk.TangleDiagram, p: int, unit: int) -> int:
+    """The number of boundary-monochromatic colorings of a two-strand tangle by
+    ``alexander_quandle(p, unit)``, all four end arcs one color.
+
+    Strand s has its crossings' count plus one arcs, numbered strand after
+    strand.  Each crossing is an equation as in ``alexander_count``.  The
+    colorings with the end arcs fixed form an affine space over Z_p that holds
+    the constant coloring, so there are p^nullity of them, where the nullity
+    is that of the equations with the end arcs' columns dropped.
+    """
+    sizes = [len(strand) + 1 for strand in t.strands]
+    starts = (0, sizes[0])
+    ends = {starts[s] + k for s in range(2) for k in (0, sizes[s] - 1)}
+    equations = []
+    for s, strand in enumerate(t.strands):
+        for k, c in enumerate(strand):
+            u = unit if c.sign > 0 else pow(unit, -1, p)
+            over = starts[c.over_strand - 1] + c.over_arc - 1
+            row: dict[int, int] = {}
+            for arc, coefficient in ((starts[s] + k + 1, 1), (starts[s] + k, -u), (over, u - 1)):
+                if arc not in ends:
+                    row[arc] = row.get(arc, 0) + coefficient
+            equations.append(row)
+    return p ** (sum(sizes) - len(ends) - _rank_mod_p(equations, p))
+
+
 def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle) -> int:
     """The number of x in Q^strands with β·x = x, which is the number of colorings
     of the closure of the braid β = ``word`` summed over the color of arc 1.
@@ -248,7 +274,7 @@ def tangle_order_images(t: qk.TangleDiagram, q: qk.FiniteQuandle, basepoint: int
     both concatenation orders of the tangle's longitude parts."""
     first, second = [], []
     for c in qk.colorings_tangle_boundary_mono(t, q, basepoint):
-        w1, w2 = qk.tangle_longitude_parts(t, c)
+        w1, w2 = qk.tangle_longitude_parts(c)
         first.append(_images_by_eval_word(q, w1 + w2))
         second.append(_images_by_eval_word(q, w2 + w1))
     return first, second

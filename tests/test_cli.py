@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -400,3 +401,12 @@ def readme_outputs(capsys) -> list[dict]:
 def test_readme_commands_match_golden_output(capsys, monkeypatch):
     monkeypatch.chdir(README.parent)
     assert readme_outputs(capsys) == json.loads(README_GOLDEN.read_text())
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    # README's python block, run as written: each print(...) line prints its trailing comment
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [re.fullmatch(r"print\(.*\)\s+# (.*)", line).group(1)
+                for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, str(README), "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

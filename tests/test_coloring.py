@@ -160,7 +160,11 @@ def codes(draw):
         return kind(tuple(draw(st.integers(1, arcs)) for _ in range(n)),
                     tuple(draw(SIGNS) for _ in range(n)))
     first = draw(st.integers(0, n))
-    sizes = (first, n - first)
+    return _draw_tangle(draw, (first, n - first))
+
+
+def _draw_tangle(draw, sizes):
+    """A two-strand tangle with ``sizes`` crossings on its strands and any over-arcs."""
     strands = []
     for size in sizes:
         over_strands = [draw(st.integers(1, 2)) for _ in range(size)]
@@ -273,6 +277,13 @@ def braid_knots():
     return braid_words((3, 4), st.integers(30, 500)).map(lambda pair: fx.braid_closure(*pair))
 
 
+@st.composite
+def two_strand_tangles(draw, crossings):
+    """Two-strand tangles with 0 to ``crossings`` crossings per strand and any
+    over-arcs, so virtual ones are included."""
+    return _draw_tangle(draw, [draw(st.integers(0, crossings)) for _ in range(2)])
+
+
 # (p, t): the dihedral quandles (t = -1) and some that are not involutory
 ALEXANDER = ((3, 2), (5, 4), (7, 6), (5, 2), (7, 3), (7, 5))
 
@@ -294,6 +305,15 @@ class TestAlexanderCounts:
         assert len(qk.colorings_closed(d, q, basepoint)) == oracles.alexander_count(d, p, t)
         long = qk.break_at(d, data.draw(st.integers(1, d.n)))
         assert len(qk.colorings_long(long, q, basepoint)) == oracles.alexander_count(long, p, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_strand_tangles(6), st.sampled_from(((3, 2), (5, 2), (7, 3))), st.data())
+    def test_tangle_boundary_mono_counts_match_linear_algebra(self, t, pt, data):
+        p, unit = pt
+        q = oracles.alexander_quandle(p, unit)
+        basepoint = data.draw(st.integers(0, p - 1))
+        count = len(qk.colorings_tangle_boundary_mono(t, q, basepoint))
+        assert count == oracles.alexander_count_tangle_mono(t, p, unit)
 
 
 FIXED_POINT_QUANDLES = (qk.parse_quandle_spec("conjgroup:S3"), qk.parse_quandle_spec("conjclass:S4:(1,2)"),

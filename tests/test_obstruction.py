@@ -50,7 +50,7 @@ class TestChirality:
     def test_witness_reverifies(self, s5_class):
         q = fx.query_5_2()
         verdict = qk.chirality_test(fx.KNOT_5_2_LONG, q)
-        recomputed = qk.formal_sum(fx.KNOT_5_2_LONG, s5_class, q)
+        recomputed = qk.formal_sum(fx.KNOT_5_2_LONG, q)
         assert qk.sum_equal(verdict.sums["diagram"], recomputed)
 
 
@@ -123,7 +123,7 @@ class TestConnectedSum:
         q = fx.query_5_2()
         verdict = qk.connected_sum_commutativity(fx.KNOT_5_2_LONG, fx.UNKNOT_LONG, q)
         assert verdict.kind == "inconclusive"
-        base = qk.formal_sum(fx.KNOT_5_2_LONG, s5_class, q)
+        base = qk.formal_sum(fx.KNOT_5_2_LONG, q)
         assert qk.sum_equal(verdict.sums["K1#K2"], base)
         assert qk.sum_equal(verdict.sums["K2#K1"], base)
 
@@ -151,8 +151,8 @@ class TestConnectedSum:
         # the sums are read off the longitude families, without a search of their own
         query = qk.InvariantQuery(q, data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1)))
         verdict = qk.connected_sum_commutativity(k1, k2, query)
-        assert verdict.sums["K1#K2"] == qk.formal_sum(qk.concat(k1, k2), q, query)
-        assert verdict.sums["K2#K1"] == qk.formal_sum(qk.concat(k2, k1), q, query)
+        assert verdict.sums["K1#K2"] == qk.formal_sum(qk.concat(k1, k2), query)
+        assert verdict.sums["K2#K1"] == qk.formal_sum(qk.concat(k2, k1), query)
 
 
 class TestVerdictSerialization:
