@@ -50,11 +50,12 @@ def _query(args) -> coloring.InvariantQuery:
     return coloring.InvariantQuery(q, basepoint, act_on)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
+    return 0
 
 
 def cmd_verify_quandle(args) -> int:
@@ -81,18 +82,11 @@ def cmd_colorings(args) -> int:
     if args.tangle:
         if not args.boundary_mono:
             raise ValueError("tangle colorings require --boundary-mono")
-        d = _load_diagram(args.tangle)
-        if not isinstance(d, diagram.TangleDiagram):
-            raise ValueError("--tangle file must contain a tangle diagram")
-        found = coloring.colorings_tangle_boundary_mono(d, q, query.basepoint)
+        found = coloring.colorings_tangle_boundary_mono(_load_diagram(args.tangle), q, query.basepoint)
     else:
         d = _load_diagram(args.diagram)
-        if isinstance(d, diagram.LongDiagram):
-            found = coloring.colorings_long(d, q, query.basepoint)
-        elif isinstance(d, diagram.ClosedDiagram):
-            found = coloring.colorings_closed(d, q, query.basepoint)
-        else:
-            raise ValueError("--diagram expects a long or closed diagram (use --tangle)")
+        closed = isinstance(d, diagram.ClosedDiagram)
+        found = (coloring.colorings_closed if closed else coloring.colorings_long)(d, q, query.basepoint)
     payload: dict = {"count": len(found)}
     lines = [f"{len(found)} colorings"]
     if args.list:
@@ -100,50 +94,33 @@ def cmd_colorings(args) -> int:
         payload["colorings"] = rendered
         for item in rendered:
             lines.append(" | ".join(", ".join(strand) for strand in item))
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_invariant(args) -> int:
     query = _query(args)
-    d = _load_diagram(args.diagram)
-    if not isinstance(d, (diagram.LongDiagram, diagram.ClosedDiagram)):
-        raise ValueError("invariant expects a long or closed diagram")
-    s = longitude.formal_sum(obstruction._as_long(d), query)
-    _emit(args, {"sum": s.by_label(), "colorings": s.mass()}, longitude.sum_render(s))
-    return 0
+    s = longitude.formal_sum(_load_diagram(args.diagram), query)
+    return _emit(args, {"sum": s.by_label(), "colorings": s.mass()}, longitude.sum_render(s))
 
 
 def _emit_verdict(args, verdict: obstruction.Verdict) -> int:
-    _emit(args, verdict.payload(), verdict.render())
-    return 0
+    return _emit(args, verdict.payload(), verdict.render())
 
 
 def cmd_chirality(args) -> int:
     query = _query(args)
-    d = _load_diagram(args.diagram)
-    if not isinstance(d, (diagram.LongDiagram, diagram.ClosedDiagram)):
-        raise ValueError("chirality expects a long or closed diagram")
-    return _emit_verdict(args, obstruction.chirality_test(d, query))
+    return _emit_verdict(args, obstruction.chirality_test(_load_diagram(args.diagram), query))
 
 
 def cmd_tangle_obstruction(args) -> int:
     query = _query(args)
-    t = _load_diagram(args.tangle)
-    k = _load_diagram(args.knot)
-    if not isinstance(t, diagram.TangleDiagram):
-        raise ValueError("--tangle file must contain a tangle diagram")
-    if not isinstance(k, (diagram.LongDiagram, diagram.ClosedDiagram)):
-        raise ValueError("--knot file must contain a long or closed diagram")
+    t, k = _load_diagram(args.tangle), _load_diagram(args.knot)
     return _emit_verdict(args, obstruction.tangle_embedding_obstruction(t, k, query))
 
 
 def cmd_nonclassical(args) -> int:
     query = _query(args)
-    d = _load_diagram(args.diagram)
-    if not isinstance(d, diagram.ClosedDiagram):
-        raise ValueError("nonclassical expects a closed diagram")
-    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(d, query))
+    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(_load_diagram(args.diagram), query))
 
 
 def cmd_connected_sum(args) -> int:
@@ -151,8 +128,6 @@ def cmd_connected_sum(args) -> int:
     if len(args.diagram) != 2:
         raise ValueError("connected-sum needs exactly two --diagram files")
     k1, k2 = (_load_diagram(p) for p in args.diagram)
-    if not isinstance(k1, diagram.LongDiagram) or not isinstance(k2, diagram.LongDiagram):
-        raise ValueError("connected-sum expects two long diagrams")
     return _emit_verdict(args, obstruction.connected_sum_commutativity(k1, k2, query))
 
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram
+from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram, _require
 from .quandle import FiniteQuandle
 
 Relation = tuple[int, int, int, int]  # (out_arc, in_arc, over_arc, sign), 0-based arcs
@@ -285,14 +285,13 @@ def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
     return arcs, relations, tuple(letters)
 
 
-def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int,
-               every_end: bool = False) -> tuple[Coloring, ...]:
-    """Colorings with arc 1, or both end arcs of every strand, colored ``basepoint``."""
+def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
+    """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1."""
     if not 0 <= basepoint < len(q):
         raise ValueError(f"basepoint index {basepoint} out of range")
     arcs, relations, _ = _compile(d)
     bounds = list(itertools.pairwise((0, *itertools.accumulate(arcs))))  # [lo, hi) per strand
-    ends = [arc for lo, hi in bounds for arc in (lo, hi - 1)] if every_end else [0]
+    ends = [arc for lo, hi in bounds for arc in (lo, hi - 1)] if type(d) is TangleDiagram else [0]
     rows = _solve(bounds[-1][1], relations, dict.fromkeys(ends, basepoint), q)
     if len(bounds) == 1:  # the row is the strand's colors; slicing it would cost per coloring
         return tuple(Coloring(d, (row,)) for row in rows)
@@ -306,11 +305,13 @@ def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> tuple[Co
     to the basepoint anyway, for virtual codes it may differ.  Output is
     sorted lexicographically by arc colors.
     """
+    _require(d, "colorings_long", LongDiagram)
     return _colorings(d, q, basepoint)
 
 
 def colorings_closed(d: ClosedDiagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """All colorings of a closed diagram with arc 1 colored ``basepoint``."""
+    _require(d, "colorings_closed", ClosedDiagram)
     return _colorings(d, q, basepoint)
 
 
@@ -321,7 +322,8 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle,
     The end-arc constraints are installed up front, so the search simply
     rejects any branch that would violate them.
     """
-    return _colorings(d, q, basepoint, every_end=True)
+    _require(d, "colorings_tangle_boundary_mono", TangleDiagram)
+    return _colorings(d, q, basepoint)
 
 
 def _colors(c: Coloring, arcs: tuple[int, ...], m: int | None) -> list[int]:

@@ -102,6 +102,14 @@ Diagram = LongDiagram | ClosedDiagram | TangleDiagram
 
 _CODE_KIND = {LongDiagram: "long", ClosedDiagram: "closed"}
 """The JSON ``kind`` of each Gauss-code class."""
+_KIND = {**_CODE_KIND, TangleDiagram: "tangle"}
+
+
+def _require(d, what: str, *kinds: type) -> None:
+    """ValueError unless d is one of ``kinds``: ``<what> needs a long diagram, not a tangle one``."""
+    if type(d) not in kinds:
+        got = f"a {_KIND[type(d)]} one" if type(d) in _KIND else repr(d)
+        raise ValueError(f"{what} needs a {' or '.join(map(_KIND.get, kinds))} diagram, not {got}")
 
 
 # --- JSON codec -----------------------------------------------------------
@@ -200,6 +208,7 @@ def break_at(c: ClosedDiagram, r: int) -> LongDiagram:
 
     Over-passages hosted on the broken arc end up on the initial arc 1.
     """
+    _require(c, "break_at", ClosedDiagram)
     return _break_closed(c, r, broken_to_end=False)
 
 
@@ -211,11 +220,13 @@ def break_before_underpass(c: ClosedDiagram, i: int) -> LongDiagram:
     under-passage realizes each arc as an initial arc without ambiguity,
     which is what basepoint spectra use.
     """
+    _require(c, "break_before_underpass", ClosedDiagram)
     return _break_closed(c, i, broken_to_end=True)
 
 
 def close_long(d: LongDiagram) -> ClosedDiagram:
     """Join the initial and final arcs; references to arc n+1 become arc 1."""
+    _require(d, "close_long", LongDiagram)
     if d.n == 0:
         raise ValueError("cannot close the 0-crossing unknot (closed diagrams need n >= 1)")
     over = tuple(1 if a == d.n + 1 else a for a in d.over_arc)
@@ -224,6 +235,8 @@ def close_long(d: LongDiagram) -> ClosedDiagram:
 
 def concat(a: LongDiagram, b: LongDiagram) -> LongDiagram:
     """Connected sum of long diagrams: a's crossings first, b's arcs shifted."""
+    _require(a, "concat", LongDiagram)
+    _require(b, "concat", LongDiagram)
     over = a.over_arc + tuple(x + a.n for x in b.over_arc)
     return LongDiagram(over, a.sign + b.sign)
 
@@ -283,6 +296,7 @@ def from_signed_gauss(text: str) -> ClosedDiagram | LongDiagram:
 
 def to_signed_gauss(d: ClosedDiagram | LongDiagram) -> str:
     """Canonical token text; within an arc, over-passages are ordered by crossing."""
+    _require(d, "to_signed_gauss", LongDiagram, ClosedDiagram)
     n = d.n
     overs_on = {arc: [] for arc in range(1, d.num_arcs + 1)}
     for i, a in enumerate(d.over_arc, 1):

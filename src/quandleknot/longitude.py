@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .coloring import Coloring, InvariantQuery, _colors, _compile, colorings_long, colorings_tangle_boundary_mono
-from .diagram import LongDiagram, TangleDiagram
+from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_at
 from .quandle import Automorphism, FiniteQuandle, QuandleWord, eval_word
 
 
@@ -32,6 +32,7 @@ class SymbolicLongitude:
 
 
 def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
+    _require(d, "symbolic_longitude", LongDiagram)
     _, _, (letters,) = _compile(d)
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
@@ -55,8 +56,7 @@ def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
 
 def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
     """The longitude word of the coloring's long diagram, evaluated in it, as a quandle automorphism."""
-    if not isinstance(coloring.diagram, LongDiagram):
-        raise ValueError("colored_longitude needs a coloring of a long diagram")
+    _require(coloring.diagram, "colored_longitude", LongDiagram)
     arcs, _, (letters,) = _compile(coloring.diagram)
     images = _images(q, letters, np.array([_colors(coloring, arcs, len(q))], dtype=np.intp))
     return Automorphism(q, tuple(images[0].tolist()))
@@ -74,7 +74,8 @@ class AutomorphismFamily:
 
 
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
-    """All colored longitudes over the colorings with the given basepoint."""
+    """All colored longitudes of a long diagram over the colorings with the given basepoint."""
+    _require(d, "longitude_family", LongDiagram)
     arcs, _, (letters,) = _compile(d)
     colorings = colorings_long(d, q, basepoint)
     rows = np.array([c.strands[0] for c in colorings], dtype=np.intp).reshape(-1, arcs[0])
@@ -105,12 +106,20 @@ class FormalSum:
         return {self.quandle.labels[e]: c for e, c in self.terms}
 
 
+def _same_quandle(a: FormalSum, b: FormalSum) -> None:
+    if a.quandle is not b.quandle and a.quandle != b.quandle:
+        raise ValueError("formal sums over different quandles")
+
+
 def sum_equal(a: FormalSum, b: FormalSum) -> bool:
+    """Equal coefficients; ValueError for sums over different quandles."""
+    _same_quandle(a, b)
     return a.terms == b.terms
 
 
 def sum_included(a: FormalSum, b: FormalSum) -> bool:
-    """Coefficientwise a <= b."""
+    """Coefficientwise a <= b; ValueError for sums over different quandles."""
+    _same_quandle(a, b)
     other = dict(b.terms)
     return all(coeff <= other.get(elem, 0) for elem, coeff in a.terms)
 
@@ -140,10 +149,11 @@ def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[
                                              for row in rows]) for word in words)
 
 
-def formal_sum(d: LongDiagram, query: InvariantQuery) -> FormalSum:
-    """Sum of phi(x) over all colored longitudes phi of d, for the query's quandle, basepoint q and x."""
-    if isinstance(d, TangleDiagram):
-        raise ValueError("formal_sum needs a long diagram; tangle_sums sums a tangle")
+def formal_sum(d: LongDiagram | ClosedDiagram, query: InvariantQuery) -> FormalSum:
+    """Sum of phi(x) over all colored longitudes phi of d, for the query's quandle, basepoint q and x;
+    a closed d is broken at arc 1 first, as ``break_at(d, 1)``.  Tangles go to ``tangle_sums``."""
+    _require(d, "formal_sum", LongDiagram, ClosedDiagram)
+    d = break_at(d, 1) if d.closed else d
     return _sums(query, _compile(d)[2], colorings_long(d, query.quandle, query.basepoint))[0]
 
 
@@ -151,8 +161,7 @@ def formal_sum(d: LongDiagram, query: InvariantQuery) -> FormalSum:
 
 def tangle_longitude_parts(coloring: Coloring) -> tuple[QuandleWord, QuandleWord]:
     """The coloring's per-strand longitude words, letters as in the long case; colors must be indices."""
-    if not isinstance(coloring.diagram, TangleDiagram):
-        raise ValueError("tangle_longitude_parts needs a coloring of a tangle diagram")
+    _require(coloring.diagram, "tangle_longitude_parts", TangleDiagram)
     arcs, _, letters = _compile(coloring.diagram)
     colors = _colors(coloring, arcs, None)
     return tuple(tuple([(colors[arc], barred) for arc, barred in part]) for part in letters)
@@ -161,6 +170,7 @@ def tangle_longitude_parts(coloring: Coloring) -> tuple[QuandleWord, QuandleWord
 def tangle_sums(t: TangleDiagram, query: InvariantQuery) -> tuple[FormalSum, FormalSum]:
     """S1 and S2: both concatenation orders of the longitude parts, summed over
     all boundary-monochromatic colorings with the query's basepoint."""
+    _require(t, "tangle_sums", TangleDiagram)
     _, _, (w1, w2) = _compile(t)
     return _sums(query, (w1 + w2, w2 + w1),
                  colorings_tangle_boundary_mono(t, query.quandle, query.basepoint))

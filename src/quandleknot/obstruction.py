@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .coloring import InvariantQuery
-from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, break_at, break_before_underpass, concat, mirror
+from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_before_underpass, concat, mirror
 from .longitude import (
     FormalSum,
     formal_sum,
@@ -49,33 +49,28 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _as_long(k: ClosedDiagram | LongDiagram) -> LongDiagram:
-    # classical basepoint independence makes the break choice immaterial
-    return break_at(k, 1) if isinstance(k, ClosedDiagram) else k
-
-
 def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery, jobs: int = 1) -> Verdict:
-    """Distinct sums for a diagram and its mirror certify a chiral knot.
+    """Distinct sums for a diagram and its mirror certify a chiral knot (``formal_sum`` breaks a closed one).
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
-    long_d = _as_long(d)
-    s = formal_sum(long_d, query)
-    s_mirror = formal_sum(mirror(long_d), query)
+    s = formal_sum(d, query)
+    s_mirror = formal_sum(mirror(d), query)
     kind = DISTINCT if not sum_equal(s, s_mirror) else INCONCLUSIVE
     return Verdict(kind, {"diagram": s, "mirror": s_mirror})
 
 
 def tangle_embedding_obstruction(t: TangleDiagram, k: ClosedDiagram | LongDiagram,
                                  query: InvariantQuery) -> Verdict:
-    """Obstructed iff neither tangle sum is included in the knot's formal sum."""
+    """Obstructed iff neither tangle sum is included in the knot's formal sum (a closed k is broken at arc 1)."""
     s1, s2 = tangle_sums(t, query)
-    s_knot = formal_sum(_as_long(k), query)
+    s_knot = formal_sum(k, query)
     obstructed = not sum_included(s1, s_knot) and not sum_included(s2, s_knot)
     return Verdict(OBSTRUCTED if obstructed else INCONCLUSIVE,
                    {"S1": s1, "S2": s2, "knot": s_knot})
 
 
 def basepoint_spectrum(c: ClosedDiagram, query: InvariantQuery) -> tuple[FormalSum, ...]:
-    """One formal sum per arc, breaking just before each under-passage."""
+    """One formal sum per arc of a closed diagram, breaking just before each under-passage."""
+    _require(c, "basepoint_spectrum", ClosedDiagram)
     return tuple(
         formal_sum(break_before_underpass(c, i), query)
         for i in range(1, c.n + 1)
@@ -86,6 +81,7 @@ def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery, jobs: in
     """Two differing basepoint sums certify that the code is non-classical:
     a classical diagram would have a basepoint-independent invariant.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
+    _require(c, "nonclassical_by_basepoints", ClosedDiagram)
     spectrum = basepoint_spectrum(c, query)
     sums = {f"break_{i}": s for i, s in enumerate(spectrum, 1)}
     distinct = any(not sum_equal(spectrum[0], s) for s in spectrum[1:])
@@ -94,8 +90,10 @@ def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery, jobs: in
 
 def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
-    """Compare K1#K2 with K2#K1 at both the sum and the family level.
+    """Compare K1#K2 with K2#K1 at both the sum and the family level, for two long diagrams.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
+    _require(k1, "connected_sum_commutativity", LongDiagram)
+    _require(k2, "connected_sum_commutativity", LongDiagram)
     q = query.quandle
     fam_ab = longitude_family(concat(k1, k2), q, query.basepoint)
     fam_ba = longitude_family(concat(k2, k1), q, query.basepoint)

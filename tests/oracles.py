@@ -123,15 +123,9 @@ def _rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
-def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int:
-    """The number of colorings by ``alexander_quandle(p, t)`` with arc 1 fixed.
-
-    Each crossing is the linear equation ``out = s·in + (1 - s)·over`` with s
-    = t^sign.  The colorings with arc 1 fixed form an affine space over Z_p,
-    never empty because the constant coloring lies in it, so there are
-    p^nullity of them, where the nullity is that of the equations with arc 1's
-    column dropped.
-    """
+def _alexander_equations(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int):
+    """The arc count, and each crossing's equation ``out = s·in + (1 - s)·over``
+    with s = t^sign as a sparse row over the 0-based arcs, arc 1's column dropped."""
     arcs = d.n + (not d.closed)
     equations = []
     for i, (over, sign) in enumerate(zip(d.over_arc, d.sign)):
@@ -141,7 +135,50 @@ def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int
             if arc:  # arc 1 is fixed
                 row[arc] = row.get(arc, 0) + coefficient
         equations.append(row)
+    return arcs, equations
+
+
+def alexander_count(d: qk.LongDiagram | qk.ClosedDiagram, p: int, t: int) -> int:
+    """The number of colorings by ``alexander_quandle(p, t)`` with arc 1 fixed.
+
+    The colorings with arc 1 fixed form an affine space over Z_p, never empty
+    because the constant coloring lies in it, so there are p^nullity of them,
+    where the nullity is that of the crossings' equations with arc 1's column
+    dropped (``_alexander_equations``).
+    """
+    arcs, equations = _alexander_equations(d, p, t)
     return p ** (arcs - 1 - _rank_mod_p(equations, p))
+
+
+def alexander_sum(d: qk.LongDiagram, p: int, t: int, x: int) -> dict[int, int]:
+    """The formal sum S^x of a long diagram by ``alexander_quandle(p, t)``, as
+    ``{element: coefficient}``, at any basepoint, by linear algebra alone.
+
+    A longitude letter (arc, barred) sends y to s·y + (1 - s)·a, with a the
+    arc's color and s = t^-1 when barred, else t.  Each crossing gives one
+    barred and one unbarred letter, so the s multiply to 1 and every colored
+    longitude is y -> y + c, where c = sum over letters k of (1 - s_k)·a_k
+    times the s of the letters after k: linear in the colors.  The colorings
+    are the constant one, whose longitude is the identity, plus each vector of
+    the kernel K0 of the equations with arc 1 set to 0.  So S^x is |K0|·x when
+    c vanishes on K0, that is when c's row (arc 1's column dropped) lies in
+    the equations' row space; otherwise c takes each value |K0|/p times.
+    """
+    arcs, equations = _alexander_equations(d, p, t)
+    letters = [letter for i, (over, sign) in enumerate(zip(d.over_arc, d.sign))
+               for letter in ((i, sign > 0), (over - 1, sign < 0))]
+    c: dict[int, int] = {}
+    after = 1  # the product of the s of the letters already passed, from the end
+    for arc, barred in reversed(letters):
+        s = pow(t, -1, p) if barred else t
+        c[arc] = (c.get(arc, 0) + (1 - s) * after) % p
+        after = after * s % p
+    c.pop(0, None)  # arc 1 is fixed
+    rank = _rank_mod_p(equations, p)
+    kernel = p ** (arcs - 1 - rank)
+    if _rank_mod_p(equations + [c], p) == rank:
+        return {x: kernel}
+    return dict.fromkeys(range(p), kernel // p)
 
 
 def alexander_count_tangle_mono(t: qk.TangleDiagram, p: int, unit: int) -> int:

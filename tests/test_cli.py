@@ -236,6 +236,22 @@ def run_error(capsys, *argv) -> str:
 
 
 class TestRefusedInputs:
+    @pytest.mark.parametrize("argv", [
+        ["colorings", "--diagram", "tangle_t62.json"],
+        ["colorings", "--tangle", "knot_5_2_long.json", "--boundary-mono"],
+        ["invariant", "--diagram", "tangle_t62.json"],
+        ["chirality", "--diagram", "tangle_t62.json"],
+        ["tangle-obstruction", "--tangle", "knot_5_2_long.json", "--knot", "knot_6_3_closed.json"],
+        ["tangle-obstruction", "--tangle", "tangle_t62.json", "--knot", "tangle_t62.json"],
+        ["nonclassical", "--diagram", "knot_5_2_long.json"],
+        ["connected-sum", "--diagram", "trefoil_closed.json", "--diagram", "trefoil_long.json"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_wrong_kind_of_diagram_refused(self, argv, capsys):
+        # the library refuses the kind; the command still ends in one error: line
+        argv = [fixture(a) if a.endswith(".json") else a for a in argv]
+        err = run_error(capsys, *argv, "--quandle", "dihedral:3", "--basepoint", "0")
+        assert "diagram" in err
+
     def test_oversized_group_refused_quickly(self, capsys):
         start = time.perf_counter()
         err = run_error(capsys, "verify-quandle", "--quandle", "conjgroup:S8")

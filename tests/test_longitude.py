@@ -26,7 +26,16 @@ def random_long_codes(draw):
                           tuple(draw(SIGNS) for _ in range(n)))
 
 
+@st.composite
+def random_closed_codes(draw, crossings):
+    """Closed codes with any over-arcs, so virtual codes are included."""
+    n = draw(crossings)
+    return qk.ClosedDiagram(tuple(draw(st.integers(1, n)) for _ in range(n)),
+                            tuple(draw(SIGNS) for _ in range(n)))
+
+
 LONG_CODES = st.one_of(st.sampled_from(CLASSICAL_LONG), random_long_codes())
+S4_GROUP = qk.parse_quandle_spec("conjgroup:S4")
 FAMILY_QUANDLES = st.sampled_from((qk.dihedral(3), qk.dihedral(5), qk.parse_quandle_spec("conjclass:S4:(1,2)"),
                                    fx.a5_quandle()))
 
@@ -101,13 +110,13 @@ class TestColoredLongitude:
         tangle = qk.colorings_tangle_boundary_mono(fx.tangle_t62(), d3, 0)[0]
         closed = qk.colorings_closed(fx.TREFOIL_CLOSED, d3, 0)[0]
         for c in (tangle, closed):
-            with pytest.raises(ValueError, match="coloring of a long diagram"):
+            with pytest.raises(ValueError, match="colored_longitude needs a long diagram"):
                 qk.colored_longitude(c, d3)
         long = qk.colorings_long(fx.KNOT_5_2_LONG, d3, 0)[0]
         for c in (long, closed):
-            with pytest.raises(ValueError, match="coloring of a tangle diagram"):
+            with pytest.raises(ValueError, match="tangle_longitude_parts needs a tangle diagram"):
                 qk.tangle_longitude_parts(c)
-        with pytest.raises(ValueError, match="needs a long diagram"):
+        with pytest.raises(ValueError, match="formal_sum needs a long or closed diagram"):
             qk.formal_sum(fx.tangle_t62(), qk.InvariantQuery(d3, 0, 0))
 
     def test_trivial_pair_insertion_is_neutral(self, s5_class):
@@ -161,6 +170,36 @@ class TestFamiliesAndSums:
             s = qk.formal_sum(d, query)
             assert s.mass() == count == len(qk.colorings_long(d, quandle, query.basepoint))
             assert s.coefficient(query.act_on) >= 1
+
+
+class TestFormalSumOfClosedCodes:
+    """``formal_sum`` breaks a closed diagram at arc 1, as the CLI's ``invariant`` does."""
+
+    def test_virtual_code_sums_its_break_at_arc_1(self):
+        # summed over its closed colorings instead of its break, this virtual code gives 0 alone
+        c = qk.ClosedDiagram((3, 1, 3), (1, -1, 1))
+        query = qk.InvariantQuery(qk.dihedral(3), 0, 0)
+        s = qk.formal_sum(c, query)
+        assert s == qk.formal_sum(qk.break_at(c, 1), query)
+        assert qk.sum_render(s) == "0 + 1 + 2"
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_closed_codes(st.integers(2, 6)), st.data())
+    def test_equals_the_sum_of_the_break_at_arc_1(self, c, data):
+        q = S4_GROUP
+        query = qk.InvariantQuery(q, data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1)))
+        assert qk.formal_sum(c, query) == qk.formal_sum(qk.break_at(c, 1), query)
+
+
+class TestAlexanderSums:
+    @settings(max_examples=200, deadline=None)
+    @given(LONG_CODES, st.sampled_from(((3, 2), (5, 2), (5, 3), (7, 3), (7, 5))), st.data())
+    def test_sum_is_the_point_or_the_uniform_sum_linear_algebra_predicts(self, d, pt, data):
+        p, t = pt
+        q = oracles.alexander_quandle(p, t)
+        basepoint, x = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+        s = qk.formal_sum(d, qk.InvariantQuery(q, basepoint, x))
+        assert dict(s.terms) == oracles.alexander_sum(d, p, t, x)
 
 
 class TestBatchedEvaluation:
@@ -225,6 +264,16 @@ class TestSumAlgebra:
         b = qk.FormalSum(a6, ((x, 33),))
         assert not qk.sum_included(a, b)
         assert qk.sum_included(qk.FormalSum(a6, ((x, 9),)), b)
+
+    def test_comparisons_refuse_sums_over_different_quandles(self):
+        # the element indices of one quandle mean nothing in another
+        a, b = (qk.formal_sum(fx.UNKNOT_LONG, qk.InvariantQuery(qk.dihedral(p), 0, 0)) for p in (3, 5))
+        assert a.terms == b.terms and a != b
+        for compare in (qk.sum_equal, qk.sum_included):
+            with pytest.raises(ValueError, match="different quandles"):
+                compare(a, b)
+        # an equal quandle built apart is the same quandle
+        assert qk.sum_equal(a, qk.formal_sum(fx.UNKNOT_LONG, qk.InvariantQuery(qk.dihedral(3), 0, 0)))
 
     def test_render_orders_by_coefficient(self, s5_class):
         s = qk.FormalSum(s5_class, tuple(sorted([(0, 1), (3, 5)])))
