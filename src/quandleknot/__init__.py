@@ -17,16 +17,12 @@ from .permgroup import (
 from .quandle import (
     Automorphism,
     FiniteQuandle,
-    compose_automorphisms,
     dihedral,
     eval_word,
     from_conjugation,
-    identity_automorphism,
-    is_automorphism,
     parse_quandle_spec,
     quandle_from_json,
     quandle_to_json,
-    translation,
     trivial,
     verify_axioms,
 )
@@ -63,7 +59,6 @@ from .longitude import (
     sum_equal,
     sum_included,
     sum_render,
-    sum_to_json,
     symbolic_longitude,
     tangle_longitude_parts,
     tangle_sums,

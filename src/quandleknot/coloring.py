@@ -271,7 +271,7 @@ def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
     elif isinstance(d, (LongDiagram, ClosedDiagram)):
         strands, closed = [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]], d.closed
     else:
-        raise TypeError(f"not a diagram: {d!r}")
+        raise ValueError(f"not a diagram: {d!r}")
     arcs = tuple(len(s) + (not closed) for s in strands)
     offsets = (0, *itertools.accumulate(arcs))
     relations, letters = [], []

@@ -169,7 +169,7 @@ def serialize_diagram(d: Diagram) -> str:
             ],
         }
     else:
-        raise TypeError(f"not a diagram: {d!r}")
+        raise ValueError(f"not a diagram: {d!r}")
     return json.dumps(obj)
 
 
@@ -184,7 +184,7 @@ def mirror(d: Diagram) -> Diagram:
             tuple(TangleCrossing(c.over_strand, c.over_arc, -c.sign) for c in strand)
             for strand in d.strands
         ))
-    raise TypeError(f"not a diagram: {d!r}")
+    raise ValueError(f"not a diagram: {d!r}")
 
 
 def _break_closed(c: ClosedDiagram, r: int, broken_to_end: bool) -> LongDiagram:

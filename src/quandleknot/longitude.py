@@ -8,12 +8,9 @@ yields a quandle automorphism.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .coloring import Coloring, InvariantQuery, _colors, _compile, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_at
@@ -37,12 +34,14 @@ def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
-def _images(q: FiniteQuandle, letters, rows: np.ndarray) -> np.ndarray:
-    """Row c, column x: x folded through the letters ``(arc, barred)`` colored by row c.
+def _images(q: FiniteQuandle, letters, rows):
+    """Row c, column x: x folded through the letters ``(arc, barred)`` colored by row c, as a numpy array.
 
     One gather per letter over all colorings at once, from the flattened right
     translations, where ``x op j`` sits at ``(barred * m + j) * m + x``.
     """
+    import numpy as np
+    rows = np.asarray(rows, dtype=np.intp)
     m = len(q)
     table = q._translations.ravel()
     arcs = [arc for arc, _ in letters]
@@ -58,7 +57,7 @@ def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
     """The longitude word of the coloring's long diagram, evaluated in it, as a quandle automorphism."""
     _require(coloring.diagram, "colored_longitude", LongDiagram)
     arcs, _, (letters,) = _compile(coloring.diagram)
-    images = _images(q, letters, np.array([_colors(coloring, arcs, len(q))], dtype=np.intp))
+    images = _images(q, letters, [_colors(coloring, arcs, len(q))])
     return Automorphism(q, tuple(images[0].tolist()))
 
 
@@ -76,9 +75,8 @@ class AutomorphismFamily:
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
     """All colored longitudes of a long diagram over the colorings with the given basepoint."""
     _require(d, "longitude_family", LongDiagram)
-    arcs, _, (letters,) = _compile(d)
-    colorings = colorings_long(d, q, basepoint)
-    rows = np.array([c.strands[0] for c in colorings], dtype=np.intp).reshape(-1, arcs[0])
+    _, _, (letters,) = _compile(d)
+    rows = [c.strands[0] for c in colorings_long(d, q, basepoint)]  # never empty: one is constant
     images = sorted(map(tuple, _images(q, letters, rows).tolist()))
     return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
 
@@ -134,10 +132,6 @@ def sum_render(a: FormalSum) -> str:
         label = a.quandle.labels[elem]
         parts.append(label if coeff == 1 else f"{coeff} · {label}")
     return " + ".join(parts)
-
-
-def sum_to_json(a: FormalSum) -> str:
-    return json.dumps(a.by_label(), sort_keys=True)
 
 
 def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[FormalSum, ...]:

@@ -1,21 +1,24 @@
 """Finite quandles as labeled operation tables.
 
 A quandle is given by its ``star`` table for ``*``; ``barstar``, for the
-inverse operation, is derived from it.  Both are held as one numpy array and,
-for the scalar loops, as tuple rows.  Elements are identified by position;
-labels are display strings only.  Conjugation quandles use ``a * b = b^-1 a
-b`` and ``a *bar b = b a b^-1`` with the composition convention from
-``permgroup``.
+inverse operation, is derived from it.  Both are held as tuple rows, built and
+checked in plain Python, so coloring and summing never import numpy.  The
+vectorized readers (the Q3 check and longitude families) read one int32 numpy
+array of the right translations instead, built on first use.  Elements are
+identified by position; labels are display strings only.  Conjugation quandles
+use ``a * b = b^-1 a b`` and ``a *bar b = b a b^-1`` with the composition
+convention from ``permgroup``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import permgroup
 from .permgroup import ElementSet
@@ -24,19 +27,33 @@ QuandleWord = tuple[tuple[int, bool], ...]
 """A left-normed word: (element index, barred) letters folded left to right."""
 
 
+def _pick(seq, keys: Sequence[int]) -> tuple:
+    """``seq[k]`` for each k, as a tuple; with a permutation as ``keys``, the composition "keys, then seq"."""
+    return itemgetter(*keys)(seq) if len(keys) != 1 else (seq[keys[0]],)
+
+
+def _inverse(images: Sequence[int], elements: Iterable[int]) -> list:
+    """``inverse[images[x]] = x`` with x taken from ``elements``; None where nothing is sent, so
+    the map ``x -> images[x]`` of an m-element set into itself is a bijection iff None is absent."""
+    inverse = [None] * len(images)
+    deque(map(inverse.__setitem__, images, elements), 0)
+    return inverse
+
+
 @dataclass(frozen=True)
 class FiniteQuandle:
     """The operation table star[i][j] = i * j, with barstar[i][j] = i *bar j derived from it.
 
-    ``star`` may be given as an m x m integer array or as nested int
-    sequences.  The constructor refuses, with a ValueError naming the first
-    violation, a table that fails Q1 (``i * i = i``) or Q2 (each right
-    translation ``x -> x * j`` is a bijection), so only Q3 is left to
-    ``verify_axioms``.  ``barstar`` holds the inverse translations.  Both are
-    kept as one int32 array, ``_translations[barred, j, i] = i op j``, whose
-    row j is the right translation by j; the vectorized readers use it.
-    ``star`` and ``barstar`` are then stored as tuple rows derived from that
-    array, sharing one int object per element, for the scalar loops.
+    ``star`` may be given as nested int sequences or as an m x m integer
+    array (read through ``tolist``).  The constructor refuses, with a
+    ValueError naming the first violation, a table that fails Q1 (``i * i =
+    i``) or Q2 (each right translation ``x -> x * j`` is a bijection), so only
+    Q3 is left to ``verify_axioms``.  ``barstar`` holds the inverse
+    translations, and is ``star`` itself when every translation is an
+    involution.  Both are stored as tuple rows that share one int object per
+    element.  ``_translations[barred, j, i] = i op j``, whose row j is the
+    right translation by j, is the int32 array the vectorized readers use;
+    it, and the numpy import, come on its first read.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -53,35 +70,47 @@ class FiniteQuandle:
             raise ValueError("labels must be pairwise distinct")
         if type(self.degree) is not int or self.degree < 0:
             raise ValueError(f"degree must be a non-negative integer, got {self.degree!r}")
+        rows = self.star.tolist() if hasattr(self.star, "tolist") else self.star
         try:
-            table = np.asarray(self.star)
-        except ValueError:  # ragged rows
-            table = None
-        if table is None or table.shape != (m, m):
+            square = m > 0 and len(rows) == m and all(len(row) == m for row in rows)
+        except TypeError:  # not a sequence of sequences
+            square = False
+        types = set(map(type, itertools.chain.from_iterable(rows))) if square else set()
+        if not square or types & {list, tuple}:  # ragged, or nested deeper than a table
             raise ValueError(f"star must be a {m} x {m} table")
-        if table.dtype.kind not in "iu":
+        if not types <= {int}:
             raise ValueError("star entries must be integers")
-        if not (table.min() >= 0 and table.max() < m):
-            raise ValueError("star entry out of range")
+        elements = tuple(range(m))
+        shared = dict(zip(elements, elements))
+        try:
+            star = tuple(_pick(shared, row) for row in rows)
+        except KeyError:
+            raise ValueError("star entry out of range") from None
+        object.__setattr__(self, "star", star)
+        for i in elements:
+            if star[i][i] != i:
+                raise ValueError(f"star is not a quandle table ({i} * {i} != {i}, Q1)")
+        right = list(zip(*star))  # right[j][i] = i * j
+        if all(_pick(r, r) == elements for r in right):  # each its own inverse, so a bijection
+            barstar = star
+        else:
+            for j, r in enumerate(right):
+                right[j] = _inverse(r, elements)
+                if None in right[j]:
+                    raise ValueError(f"star is not a quandle table (x -> x * {j} is not a bijection, Q2)")
+            barstar = tuple(zip(*right))
+        object.__setattr__(self, "barstar", barstar)
+
+    @functools.cached_property
+    def _translations(self):
+        import numpy as np
+        m = len(self)
+        elements = np.arange(m)
         translations = np.empty((2, m, m), dtype=np.int32)
         right, right_bar = translations  # [j, i] = i * j, i *bar j
-        right[:] = table.T
-        del table  # the copy made of a nested-sequence table
-        elements = np.arange(m)
-        fixed = np.diagonal(right) == elements
-        if not fixed.all():
-            i = int(np.argmin(fixed))
-            raise ValueError(f"star is not a quandle table ({i} * {i} != {i}, Q1)")
+        right[:] = np.fromiter(itertools.chain.from_iterable(self.star), np.int32, m * m).reshape(m, m).T
         right_bar[elements[:, None], right] = elements
-        # a row that is not a bijection sends two elements to one, and only one of them comes back
-        inverted = (np.take_along_axis(right_bar, right, 1) == elements).all(axis=1)
-        if not inverted.all():
-            j = int(np.argmin(inverted))
-            raise ValueError(f"star is not a quandle table (x -> x * {j} is not a bijection, Q2)")
-        object.__setattr__(self, "_translations", translations)
-        star, barstar = _as_tuples(translations)
-        object.__setattr__(self, "star", star)
-        object.__setattr__(self, "barstar", barstar)
+        return translations
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -105,69 +134,61 @@ class FiniteQuandle:
         raise ValueError(f"element {text!r} is not in this quandle")
 
 
-def _as_tuples(translations: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
-    """Both tables of ``FiniteQuandle._translations`` as tuple rows, ``[barred][i][j] = i op j``.
-
-    The rows share one int object per element: ``table.tolist()`` would keep
-    m*m fresh ints alive, and converting a whole table at once would hold m*m
-    temporary references; one row at a time does neither.  Equal tables (an
-    involutory quandle) share their rows as well.
-    """
-    shared = np.arange(translations.shape[-1]).astype(object)
-    star = tuple(tuple(shared[row].tolist()) for row in translations[0].T)
-    if np.array_equal(translations[0], translations[1]):
-        return [star, star]
-    return [star, tuple(tuple(shared[row].tolist()) for row in translations[1].T)]
-
-
-def _row_keys(images: np.ndarray) -> np.ndarray:
-    """Keys of 0-based image rows that order like the rows themselves:
-    each row as one big-endian byte string."""
-    n = images.shape[-1]
-    return np.ascontiguousarray(images.astype(">u4")).view(f"V{4 * n}")[..., 0]
-
-
 def from_conjugation(elements: ElementSet) -> FiniteQuandle:
-    """Conjugation quandle on a mutually-conjugation-closed set of permutations."""
+    """Conjugation quandle on a mutually-conjugation-closed set of permutations.
+
+    The right translation R_s: x -> x * s = s^-1 x s is looked up directly
+    only for a generating set, ascending: each s that the translations found
+    so far do not reach.  Every other one follows from R_{j*b} = R_b R_j
+    R_b^-1, and stays in the set when R_b and R_j do.  So the set is closed
+    iff every translation looked up stays in it, and the first miss is the
+    pair (j, i) a scan of all pairs in that order would report first.
+    """
     members = elements.members
     m, n = len(members), elements.degree
     permgroup.check_size(m)
-    images = np.array([p.images for p in members], dtype=np.int64).reshape(m, n) - 1
-    inverses = np.empty_like(images)
-    inverses[np.arange(m)[:, None], images] = np.arange(n)
-    keys = _row_keys(images)  # ascending, because members are sorted
-    right = np.empty((m, m), dtype=np.int32)  # [j, i] = i * j
-    for j in range(m):
-        conj = images[j][images[:, inverses[j]]]  # row i: members[j]^-1 members[i] members[j]
-        conj_keys = _row_keys(conj)
-        found = np.minimum(np.searchsorted(keys, conj_keys), m - 1)
-        missing = np.nonzero(keys[found] != conj_keys)[0]
-        if missing.size:
-            i = int(missing[0])
-            c = permgroup.Permutation(tuple(int(x) + 1 for x in conj[i]))
+    images = [tuple(x - 1 for x in p.images) for p in members]
+    index = {p: i for i, p in enumerate(images)}
+    right: list = [None] * m  # right[j][i] = i * j
+    gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (R_b, R_b^-1)
+    for s in range(m):
+        if right[s] is not None:
+            continue
+        s_inv = _inverse(images[s], range(n))
+        row = [index.get(_pick(images[s], _pick(x, s_inv))) for x in images]
+        if None in row:
+            i = row.index(None)
             raise ValueError(
                 f"set not closed under conjugation: {permgroup.print_cycles(members[i])} * "
-                f"{permgroup.print_cycles(members[j])} = {permgroup.print_cycles(c)} is missing"
-            )
-        right[j] = found
-    labels = tuple(permgroup.print_cycles(p) for p in members)
-    return FiniteQuandle(labels, right.T, degree=elements.degree)
+                f"{permgroup.print_cycles(members[s])} = "
+                f"{permgroup.print_cycles(permgroup.conjugate(members[i], members[s]))} is missing")
+        right[s] = tuple(row)
+        gens.append((right[s], tuple(_inverse(row, range(m)))))
+        frontier = [j for j in range(m) if right[j] is not None]  # none moved by R_s yet
+        while frontier:
+            reached = []
+            for j in frontier:
+                for r_b, r_b_inv in gens:
+                    if right[r_b[j]] is None:
+                        right[r_b[j]] = _pick(r_b, _pick(right[j], r_b_inv))
+                        reached.append(r_b[j])
+            frontier = reached
+    star = tuple(zip(*right))
+    del right  # its rows, before the constructor builds its own
+    return FiniteQuandle(tuple(permgroup.print_cycles(p) for p in members), star, degree=n)
 
 
 def dihedral(n: int) -> FiniteQuandle:
     """The involutory quandle on {0..n-1} with i * j = 2j - i mod n."""
     permgroup.check_size(n)
-    elements = np.arange(n, dtype=np.int32)
-    table = 2 * elements - elements[:, None]
-    table %= n
-    return FiniteQuandle(tuple(str(i) for i in range(n)), table)
+    repeated = tuple(range(n)) * 3  # row i is every second entry from n - i
+    return FiniteQuandle(tuple(map(str, range(n))), tuple(repeated[n - i:3 * n - i:2] for i in range(n)))
 
 
 def trivial(n: int) -> FiniteQuandle:
     """The quandle with x * y = x for all x, y."""
     permgroup.check_size(n)
-    table = np.broadcast_to(np.arange(n, dtype=np.int32)[:, None], (n, n))
-    return FiniteQuandle(tuple(str(i) for i in range(n)), table)
+    return FiniteQuandle(tuple(map(str, range(n))), tuple((i,) * n for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -196,13 +217,14 @@ _Q3_TRIPLES_MAX = 720 ** 3
 """Most triples one Q3 check may test: as many as a scan of a 720-element table."""
 
 
-def _generators(right: np.ndarray) -> list[int]:
+def _generators(right) -> list[int]:
     """A generating set chosen in ascending order, ``right[k, x] = x * k``.
 
     s is a generator exactly when the smaller generators' translations do not
     carry any of them to s.  What they reach lies in the subquandle they
     generate (and is all of it when Q3 holds), so every element is reached.
     """
+    import numpy as np
     reached = np.zeros(len(right), dtype=bool)
     gens: list[int] = []
     for s in range(len(right)):
@@ -231,12 +253,13 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     ValueError when the translations checked times m**2 exceed
     ``_Q3_TRIPLES_MAX``.
     """
+    import numpy as np
     m = len(q)
     right = q._translations[0]  # [k, x] = x * k
     gens = _generators(right)
     first: dict[bytes, int] = {}  # the smallest generator per distinct translation
-    for k, key in zip(gens, _row_keys(right[gens]).tolist()):
-        first.setdefault(key, k)
+    for k in gens:
+        first.setdefault(right[k].tobytes(), k)
     checked = list(first.values())
     if len(checked) * m * m > _Q3_TRIPLES_MAX:
         raise ValueError(f"Q3 check refused: {len(checked)} distinct generator translations on "
@@ -261,34 +284,6 @@ class Automorphism:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-
-def identity_automorphism(q: FiniteQuandle) -> Automorphism:
-    return Automorphism(q, tuple(range(len(q))))
-
-
-def translation(q: FiniteQuandle, by: int, barred: bool = False) -> Automorphism:
-    """The map x -> x * by (or x *bar by); an automorphism by Q2/Q3."""
-    if not 0 <= by < len(q):
-        raise ValueError(f"element index {by} out of range")
-    return Automorphism(q, tuple(q._translations[int(barred), by].tolist()))
-
-
-def compose_automorphisms(f: Automorphism, g: Automorphism) -> Automorphism:
-    """Apply f first, then g, matching word concatenation order."""
-    if f.quandle is not g.quandle and f.quandle != g.quandle:
-        raise ValueError("automorphisms act on different quandles")
-    return Automorphism(f.quandle, tuple(g.images[x] for x in f.images))
-
-
-def is_automorphism(q: FiniteQuandle, images: Sequence[int]) -> bool:
-    """Exhaustive bijectivity plus homomorphism check, vectorized."""
-    m = len(q)
-    img = np.asarray(images, dtype=np.int64)
-    if img.shape != (m,) or not np.array_equal(np.sort(img), np.arange(m)):
-        return False
-    right = q._translations[0]  # [j, i] = i * j
-    return bool(np.array_equal(img[right], right[np.ix_(img, img)]))
 
 
 def eval_word(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]]) -> int:
@@ -362,19 +357,6 @@ def quandle_to_json(q: FiniteQuandle) -> str:
     return json.dumps(obj)
 
 
-def _json_table(rows, name: str) -> np.ndarray:
-    """A parsed JSON table as an int32 array; ``FiniteQuandle`` checks its shape and range.
-
-    Only ints are accepted: a JSON true would pass as the integer 1 in an array.
-    """
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
-        raise ValueError(f"malformed quandle JSON: {name} entries must be integers")
-    try:
-        return np.array(rows, dtype=np.int32)
-    except ValueError:
-        raise ValueError(f"malformed quandle JSON: {name} rows differ in length") from None
-
-
 def quandle_from_json(text: str) -> FiniteQuandle:
     """A quandle file ``{degree, labels, star}``.  A ``barstar`` table, which
     older files hold, is refused unless it is the one derived from ``star``."""
@@ -394,15 +376,18 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
             raise ValueError("malformed quandle JSON: labels must be a list of strings")
         permgroup.check_size(len(labels))
-        # popped, so each parsed list of m*m ints is freed as soon as its array exists
-        star = _json_table(obj.pop("star"), "star")
-        barstar = _json_table(obj.pop("barstar"), "barstar") if "barstar" in obj else None
-    except (KeyError, TypeError, OverflowError) as exc:
+        star, barstar = obj["star"], obj.get("barstar")
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
     try:
         q = FiniteQuandle(tuple(labels), star, degree=degree)
     except ValueError as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
-    if barstar is not None and not np.array_equal(barstar, q._translations[1].T):
+    try:
+        same = barstar is None or (set(map(type, itertools.chain.from_iterable(barstar))) <= {int}
+                                   and tuple(map(tuple, barstar)) == q.barstar)
+    except TypeError:  # not a sequence of sequences
+        same = False
+    if not same:
         raise ValueError("malformed quandle JSON: barstar does not invert the right translations of star")
     return q

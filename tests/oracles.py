@@ -1,7 +1,9 @@
 """Independent oracles: brute-force coloring enumeration, coloring counts of
 Alexander quandles by linear algebra, coloring counts of braid closures as
 fixed points of the braid's action on Q^n, the propagating coloring search the
-planned one replaced, the composed-translation route to colored longitudes,
+planned one replaced, the composed-translation route to colored longitudes
+(with the translation and automorphism helpers it needs, and a pairwise
+automorphism check),
 longitude families evaluated one element at a time, conjugation tables built
 one entry at a time, the axioms by a triple loop, and orbits grown by every
 generator and its inverse.
@@ -14,6 +16,7 @@ the fixed-point count at any number of crossings.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -279,14 +282,44 @@ def propagating_rows(num_arcs: int, relations, preset: dict, q: qk.FiniteQuandle
     return sorted(results)
 
 
+def identity_automorphism(q: qk.FiniteQuandle) -> qk.Automorphism:
+    return qk.Automorphism(q, tuple(range(len(q))))
+
+
+def translation(q: qk.FiniteQuandle, by: int, barred: bool = False) -> qk.Automorphism:
+    """The map x -> x * by (or x *bar by); an automorphism by Q2/Q3."""
+    if not 0 <= by < len(q):
+        raise ValueError(f"element index {by} out of range")
+    return qk.Automorphism(q, tuple(row[by] for row in (q.barstar if barred else q.star)))
+
+
+def compose_automorphisms(f: qk.Automorphism, g: qk.Automorphism) -> qk.Automorphism:
+    """Apply f first, then g, matching word concatenation order."""
+    if f.quandle is not g.quandle and f.quandle != g.quandle:
+        raise ValueError("automorphisms act on different quandles")
+    return qk.Automorphism(f.quandle, tuple(g.images[x] for x in f.images))
+
+
+def is_automorphism(q: qk.FiniteQuandle, images) -> bool:
+    """A bijection f of the elements with f(i * j) = f(i) * f(j) for every pair."""
+    star, f = np.array(q.star), np.array(images)
+    if sorted(images) != list(range(len(q))):
+        return False
+    return bool(np.array_equal(f[star], star[np.ix_(f, f)]))
+
+
+def sum_to_json(a) -> str:
+    return json.dumps(a.by_label(), sort_keys=True)
+
+
 def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
                                        coloring: qk.Coloring) -> qk.Automorphism:
     """Build the colored longitude by composing translation automorphisms,
     rather than evaluating the word pointwise."""
-    acc = qk.identity_automorphism(q)
+    acc = identity_automorphism(q)
     colors = coloring.arc_colors
     for arc, barred in qk.symbolic_longitude(d).letters:
-        acc = qk.compose_automorphisms(acc, qk.translation(q, colors[arc - 1], barred))
+        acc = compose_automorphisms(acc, translation(q, colors[arc - 1], barred))
     return acc
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -426,3 +429,43 @@ def test_readme_library_block_prints_its_comments(capsys):
                 for line in block.splitlines() if line.startswith("print(")]
     exec(compile(block, str(README), "exec"), {})
     assert expected and capsys.readouterr().out.splitlines() == expected
+
+
+# in a fresh interpreter, the numpy-free golden cases by cli.main, then verify-quandle, which needs numpy
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+import quandleknot.cli as cli
+
+def answers(cases):
+    out = []
+    for case in cases:
+        record = {"argv": case["argv"]}
+        for key, extra in (("plain", []), ("json", ["--json"])):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = cli.main(case["argv"] + extra)
+            record[key] = {"exit": code, "stdout": stdout.getvalue()}
+        out.append(record)
+    return out
+
+cases = json.load(sys.stdin)
+report = {"free": answers(cases["free"]), "numpy": "numpy" in sys.modules}
+report["verify"] = answers(cases["verify"])
+print(json.dumps(report))
+"""
+
+
+def test_coloring_commands_run_without_numpy():
+    golden = json.loads(README_GOLDEN.read_text())
+    free = [case for case in golden if case["argv"][0] not in ("verify-quandle", "connected-sum")]
+    verify = [case for case in golden if case["argv"][0] == "verify-quandle"]
+    assert [case["argv"][0] for case in free] == ["colorings", "chirality", "chirality",
+                                                  "tangle-obstruction", "nonclassical"]
+    assert verify
+    src = str(Path(qk.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], input=json.dumps({"free": free, "verify": verify}),
+                          cwd=README.parent, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["numpy"] is False
+    assert report["free"] == free
+    assert report["verify"] == verify

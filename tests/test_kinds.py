@@ -73,3 +73,7 @@ def test_accepts_its_own_kinds(call, kind):
 def test_refuses_what_is_not_a_diagram():
     with pytest.raises(ValueError, match=r"^formal_sum needs a long or closed diagram, not 'O1\+ U1\+'$"):
         qk.formal_sum("O1+ U1+", QUERY)
+    # the functions that take any kind refuse the rest with a ValueError too
+    for call in (qk.mirror, qk.serialize_diagram, lambda d: qk.verify_coloring(qk.Coloring(d, ((0,),)), D3)):
+        with pytest.raises(ValueError, match=r"^not a diagram: 'O1\+ U1\+'$"):
+            call("O1+ U1+")

@@ -63,12 +63,12 @@ class TestColoredLongitude:
     def test_monochromatic_gives_identity(self, s5_class):
         q = fx.query_5_2()
         mono = qk.Coloring(fx.KNOT_5_2_LONG, ((q.basepoint,) * 6,))
-        assert qk.colored_longitude(mono, s5_class) == qk.identity_automorphism(s5_class)
+        assert qk.colored_longitude(mono, s5_class) == oracles.identity_automorphism(s5_class)
 
     def test_unknot_identity(self):
         d3 = qk.dihedral(3)
         mono = qk.Coloring(fx.UNKNOT_LONG, ((1,),))
-        assert qk.colored_longitude(mono, d3) == qk.identity_automorphism(d3)
+        assert qk.colored_longitude(mono, d3) == oracles.identity_automorphism(d3)
 
     def test_maps_basepoint_to_final_color(self, s5_class):
         q = fx.query_5_2()
@@ -89,7 +89,7 @@ class TestColoredLongitude:
         q = fx.query_5_2()
         for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint):
             phi = qk.colored_longitude(c, s5_class)
-            assert qk.is_automorphism(s5_class, phi.images)
+            assert oracles.is_automorphism(s5_class, phi.images)
 
     # strands of a 4-arc long trefoil: a color past the end, a negative color,
     # a negative color on a second strand, and a strand one arc short
@@ -218,7 +218,7 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("q", [qk.dihedral(3), fx.a5_quandle(), fx.s5_class_quandle()])
     def test_empty_word_gives_identity(self, q):
         family = qk.longitude_family(fx.UNKNOT_LONG, q, 1)
-        assert family.members == (qk.identity_automorphism(q),)
+        assert family.members == (oracles.identity_automorphism(q),)
 
     @pytest.mark.parametrize("t, k, query", [
         (fx.tangle_t62(), fx.KNOT_6_3_CLOSED, fx.query_t62),
@@ -285,7 +285,7 @@ class TestSumAlgebra:
 
     def test_json_map(self, s5_class):
         s = qk.formal_sum(fx.KNOT_5_2_LONG, fx.query_5_2())
-        assert qk.sum_to_json(s) == '{"(1,2,3)(4,5)": 1, "(1,2,4)(3,5)": 6}'
+        assert oracles.sum_to_json(s) == '{"(1,2,3)(4,5)": 1, "(1,2,4)(3,5)": 6}'
 
 
 class TestTangleLongitudes:
