@@ -2,12 +2,12 @@
 
 A quandle is given by its ``star`` table for ``*``; ``barstar``, for the
 inverse operation, is derived from it.  Both are held as tuple rows, built and
-checked in plain Python, so coloring and summing never import numpy.  The
-vectorized readers (the Q3 check and longitude families) read one int32 numpy
-array of the right translations instead, built on first use.  Elements are
-identified by position; labels are display strings only.  Conjugation quandles
-use ``a * b = b^-1 a b`` and ``a *bar b = b a b^-1`` with the composition
-convention from ``permgroup``.
+checked in plain Python, and the Q3 check reads them too, so building,
+loading, certifying, coloring and summing never import numpy.  Only longitude
+families read one int32 numpy array of the right translations, built on first
+use.  Elements are identified by position; labels are display strings only.
+Conjugation quandles use ``a * b = b^-1 a b`` and ``a *bar b = b a b^-1`` with
+the composition convention from ``permgroup``.
 """
 from __future__ import annotations
 
@@ -52,8 +52,9 @@ class FiniteQuandle:
     translations, and is ``star`` itself when every translation is an
     involution.  Both are stored as tuple rows that share one int object per
     element.  ``_translations[barred, j, i] = i op j``, whose row j is the
-    right translation by j, is the int32 array the vectorized readers use;
-    it, and the numpy import, come on its first read.
+    right translation by j, is an int32 array with one reader, the
+    longitude fold ``longitude._images``; it, and the numpy import, come on
+    its first read.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -217,28 +218,28 @@ _Q3_TRIPLES_MAX = 720 ** 3
 """Most triples one Q3 check may test: as many as a scan of a 720-element table."""
 
 
-def _generators(right) -> list[int]:
-    """A generating set chosen in ascending order, ``right[k, x] = x * k``.
+def _generators(star) -> dict[tuple[int, ...], int]:
+    """A generating set chosen in ascending order, as its least member per distinct
+    right translation, keyed by that translation's column ``(x * k)_x``.
 
     s is a generator exactly when the smaller generators' translations do not
     carry any of them to s.  What they reach lies in the subquandle they
     generate (and is all of it when Q3 holds), so every element is reached.
     """
-    import numpy as np
-    reached = np.zeros(len(right), dtype=bool)
-    gens: list[int] = []
-    for s in range(len(right)):
-        if reached[s]:
+    reached: set[int] = set()
+    first: dict[tuple[int, ...], int] = {}
+    for s in range(len(star)):
+        if s in reached:
             continue
-        gens.append(s)
-        reached[s] = True
-        # all reached so far under the new translation, then anything new under every generator
-        new = np.concatenate((right[s, reached], right[gens, s]))
-        while new.size:
-            new = np.flatnonzero((np.bincount(new, minlength=len(right)) > 0) & ~reached)
-            reached[new] = True
-            new = right[np.ix_(gens, new)].ravel()
-    return gens
+        col = tuple(map(itemgetter(s), star))
+        # s, and all reached so far if R_s is a translation not met before; then anything new under each
+        new = {s} if col in first else {s, *map(col.__getitem__, reached)}
+        first.setdefault(col, s)
+        gens = list(first.values())
+        while new := new - reached:
+            reached |= new
+            new = set(itertools.chain.from_iterable(_pick(star[y], gens) for y in new))
+    return first
 
 
 def verify_axioms(q: FiniteQuandle) -> AxiomReport:
@@ -248,31 +249,26 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     R_b R_a R_b^-1, so the k that pass are closed under * and *bar: Q3 holds
     iff it holds on a generating set, whose least element failing it is the
     least k failing it.  So only ``_generators`` are checked, in ascending
-    order and once per distinct translation, and a violation is the first in
-    (k, i, j) order, as a scan of all triples would report it.  Raises
+    order and once per distinct translation.  For each, with ``col[x] = x *
+    k``, row i compares j -> (i * j) * k with j -> (i * k) * (j * k) as two
+    tuples picked from the rows of ``star``; taking i, then j, ascending, the
+    first unequal row and its first differing entry are the first violation
+    in (k, i, j) order, as a scan of all triples would report it.  Raises
     ValueError when the translations checked times m**2 exceed
     ``_Q3_TRIPLES_MAX``.
     """
-    import numpy as np
-    m = len(q)
-    right = q._translations[0]  # [k, x] = x * k
-    gens = _generators(right)
-    first: dict[bytes, int] = {}  # the smallest generator per distinct translation
-    for k in gens:
-        first.setdefault(right[k].tobytes(), k)
-    checked = list(first.values())
-    if len(checked) * m * m > _Q3_TRIPLES_MAX:
-        raise ValueError(f"Q3 check refused: {len(checked)} distinct generator translations on "
+    m, star = len(q), q.star
+    first = _generators(star)
+    if len(first) * m * m > _Q3_TRIPLES_MAX:
+        raise ValueError(f"Q3 check refused: {len(first)} distinct generator translations on "
                          f"{m} elements would test more than {_Q3_TRIPLES_MAX} triples")
-    q3_violation = None
-    for k in checked:
-        col = right[k]
-        differ = col[right] != right[np.ix_(col, col)]  # [j, i]: (i*j)*k against (i*k)*(j*k)
-        if differ.any():
-            i, j = np.argwhere(differ.T)[0]
-            q3_violation = (int(i), int(j), k)
-            break
-    return AxiomReport(q3_violation, m ** 3)
+    for col, k in first.items():
+        for i, row in enumerate(star):
+            lhs, rhs = _pick(col, row), _pick(star[col[i]], col)
+            if lhs != rhs:
+                j = next(j for j in range(m) if lhs[j] != rhs[j])
+                return AxiomReport((i, j, k), m ** 3)
+    return AxiomReport(None, m ** 3)
 
 
 @dataclass(frozen=True)

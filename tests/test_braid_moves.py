@@ -1,12 +1,15 @@
-"""Metamorphic tests: braid moves and curls change the diagram but never the answers.
+"""Metamorphic tests: braid moves, curls and R2 moves change the diagram but never the answers.
 
 Each move turns a braid word into another word whose closure
 (``fixtures.braid_closure``) is the same knot, so the planner gets a different
 relation system that must give the same colorings, sums and verdicts.  A curl
 (Reidemeister I) added to a long diagram gives relations whose over-arc
-repeats their in- or out-arc.
+repeats their in- or out-arc.  An R2 move written on a long Gauss code applies
+to virtual codes too, since a finger may be detoured across virtual crossings.
 """
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,15 @@ QUANDLES = (qk.dihedral(3), qk.dihedral(5),
             *(qk.parse_quandle_spec(f"conjclass:S4:{g}") for g in ("(1,2)", "(1,2,3)", "(1,2,3,4)", "(1,2)(3,4)")),
             qk.parse_quandle_spec("conjgroup:A4"), fx.s5_class_quandle())
 SIGNS = st.sampled_from((1, -1))
+
+
+def _medial(q: qk.FiniteQuandle) -> bool:
+    """(x * y) * (z * w) = (x * z) * (y * w) for all x, y, z, w: the abelian quandles."""
+    s = q.star
+    return all(s[s[x][y]][s[z][w]] == s[s[x][z]][s[y][w]] for x, y, z, w in itertools.product(range(len(q)), repeat=4))
+
+
+NON_ABELIAN = tuple(q for q in QUANDLES if not _medial(q)) + (fx.a5_quandle(),)
 AMPHICHIRAL = ([1, -2, 1, -2], [1, 1, -2, 1, -2, -2])  # 4_1 and 6_3, 3-braids
 
 
@@ -85,6 +97,27 @@ def curled_pairs(draw):
     return long, curled
 
 
+def _r2(d: qk.LongDiagram, a: int, over: int, sign: int) -> qk.LongDiagram:
+    """``d`` with two new crossings just before crossing ``a`` (at the end of the last
+    arc when a = n + 1), signs ``sign`` and ``-sign``, both passing under the new
+    diagram's arc ``over``; later arcs shift by 2, and over-passages hosted on arc ``a``
+    stay on it."""
+    shifted = tuple(b + 2 * (b > a) for b in d.over_arc)
+    return qk.LongDiagram(shifted[:a - 1] + (over, over) + shifted[a - 1:],
+                          d.sign[:a - 1] + (sign, -sign) + d.sign[a - 1:])
+
+
+@st.composite
+def r2_pairs(draw):
+    """A random long code with any over-arcs, so virtual codes are included, and the same after 1-3 R2 moves."""
+    n = draw(st.integers(0, 6))
+    long = moved = qk.LongDiagram(tuple(draw(st.integers(1, n + 1)) for _ in range(n)),
+                                  tuple(draw(SIGNS) for _ in range(n)))
+    for _ in range(draw(st.integers(1, 3))):
+        moved = _r2(moved, draw(st.integers(1, moved.n + 1)), draw(st.integers(1, moved.n + 3)), draw(SIGNS))
+    return long, moved
+
+
 def _query(q, data):
     return qk.InvariantQuery(q, data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1)))
 
@@ -105,6 +138,18 @@ class TestBraidMoves:
         before, after = pair
         for q in QUANDLES:
             query = _query(q, data)
+            assert qk.formal_sum(before, query) == qk.formal_sum(after, query)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r2_pairs(), st.data())
+    def test_r2_on_long_codes_changes_no_answer(self, pair, data):
+        # the four new longitude letters fold to the identity by Q2 and Q3, whatever the over-arc's color
+        before, after = pair
+        for q in NON_ABELIAN:
+            query = _query(q, data)
+            families = [qk.longitude_family(d, q, query.basepoint) for d in pair]
+            assert len(families[0]) == len(families[1])  # the coloring count
+            assert families[0] == families[1]  # sorted images
             assert qk.formal_sum(before, query) == qk.formal_sum(after, query)
 
     @settings(max_examples=60, deadline=None)

@@ -431,41 +431,38 @@ def test_readme_library_block_prints_its_comments(capsys):
     assert expected and capsys.readouterr().out.splitlines() == expected
 
 
-# in a fresh interpreter, the numpy-free golden cases by cli.main, then verify-quandle, which needs numpy
+# in a fresh interpreter: each case by cli.main, then whether any of them imported numpy
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 import quandleknot.cli as cli
 
-def answers(cases):
-    out = []
-    for case in cases:
-        record = {"argv": case["argv"]}
-        for key, extra in (("plain", []), ("json", ["--json"])):
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                code = cli.main(case["argv"] + extra)
-            record[key] = {"exit": code, "stdout": stdout.getvalue()}
-        out.append(record)
-    return out
-
-cases = json.load(sys.stdin)
-report = {"free": answers(cases["free"]), "numpy": "numpy" in sys.modules}
-report["verify"] = answers(cases["verify"])
-print(json.dumps(report))
+answers = []
+for case in json.load(sys.stdin):
+    record = {"argv": case["argv"]}
+    for key, extra in (("plain", []), ("json", ["--json"])):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(case["argv"] + extra)
+        record[key] = {"exit": code, "stdout": stdout.getvalue()}
+    answers.append(record)
+print(json.dumps({"answers": answers, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_coloring_commands_run_without_numpy():
+def test_coloring_commands_run_without_numpy(tmp_path):
+    # every README command but connected-sum, whose longitude families read numpy, and the A5
+    # chirality command again on a quandle file, whose load certifies Q3
     golden = json.loads(README_GOLDEN.read_text())
-    free = [case for case in golden if case["argv"][0] not in ("verify-quandle", "connected-sum")]
-    verify = [case for case in golden if case["argv"][0] == "verify-quandle"]
-    assert [case["argv"][0] for case in free] == ["colorings", "chirality", "chirality",
-                                                  "tangle-obstruction", "nonclassical"]
-    assert verify
+    cases = [case for case in golden if case["argv"][0] != "connected-sum"]
+    assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality",
+                                                  "tangle-obstruction", "nonclassical", "verify-quandle"]
+    on_spec = next(case for case in cases if "conjgroup:A5" in case["argv"])
+    a5_file = tmp_path / "a5.json"
+    a5_file.write_text(qk.quandle_to_json(qk.parse_quandle_spec("conjgroup:A5")))
+    cases.append({**on_spec, "argv": [str(a5_file) if arg == "conjgroup:A5" else arg for arg in on_spec["argv"]]})
     src = str(Path(qk.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], input=json.dumps({"free": free, "verify": verify}),
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], input=json.dumps(cases),
                           cwd=README.parent, env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
+    assert report["answers"] == cases
     assert report["numpy"] is False
-    assert report["free"] == free
-    assert report["verify"] == verify
