@@ -21,10 +21,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .diagram import ClosedDiagram, Diagram, LongDiagram, TangleDiagram, _require
+from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, TangleDiagram, _compile, _require
 from .quandle import FiniteQuandle
 
-Relation = tuple[int, int, int, int]  # (out_arc, in_arc, over_arc, sign), 0-based arcs
 Candidates = Callable[[int, int], Sequence[int]]  # (color of in-arc, color of out-arc) -> colors
 
 
@@ -257,42 +256,13 @@ def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
     return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
 
 
-def _compile(d: Diagram) -> tuple[tuple[int, ...], list[Relation], tuple]:
-    """A diagram as one relation system over 0-based arcs numbered strand after strand.
-
-    Returns each strand's arc count, one ``Relation`` per crossing (strand after
-    strand) and each strand's longitude letters ``(arc, barred)``.  Crossing k
-    of a strand joins its arcs k and k + 1 (cyclically when closed); its letters
-    are the under-arc, barred for sign +1, then the over-arc, barred for -1.
-    """
-    closed = False
-    if isinstance(d, TangleDiagram):
-        strands = [[(c.over_strand - 1, c.over_arc - 1, c.sign) for c in s] for s in d.strands]
-    elif isinstance(d, (LongDiagram, ClosedDiagram)):
-        strands, closed = [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]], d.closed
-    else:
-        raise ValueError(f"not a diagram: {d!r}")
-    arcs = tuple(len(s) + (not closed) for s in strands)
-    offsets = (0, *itertools.accumulate(arcs))
-    relations, letters = [], []
-    for s, crossings in enumerate(strands):
-        base, own = offsets[s], []
-        for k, (over_strand, over_arc, sign) in enumerate(crossings):
-            inn, over = base + k, offsets[over_strand] + over_arc
-            relations.append((base + (k + 1) % arcs[s], inn, over, sign))
-            own += [(inn, sign > 0), (over, sign < 0)]
-        letters.append(tuple(own))
-    return arcs, relations, tuple(letters)
-
-
 def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1."""
     if not 0 <= basepoint < len(q):
         raise ValueError(f"basepoint index {basepoint} out of range")
-    arcs, relations, _ = _compile(d)
-    bounds = list(itertools.pairwise((0, *itertools.accumulate(arcs))))  # [lo, hi) per strand
-    ends = [arc for lo, hi in bounds for arc in (lo, hi - 1)] if type(d) is TangleDiagram else [0]
-    rows = _solve(bounds[-1][1], relations, dict.fromkeys(ends, basepoint), q)
+    system = _compile(d)
+    bounds = list(itertools.pairwise((0, *itertools.accumulate(system.arcs))))  # [lo, hi) per strand
+    rows = _solve(bounds[-1][1], system.relations, dict.fromkeys(system.ends, basepoint), q)
     if len(bounds) == 1:  # the row is the strand's colors; slicing it would cost per coloring
         return tuple(Coloring(d, (row,)) for row in rows)
     return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
@@ -326,22 +296,24 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle,
     return _colorings(d, q, basepoint)
 
 
-def _colors(c: Coloring, arcs: tuple[int, ...], m: int | None) -> list[int]:
-    """The colors strand after strand.  ValueError unless each strand has its
-    compiled arc count and every color lies in range(m), or is >= 0 for m None."""
-    if tuple(map(len, c.strands)) != arcs:
-        raise ValueError(f"coloring has strands of {tuple(map(len, c.strands))} arcs, the diagram {arcs}")
+def _colors(c: Coloring, m: int | None) -> list[int]:
+    """The colors strand after strand.  ValueError unless the strands are sequences with the
+    diagram's arc counts and every color is an int in range(m), or >= 0 for m None."""
+    if not isinstance(c.strands, Sequence) or not all(isinstance(s, Sequence) for s in c.strands):
+        raise ValueError("coloring strands must be sequences of colors")
+    if (shape := tuple(map(len, c.strands))) != (arcs := _compile(c.diagram).arcs):
+        raise ValueError(f"coloring has strands of {shape} arcs, the diagram {arcs}")
     colors = [x for strand in c.strands for x in strand]
-    if not all(0 <= x and (m is None or x < m) for x in colors):
+    if not all(type(x) is int and 0 <= x and (m is None or x < m) for x in colors):
         raise ValueError("coloring has a color outside the quandle")
     return colors
 
 
 def verify_coloring(c: Coloring, q: FiniteQuandle) -> bool:
     """Re-check every crossing relation, independent of the search; False for a wrong shape."""
-    arcs, relations, _ = _compile(c.diagram)
+    relations = _compile(c.diagram).relations
     try:
-        colors = _colors(c, arcs, len(q))
+        colors = _colors(c, len(q))
     except ValueError:
         return False
     return all(colors[out] == q.op(colors[inn], colors[over], barred=sign < 0)

@@ -10,14 +10,23 @@ Long and closed diagrams share one base: the same ``(over_arc, sign)`` data
 and validation.  Its class flag ``closed`` is all that differs: a closed
 diagram's last arc wraps around to arc 1, so it has n arcs instead of n+1 and
 needs n >= 1.  Each kind stays its own class, so equal fields of different
-kinds still compare unequal.
+kinds still compare unequal, and builds its relation system once (``_compile``).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
+
+
+class _Diagram:
+    @functools.cached_property
+    def _system(self) -> System:  # read through _compile
+        return _build(self)
 
 
 def _check_signs(sign: tuple[int, ...]):
@@ -26,7 +35,7 @@ def _check_signs(sign: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class _GaussCode:
+class _GaussCode(_Diagram):
     """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order."""
 
     over_arc: tuple[int, ...]
@@ -77,7 +86,7 @@ class TangleCrossing:
 
 
 @dataclass(frozen=True)
-class TangleDiagram:
+class TangleDiagram(_Diagram):
     """Two oriented strands; strand s has its own arcs 1..n_s+1 in traversal order."""
 
     strands: tuple[tuple[TangleCrossing, ...], tuple[TangleCrossing, ...]]
@@ -110,6 +119,40 @@ def _require(d, what: str, *kinds: type) -> None:
     if type(d) not in kinds:
         got = f"a {_KIND[type(d)]} one" if type(d) in _KIND else repr(d)
         raise ValueError(f"{what} needs a {' or '.join(map(_KIND.get, kinds))} diagram, not {got}")
+
+
+Relation = tuple[int, int, int, int]  # (out_arc, in_arc, over_arc, sign), 0-based arcs
+System = namedtuple("System", "arcs relations letters ends")
+"""A diagram's relation system over 0-based arcs numbered strand after strand, as tuples: arcs per
+strand, one ``Relation`` per crossing, letters ``(arc, barred)`` per strand, and the pinned end arcs."""
+
+
+def _build(d: Diagram) -> System:
+    """Crossing k of a strand joins its arcs k and k + 1 (cyclically when closed); its letters
+    are the under-arc, barred for sign +1, then the over-arc, barred for -1.  A coloring pins
+    both end arcs of every strand of a tangle, and arc 1 of a long or closed diagram."""
+    tangle = type(d) is TangleDiagram
+    strands = ([[(c.over_strand - 1, c.over_arc - 1, c.sign) for c in s] for s in d.strands] if tangle
+               else [[(0, a - 1, s) for a, s in zip(d.over_arc, d.sign)]])
+    arcs = tuple(len(s) + (type(d) is not ClosedDiagram) for s in strands)
+    offsets = (0, *itertools.accumulate(arcs))
+    relations, letters = [], []
+    for s, crossings in enumerate(strands):
+        base, own = offsets[s], []
+        for k, (over_strand, over_arc, sign) in enumerate(crossings):
+            inn, over = base + k, offsets[over_strand] + over_arc
+            relations.append((base + (k + 1) % arcs[s], inn, over, sign))
+            own += [(inn, sign > 0), (over, sign < 0)]
+        letters.append(tuple(own))
+    ends = tuple(a for lo, hi in itertools.pairwise(offsets) for a in (lo, hi - 1)) if tangle else (0,)
+    return System(arcs, tuple(relations), tuple(letters), ends)
+
+
+def _compile(d: Diagram) -> System:
+    """d's relation system, built on the first call and kept on d; ValueError for what is not a diagram."""
+    if not isinstance(d, _Diagram):
+        raise ValueError(f"not a diagram: {d!r}")
+    return d._system
 
 
 # --- JSON codec -----------------------------------------------------------

@@ -12,9 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import Coloring, InvariantQuery, _colors, _compile, colorings_long, colorings_tangle_boundary_mono
-from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_at
-from .quandle import Automorphism, FiniteQuandle, QuandleWord, eval_word
+from .coloring import Coloring, InvariantQuery, _colors, colorings_long, colorings_tangle_boundary_mono
+from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
+from .quandle import Automorphism, FiniteQuandle, QuandleWord, _fold
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class SymbolicLongitude:
 
 def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
     _require(d, "symbolic_longitude", LongDiagram)
-    _, _, (letters,) = _compile(d)
+    (letters,) = _compile(d).letters
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
@@ -56,9 +56,8 @@ def _images(q: FiniteQuandle, letters, rows):
 def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
     """The longitude word of the coloring's long diagram, evaluated in it, as a quandle automorphism."""
     _require(coloring.diagram, "colored_longitude", LongDiagram)
-    arcs, _, (letters,) = _compile(coloring.diagram)
-    images = _images(q, letters, [_colors(coloring, arcs, len(q))])
-    return Automorphism(q, tuple(images[0].tolist()))
+    (letters,) = _compile(coloring.diagram).letters
+    return Automorphism(q, tuple(_images(q, letters, [_colors(coloring, len(q))])[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class AutomorphismFamily:
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
     """All colored longitudes of a long diagram over the colorings with the given basepoint."""
     _require(d, "longitude_family", LongDiagram)
-    _, _, (letters,) = _compile(d)
+    (letters,) = _compile(d).letters
     rows = [c.strands[0] for c in colorings_long(d, q, basepoint)]  # never empty: one is constant
     images = sorted(map(tuple, _images(q, letters, rows).tolist()))
     return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
@@ -139,8 +138,7 @@ def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[
     the colorings of the query's element folded through the word, each arc replaced by its color."""
     q, x = query.quandle, query.act_on
     rows = [sum(c.strands, ()) for c in colorings]
-    return tuple(FormalSum.from_elements(q, [eval_word(q, x, [(row[arc], barred) for arc, barred in word])
-                                             for row in rows]) for word in words)
+    return tuple(FormalSum.from_elements(q, [_fold(q, x, word, row) for row in rows]) for word in words)
 
 
 def formal_sum(d: LongDiagram | ClosedDiagram, query: InvariantQuery) -> FormalSum:
@@ -148,7 +146,7 @@ def formal_sum(d: LongDiagram | ClosedDiagram, query: InvariantQuery) -> FormalS
     a closed d is broken at arc 1 first, as ``break_at(d, 1)``.  Tangles go to ``tangle_sums``."""
     _require(d, "formal_sum", LongDiagram, ClosedDiagram)
     d = break_at(d, 1) if d.closed else d
-    return _sums(query, _compile(d)[2], colorings_long(d, query.quandle, query.basepoint))[0]
+    return _sums(query, _compile(d).letters, colorings_long(d, query.quandle, query.basepoint))[0]
 
 
 # --- tangle longitude parts -------------------------------------------------
@@ -156,8 +154,7 @@ def formal_sum(d: LongDiagram | ClosedDiagram, query: InvariantQuery) -> FormalS
 def tangle_longitude_parts(coloring: Coloring) -> tuple[QuandleWord, QuandleWord]:
     """The coloring's per-strand longitude words, letters as in the long case; colors must be indices."""
     _require(coloring.diagram, "tangle_longitude_parts", TangleDiagram)
-    arcs, _, letters = _compile(coloring.diagram)
-    colors = _colors(coloring, arcs, None)
+    colors, letters = _colors(coloring, None), _compile(coloring.diagram).letters
     return tuple(tuple([(colors[arc], barred) for arc, barred in part]) for part in letters)
 
 
@@ -165,6 +162,6 @@ def tangle_sums(t: TangleDiagram, query: InvariantQuery) -> tuple[FormalSum, For
     """S1 and S2: both concatenation orders of the longitude parts, summed over
     all boundary-monochromatic colorings with the query's basepoint."""
     _require(t, "tangle_sums", TangleDiagram)
-    _, _, (w1, w2) = _compile(t)
+    w1, w2 = _compile(t).letters
     return _sums(query, (w1 + w2, w2 + w1),
                  colorings_tangle_boundary_mono(t, query.quandle, query.basepoint))

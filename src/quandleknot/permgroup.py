@@ -130,22 +130,6 @@ def conjugate(a: Permutation, b: Permutation) -> Permutation:
     return compose(compose(inverse(b), a), b)
 
 
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included."""
-    seen = [False] * p.degree
-    lengths = []
-    for start in range(1, p.degree + 1):
-        if seen[start - 1]:
-            continue
-        n, cur = 0, start
-        while not seen[cur - 1]:
-            seen[cur - 1] = True
-            n += 1
-            cur = p.images[cur - 1]
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
-
-
 @dataclass(frozen=True)
 class ElementSet:
     """A finite set of same-degree permutations in canonical (sorted) order."""

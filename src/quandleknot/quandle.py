@@ -282,17 +282,21 @@ class Automorphism:
         return self.images[i]
 
 
+def _fold(q: FiniteQuandle, start: int, word, colors: Sequence[int]) -> int:
+    """Left-normed fold, unchecked: acc <- acc * colors[i] (or *bar) for each letter ``(i, barred)``."""
+    acc, tables = start, (q.star, q.barstar)
+    for i, barred in word:
+        acc = tables[barred][acc][colors[i]]
+    return acc
+
+
 def eval_word(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]]) -> int:
     """Left-normed fold: acc <- acc * letter (or *bar letter) for each letter."""
-    m = len(q)
-    if not 0 <= start < m:
-        raise ValueError(f"element index {start} out of range")
-    acc = start
-    for elem, barred in word:
+    m, word = len(q), tuple(word)
+    for elem in (start, *(elem for elem, _ in word)):
         if not 0 <= elem < m:
             raise ValueError(f"element index {elem} out of range")
-        acc = q.barstar[acc][elem] if barred else q.star[acc][elem]
-    return acc
+    return _fold(q, start, word, range(m))
 
 
 # --- quandle spec strings and JSON files ---------------------------------

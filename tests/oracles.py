@@ -5,8 +5,8 @@ planned one replaced, the composed-translation route to colored longitudes
 (with the translation and automorphism helpers it needs, and a pairwise
 automorphism check),
 longitude families evaluated one element at a time, conjugation tables built
-one entry at a time, the axioms by a triple loop, and orbits grown by every
-generator and its inverse.
+one entry at a time, the axioms by a triple loop, orbits grown by every
+generator and its inverse, and the cycle type of a permutation.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -398,3 +398,19 @@ def orbit_with_inverses(start: pg.Permutation, gens, act) -> set[pg.Permutation]
         frontier = [h for h in {act(f, g) for f in frontier for g in step} if h not in known]
         known.update(frontier)
     return known
+
+
+def cycle_type(p: pg.Permutation) -> tuple[int, ...]:
+    """Cycle lengths in decreasing order, fixed points included."""
+    seen = [False] * p.degree
+    lengths = []
+    for start in range(1, p.degree + 1):
+        if seen[start - 1]:
+            continue
+        n, cur = 0, start
+        while not seen[cur - 1]:
+            seen[cur - 1] = True
+            n += 1
+            cur = p.images[cur - 1]
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))

@@ -4,8 +4,9 @@ Each move turns a braid word into another word whose closure
 (``fixtures.braid_closure``) is the same knot, so the planner gets a different
 relation system that must give the same colorings, sums and verdicts.  A curl
 (Reidemeister I) added to a long diagram gives relations whose over-arc
-repeats their in- or out-arc.  An R2 move written on a long Gauss code applies
-to virtual codes too, since a finger may be detoured across virtual crossings.
+repeats their in- or out-arc.  An R2 move written on a long, closed or tangle
+Gauss code applies to virtual codes too, since a finger may be detoured across
+virtual crossings.
 """
 from __future__ import annotations
 
@@ -97,14 +98,14 @@ def curled_pairs(draw):
     return long, curled
 
 
-def _r2(d: qk.LongDiagram, a: int, over: int, sign: int) -> qk.LongDiagram:
-    """``d`` with two new crossings just before crossing ``a`` (at the end of the last
-    arc when a = n + 1), signs ``sign`` and ``-sign``, both passing under the new
-    diagram's arc ``over``; later arcs shift by 2, and over-passages hosted on arc ``a``
+def _r2(d, a: int, over: int, sign: int):
+    """Long or closed ``d`` with two new crossings just before crossing ``a`` (at the end
+    of the last arc when a = n + 1), signs ``sign`` and ``-sign``, both passing under the
+    new diagram's arc ``over``; later arcs shift by 2, and over-passages hosted on arc ``a``
     stay on it."""
     shifted = tuple(b + 2 * (b > a) for b in d.over_arc)
-    return qk.LongDiagram(shifted[:a - 1] + (over, over) + shifted[a - 1:],
-                          d.sign[:a - 1] + (sign, -sign) + d.sign[a - 1:])
+    return type(d)(shifted[:a - 1] + (over, over) + shifted[a - 1:],
+                   d.sign[:a - 1] + (sign, -sign) + d.sign[a - 1:])
 
 
 @st.composite
@@ -116,6 +117,50 @@ def r2_pairs(draw):
     for _ in range(draw(st.integers(1, 3))):
         moved = _r2(moved, draw(st.integers(1, moved.n + 1)), draw(st.integers(1, moved.n + 3)), draw(SIGNS))
     return long, moved
+
+
+@st.composite
+def closed_r2_pairs(draw):
+    """A random closed code with any over-arcs, and the same after 1-3 R2 moves that leave arc 1
+    whole (a >= 2), so breaking both at arc 1 gives long codes one R2 move apart."""
+    n = draw(st.integers(2, 6))
+    closed = moved = qk.ClosedDiagram(tuple(draw(st.integers(1, n)) for _ in range(n)),
+                                      tuple(draw(SIGNS) for _ in range(n)))
+    for _ in range(draw(st.integers(1, 3))):
+        moved = _r2(moved, draw(st.integers(2, moved.n)), draw(st.integers(1, moved.n + 2)), draw(SIGNS))
+    return closed, moved
+
+
+def _r2_tangle(t: qk.TangleDiagram, s: int, a: int, o: int, over: int, sign: int) -> qk.TangleDiagram:
+    """``t`` with two new crossings on strand ``s`` just before its crossing ``a``, signs ``sign``
+    and ``-sign``, both passing under arc ``over`` of strand ``o`` in the new numbering; strand
+    ``s``'s later arcs shift by 2, on whichever strand their over-passages lie."""
+    def shifted(c: qk.TangleCrossing) -> qk.TangleCrossing:
+        return qk.TangleCrossing(c.over_strand, c.over_arc + 2 * (c.over_strand == s and c.over_arc > a), c.sign)
+    strands = [[shifted(c) for c in strand] for strand in t.strands]
+    strands[s - 1][a - 1:a - 1] = [qk.TangleCrossing(o, over, sign), qk.TangleCrossing(o, over, -sign)]
+    return qk.TangleDiagram(tuple(map(tuple, strands)))
+
+
+@st.composite
+def tangle_r2_pairs(draw):
+    """A two-strand tangle, and the same after 1-3 R2 moves, each on either strand with its
+    over-arc on either strand.  Strand 1 is a knot's braid closure broken into a long code,
+    so that colorings with all four ends at the basepoint are not all constant; strand 2 has
+    0-2 crossings under any arcs."""
+    closed = fx.braid_closure(*_knot_word(draw))
+    long = qk.break_at(closed, draw(st.integers(1, closed.n)))
+    sizes = (long.n, draw(st.integers(0, 2)))
+    second = tuple(qk.TangleCrossing(o, draw(st.integers(1, sizes[o - 1] + 1)), draw(SIGNS))
+                   for o in (draw(st.integers(1, 2)) for _ in range(sizes[1])))
+    tangle = moved = qk.TangleDiagram((tuple(map(qk.TangleCrossing, (1,) * long.n, long.over_arc, long.sign)),
+                                       second))
+    for _ in range(draw(st.integers(1, 3))):
+        s, o = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        lengths = [len(strand) for strand in moved.strands]
+        moved = _r2_tangle(moved, s, draw(st.integers(1, lengths[s - 1] + 1)), o,
+                           draw(st.integers(1, lengths[o - 1] + 1 + 2 * (o == s))), draw(SIGNS))
+    return tangle, moved
 
 
 def _query(q, data):
@@ -151,6 +196,28 @@ class TestBraidMoves:
             assert len(families[0]) == len(families[1])  # the coloring count
             assert families[0] == families[1]  # sorted images
             assert qk.formal_sum(before, query) == qk.formal_sum(after, query)
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_r2_pairs(), st.data())
+    def test_r2_on_closed_codes_changes_no_answer(self, pair, data):
+        # formal_sum breaks both codes at arc 1, which no move split
+        before, after = pair
+        for q in NON_ABELIAN:
+            query = _query(q, data)
+            assert len(qk.colorings_closed(before, q, query.basepoint)) == \
+                len(qk.colorings_closed(after, q, query.basepoint))
+            assert qk.formal_sum(before, query) == qk.formal_sum(after, query)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tangle_r2_pairs(), st.data())
+    def test_r2_on_tangles_changes_no_answer(self, pair, data):
+        # the four new letters fold to the identity inside either strand's part of S1 and S2
+        before, after = pair
+        for q in NON_ABELIAN:
+            query = _query(q, data)
+            assert len(qk.colorings_tangle_boundary_mono(before, q, query.basepoint)) == \
+                len(qk.colorings_tangle_boundary_mono(after, q, query.basepoint))
+            assert qk.tangle_sums(before, query) == qk.tangle_sums(after, query)
 
     @settings(max_examples=60, deadline=None)
     @given(moved_pairs(AMPHICHIRAL), st.sampled_from(QUANDLES), st.data())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandleknot as qk
-from quandleknot import coloring
+from quandleknot import coloring, diagram
 import fixtures as fx
 import oracles
 
@@ -176,7 +176,7 @@ def _draw_tangle(draw, sizes):
 def _assert_matches_oracles(d, q, basepoint, every_end):
     """``_solve`` against the propagating search it replaced and, where feasible,
     brute force."""
-    arcs, relations, _ = coloring._compile(d)
+    arcs, relations, _, _ = diagram._compile(d)
     starts = (0, *itertools.accumulate(arcs))
     ends = [arc for lo, hi in itertools.pairwise(starts) for arc in (lo, hi - 1)] if every_end else [0]
     preset = dict.fromkeys(ends, basepoint)
@@ -353,7 +353,16 @@ class TestVerifyColoringShapes:
         for bad in wrong:
             assert qk.verify_coloring(qk.Coloring(d, _mono(bad)), d3) is False
 
-    @pytest.mark.parametrize("color", [-1, 3])
+    @pytest.mark.parametrize("color", [-1, 3, True, 1.0])
     def test_color_out_of_range_is_false(self, color):
         c = qk.Coloring(qk.LongDiagram((2,), (1,)), ((color, color),))
         assert qk.verify_coloring(c, qk.dihedral(3)) is False
+
+    # the trefoil's coloring (0, 1, 2, 0) with a strand that is no sequence, a color that is
+    # no int, and the same colors as floats or bools
+    @pytest.mark.parametrize("strands", [(0, 1, 2, 0), ((0, 1, 2, "a"),), ((0.0, 1.0, 2.0, 0.0),),
+                                         ((False, True, 2, False),), ((0, 1, 2, 0), 5)])
+    def test_malformed_strands_or_colors_are_false(self, strands):
+        d, d3 = qk.LongDiagram((3, 1, 2), (1, 1, 1)), qk.dihedral(3)
+        assert qk.verify_coloring(qk.Coloring(d, ((0, 1, 2, 0),)), d3)
+        assert qk.verify_coloring(qk.Coloring(d, strands), d3) is False

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import quandleknot as qk
+from quandleknot import coloring, diagram
 import fixtures as fx
 
 
@@ -221,3 +222,42 @@ class TestBraidProvenance:
             for p, expected in profile.items():
                 got = len(qk.colorings_closed(code, qk.dihedral(p), 0))
                 assert got == expected, f"dihedral({p}) on {code}: {got} != {expected}"
+
+
+def _fresh(d):
+    """An equal long or closed diagram object that has built nothing yet."""
+    return type(d)(d.over_arc, d.sign)
+
+
+class TestRelationSystem:
+    """Every layer reads a diagram's relation system from one build kept on the diagram object."""
+
+    @pytest.mark.parametrize("call, objects", [
+        (lambda query: qk.formal_sum(_fresh(fx.KNOT_5_2_LONG), query), 1),
+        (lambda query: qk.formal_sum(_fresh(fx.KNOT_6_3_CLOSED), query), 1),  # the code broken at arc 1
+        (lambda query: qk.longitude_family(_fresh(fx.KNOT_5_2_LONG), query.quandle, query.basepoint), 1),
+        (lambda query: qk.tangle_sums(fx.tangle_t62(), query), 1),
+        (lambda query: qk.chirality_test(_fresh(fx.KNOT_5_2_CLOSED), query), 2),  # it and its mirror, broken
+        (lambda query: qk.basepoint_spectrum(_fresh(fx.KNOT_9_42_CLOSED), query), 9),  # one break per arc
+    ], ids=["formal_sum-long", "formal_sum-closed", "longitude_family", "tangle_sums", "chirality_test",
+            "basepoint_spectrum"])
+    def test_each_diagram_object_builds_once(self, monkeypatch, call, objects):
+        built, found = [], []  # kept alive, so distinct objects keep distinct ids
+        build, colorings = diagram._build, coloring._colorings
+
+        def counted_build(d):
+            built.append(d)
+            return build(d)
+
+        def recorded_colorings(*args):
+            result = colorings(*args)
+            found.extend(result)
+            return result
+
+        monkeypatch.setattr(diagram, "_build", counted_build)
+        monkeypatch.setattr(coloring, "_colorings", recorded_colorings)
+        query = fx.query_5_2()
+        call(query)
+        assert found and all(qk.verify_coloring(c, query.quandle) for c in found)
+        assert len(built) == objects
+        assert len(set(map(id, built))) == objects

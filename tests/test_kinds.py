@@ -7,7 +7,7 @@ import re
 import pytest
 
 import quandleknot as qk
-from quandleknot import coloring
+from quandleknot import diagram
 import fixtures as fx
 
 D3 = qk.dihedral(3)
@@ -18,7 +18,7 @@ DIAGRAMS = {"long": LONG, "closed": fx.KNOT_5_2_CLOSED, "tangle": fx.tangle_t62(
 
 def _constant_coloring(d) -> qk.Coloring:
     """Every arc of d colored 0, whatever d's kind."""
-    return qk.Coloring(d, tuple((0,) * n for n in coloring._compile(d)[0]))
+    return qk.Coloring(d, tuple((0,) * n for n in diagram._compile(d).arcs))
 
 
 # (test id, function name, the kinds it takes in message order, a call of it on one diagram)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandleknot as qk
-from quandleknot import coloring, longitude
+from quandleknot import diagram, longitude
 import fixtures as fx
 import oracles
 
@@ -92,17 +92,21 @@ class TestColoredLongitude:
             assert oracles.is_automorphism(s5_class, phi.images)
 
     # strands of a 4-arc long trefoil: a color past the end, a negative color,
-    # a negative color on a second strand, and a strand one arc short
-    @pytest.mark.parametrize("colors", [((0, 3, 0, 0),), ((0, -1, 0, 0),), ((0, 1), (-1, 0)), ((0, 1, 0),)])
+    # a negative color on a second strand, a strand one arc short, colors that are
+    # floats, bools or no number, and a strand that is no sequence
+    @pytest.mark.parametrize("colors", [((0, 3, 0, 0),), ((0, -1, 0, 0),), ((0, 1), (-1, 0)), ((0, 1, 0),),
+                                        ((0.0, 1.0, 2.0, 0.0),), ((False, True, 2, False),), ((0, 1, 2, "a"),),
+                                        (0, 1, 2, 0)])
     def test_color_outside_quandle(self, colors):
         d = qk.break_at(fx.TREFOIL_CLOSED, 1)
-        with pytest.raises(ValueError, match="outside the quandle|arcs"):
+        with pytest.raises(ValueError, match="outside the quandle|arcs|sequences"):
             qk.colored_longitude(qk.Coloring(d, colors), qk.dihedral(3))
 
-    @pytest.mark.parametrize("colors", [((0, 0, 0, 0), (0, -1, 0, 0)), ((0, 0, 0, 0), (0, 0, 0))])
+    @pytest.mark.parametrize("colors", [((0, 0, 0, 0), (0, -1, 0, 0)), ((0, 0, 0, 0), (0, 0, 0)),
+                                        ((0, 0, 0, 0), (0, 0, 0, 1.0)), ((0, 0, 0, 0), 0)])
     def test_tangle_parts_refuse_a_misshapen_coloring(self, colors):
         t = fx.tangle_t62()  # strands of 4 and 4 arcs
-        with pytest.raises(ValueError, match="outside the quandle|arcs"):
+        with pytest.raises(ValueError, match="outside the quandle|arcs|sequences"):
             qk.tangle_longitude_parts(qk.Coloring(t, colors))
 
     def test_refuses_another_kind_of_diagram(self):
@@ -230,7 +234,7 @@ class TestBatchedEvaluation:
     def test_tangle_families_match_elementwise_evaluation(self, t, k, query):
         query = query()
         q = query.quandle
-        arcs, _, (w1, w2) = coloring._compile(t)
+        arcs, _, (w1, w2), _ = diagram._compile(t)
         colorings = qk.colorings_tangle_boundary_mono(t, q, query.basepoint)
         rows = np.array([sum(c.strands, ()) for c in colorings], dtype=np.intp).reshape(-1, sum(arcs))
         batched = [list(map(tuple, longitude._images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
