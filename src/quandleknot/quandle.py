@@ -282,7 +282,7 @@ class Automorphism:
         return self.images[i]
 
 
-def _fold(q: FiniteQuandle, start: int, word, colors: Sequence[int]) -> int:
+def _fold(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]], colors: Sequence[int]) -> int:
     """Left-normed fold, unchecked: acc <- acc * colors[i] (or *bar) for each letter ``(i, barred)``."""
     acc, tables = start, (q.star, q.barstar)
     for i, barred in word:
