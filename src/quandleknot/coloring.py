@@ -10,9 +10,12 @@ coloring one arc and then running forced steps: derive an out-arc forwards
 from its in- and over-arc, derive an in-arc backwards from its out- and
 over-arc, and check a relation whose arcs are all colored.  A solve level
 colors the one uncolored over-arc of a relation with exactly the colors that
-satisfy it, read from an index built as the search needs it; a guess level
-tries every color, and is planned only where no relation pins an arc.  The
-result is the full solution set.  One depth-first walk visits the levels.
+satisfy it, read from an index built as the search needs it.  A guess level
+is planned only where no relation pins an arc.  It tries the orbit, under
+Inn(Q), of the color of a known arc joined to it through in- and out-arcs
+(``out = in op over`` keeps a color in its orbit), and every color only when
+no such arc is known.  The result is the full solution set.  One depth-first
+walk visits the levels.
 """
 from __future__ import annotations
 
@@ -51,24 +54,34 @@ class InvariantQuery:
     act_on: int
 
     def __post_init__(self):
-        m = len(self.quandle)
-        if not 0 <= self.basepoint < m:
-            raise ValueError(f"basepoint index {self.basepoint} out of range")
-        if not 0 <= self.act_on < m:
-            raise ValueError(f"act-on index {self.act_on} out of range")
+        _check_index(self.basepoint, len(self.quandle), "basepoint")
+        _check_index(self.act_on, len(self.quandle), "act-on")
+
+
+def _check_index(x, m: int, name: str) -> None:
+    """ValueError unless x is an element index: exactly an int (no bool, float or numpy
+    integer, which would leak into the colorings) in range(m)."""
+    if type(x) is not int:
+        raise ValueError(f"{name} index must be an int, got {x!r}")
+    if not 0 <= x < m:
+        raise ValueError(f"{name} index {x} out of range")
 
 
 def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
     """The search order: levels that each color one arc, then run forced steps.
 
     A level is ``(arc, steps, solve)``.  The first colors a preset arc with its
-    preset color, or guesses arc 0 when nothing is preset.  With ``solve``
-    None a level guesses: it tries every color.  Otherwise ``solve`` is
-    ``(barred, a, b)``: the arc is the unknown over-arc of a relation whose
-    in-arc ``a`` and out-arc ``b`` are known, and the level tries exactly the
-    colors y with ``color(a) op y = color(b)``.  Step ``(dst, a, b, barred,
-    check)`` stores ``a op b`` at ``dst`` or, with ``check``, compares it
-    with ``dst``.
+    preset color, or guesses arc 0 when nothing is preset.  A solve level has
+    ``solve = (barred, a, b)``: the arc is the unknown over-arc of a relation
+    whose in-arc ``a`` and out-arc ``b`` are known, and the level tries
+    exactly the colors y with ``color(a) op y = color(b)``.  The other levels
+    guess.  The in- and out-arc of a relation have colors in one orbit of
+    Inn(Q), as ``out = in op over`` applies a right translation, so the arcs
+    that relations join that way share an orbit.  A guess whose arc shares it
+    with a known arc ``a`` (its anchor) has ``solve = (None, a, a)`` and tries
+    the orbit of ``color(a)``; one with no known arc there has ``solve``
+    None and tries every color.  Step ``(dst, a, b, barred, check)`` stores
+    ``a op b`` at ``dst`` or, with ``check``, compares it with ``dst``.
 
     Which arcs are known never depends on the colors, so the plan is made
     once.  Forced steps derive an out-arc whose in-arc is known, and whose
@@ -84,6 +97,16 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
     check the most relations and then pin the most arcs (``_cascade``).
     Each relation is revisited only when one of its arcs becomes known.
     """
+    parent = list(range(num_arcs))  # union-find: the arcs joined as in- and out-arc share an orbit
+
+    def root(arc: int) -> int:
+        while parent[arc] != arc:
+            parent[arc] = parent[parent[arc]]
+            arc = parent[arc]
+        return arc
+    for out, inn, _, _ in relations:
+        parent[root(out)] = root(inn)
+    anchors: dict[int, int] = {}  # root -> the first arc of its part to become known
     touching: list[list[int]] = [[] for _ in range(num_arcs)]
     unknown = []  # distinct arcs of each relation not yet known
     for j, (out, inn, over, _) in enumerate(relations):
@@ -107,6 +130,7 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
         while fresh or ready:
             if fresh:
                 new = fresh.pop()
+                anchors.setdefault(root(new), new)
                 for j in touching[new]:
                     unknown[j] -= 1
                     if unknown[j] < 2:
@@ -156,6 +180,9 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
                 while known[first_unknown]:
                     first_unknown += 1
                 arc = first_unknown
+            anchor = anchors.get(root(arc))
+            if anchor is not None:
+                solve = (None, anchor, anchor)
         known[arc], remaining = True, remaining - 1
         fresh.append(arc)
 
@@ -208,14 +235,16 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
     """Every full assignment the levels accept, by a depth-first walk without recursion.
 
     ``assign`` is reused: a level writes each arc it colors or derives before
-    deeper levels read it.  A guess level tries ``range(m)``; a solve level
+    deeper levels read it.  A guess level tries, on entry, the orbit of its
+    anchor's color, or ``range(m)`` when it has no anchor.  A solve level
     asks, on entry, the candidate function of its table (one per table in
     this call), whose index grows as the walk needs it: one pass over a
     table row serves every later entry with the same in-arc color.
     """
     every = range(len(q))
     tables = (q.star, q.barstar)
-    solvers = [_over_candidates(table) for table in tables]
+    solvers = {barred: _over_candidates(tables[barred]) for barred in (False, True)}
+    solvers[None] = lambda x, _: q._orbit(x)  # a guess with an anchor
     plan, sources = [], []
     for arc, steps, solve in levels:
         plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
@@ -258,8 +287,7 @@ def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
 
 def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1."""
-    if not 0 <= basepoint < len(q):
-        raise ValueError(f"basepoint index {basepoint} out of range")
+    _check_index(basepoint, len(q), "basepoint")
     system = _compile(d)
     bounds = list(itertools.pairwise((0, *itertools.accumulate(system.arcs))))  # [lo, hi) per strand
     rows = _solve(bounds[-1][1], system.relations, dict.fromkeys(system.ends, basepoint), q)

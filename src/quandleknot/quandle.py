@@ -54,7 +54,9 @@ class FiniteQuandle:
     element.  ``_translations[barred, j, i] = i op j``, whose row j is the
     right translation by j, is an int32 array with one reader, the
     longitude fold ``longitude._images``; it, and the numpy import, come on
-    its first read.
+    its first read.  ``_orbit(x)`` is the orbit of x under Inn(Q), the group
+    the right translations generate: the coloring search guesses an arc only
+    among the orbit of a known arc's color.  Each orbit is kept once found.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -112,6 +114,29 @@ class FiniteQuandle:
         right[:] = np.fromiter(itertools.chain.from_iterable(self.star), np.int32, m * m).reshape(m, m).T
         right_bar[elements[:, None], right] = elements
         return translations
+
+    @functools.cached_property
+    def _orbits(self) -> list:
+        return [None] * len(self)
+
+    def _orbit(self, x: int) -> tuple[int, ...]:
+        """The orbit of x under all right translations, so under Inn(Q), sorted.
+
+        It is the closure of {x} under ``y -> y * j`` for every j: each
+        translation permutes a finite set, so its inverse is one of its powers,
+        and Q3 is not needed.  Computed on first request, for all its members.
+        """
+        orbits = self._orbits
+        if orbits[x] is None:
+            found, frontier = {x}, [x]
+            for y in frontier:  # the list grows while it is read
+                new = set(self.star[y]) - found
+                found |= new
+                frontier += new
+            orbit = tuple(sorted(found))
+            for y in orbit:
+                orbits[y] = orbit
+        return orbits[x]
 
     def __len__(self) -> int:
         return len(self.labels)

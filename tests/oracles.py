@@ -6,7 +6,8 @@ planned one replaced, the composed-translation route to colored longitudes
 automorphism check),
 longitude families evaluated one element at a time, conjugation tables built
 one entry at a time, the axioms by a triple loop, orbits grown by every
-generator and its inverse, and the cycle type of a permutation.
+generator and its inverse, the orbit of a color under the right translations,
+and the cycle type of a permutation.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -398,6 +399,17 @@ def orbit_with_inverses(start: pg.Permutation, gens, act) -> set[pg.Permutation]
         frontier = [h for h in {act(f, g) for f in frontier for g in step} if h not in known]
         known.update(frontier)
     return known
+
+
+def color_orbit(q: qk.FiniteQuandle, x: int) -> set[int]:
+    """The closure of {x} under ``y -> y * j`` for every j, by whole sweeps of the
+    table until one adds nothing."""
+    found = {x}
+    while True:
+        grown = found | {q.star[y][j] for y in found for j in range(len(q))}
+        if grown == found:
+            return found
+        found = grown
 
 
 def cycle_type(p: pg.Permutation) -> tuple[int, ...]:

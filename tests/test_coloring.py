@@ -4,6 +4,7 @@ import itertools
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,8 +55,18 @@ class TestLongColorings:
             assert cols and all(c.arc_colors[-1] == basepoint for c in cols)
 
     def test_basepoint_validation(self):
-        with pytest.raises(ValueError):
-            qk.colorings_long(fx.UNKNOT_LONG, qk.dihedral(3), 5)
+        # a basepoint that is not exactly an int would be copied into the colorings,
+        # which verify_coloring then refuses
+        cases = [(5, "basepoint index 5 out of range"), (-1, "basepoint index -1 out of range"),
+                 (True, "basepoint index must be an int, got True"),
+                 (np.int64(1), "basepoint index must be an int, got np.int64(1)"),
+                 (1.0, "basepoint index must be an int, got 1.0")]
+        for find, d in ((qk.colorings_long, qk.LongDiagram((3, 1, 2), (1, 1, 1))),
+                        (qk.colorings_closed, fx.TREFOIL_CLOSED),
+                        (qk.colorings_tangle_boundary_mono, fx.tangle_t62())):
+            for basepoint, message in cases:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    find(d, qk.dihedral(3), basepoint)
 
 
 class TestClosedColorings:
@@ -260,6 +271,60 @@ class TestPlannedSearch:
         start = time.perf_counter()
         assert len(qk.colorings_long(d, qk.dihedral(3), 0)) == 1
         assert time.perf_counter() - start < 3
+
+
+# quandles with several orbits under Inn(Q), and one connected quandle whose orbit
+# needs more than one row of its table: (1,2) reaches (3,4) only through (1,3)
+ORBIT_QUANDLES = tuple(map(qk.parse_quandle_spec, ("dihedral:4", "dihedral:6", "trivial:3", "conjgroup:S4",
+                                                   "conjgroup:A4", "conjclass:S4:(1,2)")))
+COLORINGS = {qk.LongDiagram: qk.colorings_long, qk.ClosedDiagram: qk.colorings_closed,
+             qk.TangleDiagram: qk.colorings_tangle_boundary_mono}
+
+
+class TestBasepointOrbit:
+    def test_orbits_match_the_oracle(self):
+        for q in ORBIT_QUANDLES:
+            assert [q._orbit(x) for x in range(len(q))] == [tuple(sorted(oracles.color_orbit(q, x)))
+                                                             for x in range(len(q))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(codes(), st.sampled_from(ORBIT_QUANDLES), st.data())
+    def test_colors_stay_in_the_basepoint_orbit(self, d, q, data):
+        # every arc is joined to a pinned end arc through in- and out-arcs, so every
+        # color lies in the basepoint's orbit; guessing only there loses no coloring
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        found = COLORINGS[type(d)](d, q, basepoint)
+        orbit = oracles.color_orbit(q, basepoint)
+        assert all(x in orbit for c in found for strand in c.strands for x in strand)
+        arcs, relations, _, ends = diagram._compile(d)
+        assert [sum(c.strands, ()) for c in found] == oracles.propagating_rows(
+            sum(arcs), relations, dict.fromkeys(ends, basepoint), q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ORBIT_QUANDLES), st.data())
+    def test_a_part_without_a_preset_arc_tries_every_color(self, q, data):
+        # no relation joins an arc below ``split`` to one above it as in- and out-arc,
+        # and only the lower part holds a preset arc: a guess in the upper part has no
+        # known arc in its orbit, so it must try every color
+        n = data.draw(st.integers(2, 4))
+        split = data.draw(st.integers(1, n - 1))
+        relations = []
+        for part in (st.integers(0, split - 1), st.integers(split, n - 1)):
+            relations += data.draw(st.lists(st.tuples(part, part, st.integers(0, n - 1), SIGNS), max_size=3))
+        preset = {data.draw(st.integers(0, split - 1)): data.draw(st.integers(0, len(q) - 1))}
+        assert coloring._solve(n, relations, preset, q) == oracles.brute_rows(n, relations, preset, q)
+
+    def test_braid_closure_answers_at_once(self, a6):
+        # the 29-crossing closure of this 4-braid word, broken at arc 1, plans 3 guesses;
+        # trying all 360 colors at each took 39-41 s a basepoint (2-CPU host, Python
+        # 3.11), while the orbits of () and (1,2,3) hold 1 and 40 colors
+        word = [-1, -1, -2, -3, 1, 2, 3, 2, 3, 2, 1, 3, 2, 2, 3, -2, 3, 2, 3, -2, -1, 3, -1, -1, -3, -2,
+                -3, -3, 2]
+        d = qk.break_at(fx.braid_closure(word, 4), 1)
+        for label in ("()", "(1,2,3)"):
+            start = time.perf_counter()
+            assert len(qk.colorings_long(d, a6, a6.element_index(label))) == 1
+            assert time.perf_counter() - start < 1
 
 
 @st.composite

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,10 +248,14 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("basepoint, act_on, message", [
         (3, 0, "basepoint index 3 out of range"), (-1, 0, "basepoint index -1 out of range"),
-        (0, 3, "act-on index 3 out of range"), (0, -1, "act-on index -1 out of range")])
+        (0, 3, "act-on index 3 out of range"), (0, -1, "act-on index -1 out of range"),
+        (True, 0, "basepoint index must be an int, got True"),
+        (np.int64(1), 0, "basepoint index must be an int, got np.int64(1)"),
+        (0, 1.0, "act-on index must be an int, got 1.0")])
     def test_query_refuses_an_index_outside_its_quandle(self, basepoint, act_on, message):
-        # the sums read every index from the query, so this is the one range check they need
-        with pytest.raises(ValueError, match=message):
+        # the sums read every index from the query, so this is the one check they need;
+        # an index that is not exactly an int would be copied into the colorings
+        with pytest.raises(ValueError, match=re.escape(message)):
             qk.InvariantQuery(qk.dihedral(3), basepoint, act_on)
 
 
