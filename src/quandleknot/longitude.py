@@ -8,13 +8,14 @@ yields a quandle automorphism.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coloring import Coloring, InvariantQuery, _colors, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
-from .quandle import Automorphism, FiniteQuandle, QuandleWord, _fold
+from .quandle import Automorphism, FiniteQuandle, QuandleWord, _fold, _pick
 
 
 @dataclass(frozen=True)
@@ -34,30 +35,20 @@ def symbolic_longitude(d: LongDiagram) -> SymbolicLongitude:
     return SymbolicLongitude(tuple((arc + 1, barred) for arc, barred in letters))
 
 
-def _images(q: FiniteQuandle, letters, rows):
-    """Row c, column x: x folded through the letters ``(arc, barred)`` colored by row c, as a numpy array.
-
-    One gather per letter over all colorings at once, from the flattened right
-    translations, where ``x op j`` sits at ``(barred * m + j) * m + x``.
-    """
-    import numpy as np
-    rows = np.asarray(rows, dtype=np.intp)
-    m = len(q)
-    table = q._translations.ravel()
-    arcs = [arc for arc, _ in letters]
-    barred = np.array([b for _, b in letters], dtype=np.intp)
-    offsets = ((barred * m + rows[:, arcs]) * m).T[:, :, None]  # letter, coloring, 1
-    acc = np.broadcast_to(np.arange(m), (len(rows), m))
-    for offset in offsets:
-        acc = table.take(offset + acc)
-    return acc
+def _images(q: FiniteQuandle, letters, row) -> tuple[int, ...]:
+    """Every element, in order, folded through the letters ``(arc, barred)``, each arc colored by row:
+    one pick from the right translation by the letter's color per letter."""
+    translations, acc = q._translations, range(len(q))
+    for arc, barred in letters:
+        acc = _pick(translations[barred][row[arc]], acc)
+    return tuple(acc)
 
 
 def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
     """The longitude word of the coloring's long diagram, evaluated in it, as a quandle automorphism."""
     _require(coloring.diagram, "colored_longitude", LongDiagram)
     (letters,) = _compile(coloring.diagram).letters
-    return Automorphism(q, tuple(_images(q, letters, [_colors(coloring, len(q))])[0].tolist()))
+    return Automorphism(q, _images(q, letters, _colors(coloring, len(q))))
 
 
 @dataclass(frozen=True)
@@ -71,13 +62,37 @@ class AutomorphismFamily:
         return len(self.members)
 
 
+def _cut_points(over: Sequence[int]) -> list[int]:
+    """The p in 1..n-1 after which a long code of n crossings with these over-arcs splits in two:
+    crossings 1..p have over-arcs <= p + 1, and crossings p+1..n over-arcs >= p + 1."""
+    highest = list(itertools.accumulate(over, max))  # [p - 1]: over crossings 1..p
+    lowest = list(itertools.accumulate(reversed(over), min))[::-1]  # [p]: over crossings p+1..n
+    return [p for p in range(1, len(over)) if highest[p - 1] <= p + 1 <= lowest[p]]
+
+
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
-    """All colored longitudes of a long diagram over the colorings with the given basepoint."""
+    """All colored longitudes of a long diagram over the colorings with the given basepoint.
+
+    The code is split at its cut points into pieces, and a coloring's longitude
+    is its pieces' longitudes composed, first piece first.  A piece's crossings
+    touch only its own arcs, so its longitude depends only on their colors: it
+    is folded once per distinct coloring of them and looked up after that.
+    """
     _require(d, "longitude_family", LongDiagram)
     (letters,) = _compile(d).letters
-    rows = [c.strands[0] for c in colorings_long(d, q, basepoint)]  # never empty: one is constant
-    images = sorted(map(tuple, _images(q, letters, rows).tolist()))
-    return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in images))
+    bounds = (0, *_cut_points(d.over_arc), d.n)
+    # per piece: its arcs (0-based), its letters, and its longitude per coloring of its arcs
+    pieces = [(slice(lo, hi + 1), letters[2 * lo:2 * hi], {}) for lo, hi in itertools.pairwise(bounds)]
+    images = []
+    for c in colorings_long(d, q, basepoint):  # never empty: one is constant
+        row, acc = c.strands[0], None
+        for arcs, word, seen in pieces:
+            image = seen.get(key := row[arcs])
+            if image is None:
+                image = seen[key] = _images(q, word, row)
+            acc = image if acc is None else _pick(image, acc)
+        images.append(acc)
+    return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in sorted(images)))
 
 
 @dataclass(frozen=True)

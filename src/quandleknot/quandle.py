@@ -2,10 +2,9 @@
 
 A quandle is given by its ``star`` table for ``*``; ``barstar``, for the
 inverse operation, is derived from it.  Both are held as tuple rows, built and
-checked in plain Python, and the Q3 check reads them too, so building,
-loading, certifying, coloring and summing never import numpy.  Only longitude
-families read one int32 numpy array of the right translations, built on first
-use.  Elements are identified by position; labels are display strings only.
+checked in plain Python, and every layer reads them or their transposes, the
+right translations; the package does not import numpy.  Elements are
+identified by position; labels are display strings only.
 Conjugation quandles use ``a * b = b^-1 a b`` and ``a *bar b = b a b^-1`` with
 the composition convention from ``permgroup``.
 """
@@ -51,12 +50,12 @@ class FiniteQuandle:
     Q3 is left to ``verify_axioms``.  ``barstar`` holds the inverse
     translations, and is ``star`` itself when every translation is an
     involution.  Both are stored as tuple rows that share one int object per
-    element.  ``_translations[barred, j, i] = i op j``, whose row j is the
-    right translation by j, is an int32 array with one reader, the
-    longitude fold ``longitude._images``; it, and the numpy import, come on
-    its first read.  ``_orbit(x)`` is the orbit of x under Inn(Q), the group
-    the right translations generate: the coloring search guesses an arc only
-    among the orbit of a known arc's color.  Each orbit is kept once found.
+    element.  ``_translations[barred][j][i] = i op j`` transposes them, so
+    row j is the right translation by j, or its inverse; the longitude fold
+    ``longitude._images`` reads it, and it is built on first read.
+    ``_orbit(x)`` is the orbit of x under Inn(Q), the group the right
+    translations generate: the coloring search guesses an arc only among the
+    orbit of a known arc's color.  Each orbit is kept once found.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -105,15 +104,8 @@ class FiniteQuandle:
         object.__setattr__(self, "barstar", barstar)
 
     @functools.cached_property
-    def _translations(self):
-        import numpy as np
-        m = len(self)
-        elements = np.arange(m)
-        translations = np.empty((2, m, m), dtype=np.int32)
-        right, right_bar = translations  # [j, i] = i * j, i *bar j
-        right[:] = np.fromiter(itertools.chain.from_iterable(self.star), np.int32, m * m).reshape(m, m).T
-        right_bar[elements[:, None], right] = elements
-        return translations
+    def _translations(self) -> tuple:
+        return tuple(zip(*self.star)), tuple(zip(*self.barstar))
 
     @functools.cached_property
     def _orbits(self) -> list:

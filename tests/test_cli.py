@@ -449,12 +449,10 @@ print(json.dumps({"answers": answers, "numpy": "numpy" in sys.modules}))
 
 
 def test_coloring_commands_run_without_numpy(tmp_path):
-    # every README command but connected-sum, whose longitude families read numpy, and the A5
-    # chirality command again on a quandle file, whose load certifies Q3
-    golden = json.loads(README_GOLDEN.read_text())
-    cases = [case for case in golden if case["argv"][0] != "connected-sum"]
-    assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality",
-                                                  "tangle-obstruction", "nonclassical", "verify-quandle"]
+    # every README command, and the A5 chirality command again on a quandle file, whose load certifies Q3
+    cases = json.loads(README_GOLDEN.read_text())
+    assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality", "tangle-obstruction",
+                                                  "nonclassical", "verify-quandle", "connected-sum"]
     on_spec = next(case for case in cases if "conjgroup:A5" in case["argv"])
     a5_file = tmp_path / "a5.json"
     a5_file.write_text(qk.quandle_to_json(qk.parse_quandle_spec("conjgroup:A5")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestAlexanderSums:
 
 
 class TestBatchedEvaluation:
-    """The numpy evaluator against ``eval_word`` run once per coloring and element."""
+    """The fold of every element at once against ``eval_word`` run once per coloring and element."""
 
     @settings(max_examples=200, deadline=None)
     @given(LONG_CODES, FAMILY_QUANDLES, st.data())
@@ -236,10 +237,9 @@ class TestBatchedEvaluation:
     def test_tangle_families_match_elementwise_evaluation(self, t, k, query):
         query = query()
         q = query.quandle
-        arcs, _, (w1, w2), _ = diagram._compile(t)
-        colorings = qk.colorings_tangle_boundary_mono(t, q, query.basepoint)
-        rows = np.array([sum(c.strands, ()) for c in colorings], dtype=np.intp).reshape(-1, sum(arcs))
-        batched = [list(map(tuple, longitude._images(q, word, rows).tolist())) for word in (w1 + w2, w2 + w1)]
+        _, _, (w1, w2), _ = diagram._compile(t)
+        rows = [sum(c.strands, ()) for c in qk.colorings_tangle_boundary_mono(t, q, query.basepoint)]
+        batched = [[longitude._images(q, word, row) for row in rows] for word in (w1 + w2, w2 + w1)]
         assert batched == list(oracles.tangle_order_images(t, q, query.basepoint))
         # S1 and S2 are the act-on column of the two orders' images
         sums = qk.tangle_sums(t, query)
@@ -257,6 +257,64 @@ class TestBatchedEvaluation:
         # an index that is not exactly an int would be copied into the colorings
         with pytest.raises(ValueError, match=re.escape(message)):
             qk.InvariantQuery(qk.dihedral(3), basepoint, act_on)
+
+
+SPEC_QUANDLES = st.sampled_from(tuple(qk.parse_quandle_spec(spec) for spec in (
+    "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)")))
+
+
+@st.composite
+def spliced_over_arcs(draw):
+    """Over-arcs of 0-3 random long codes concatenated, then perhaps one entry redrawn
+    anywhere in 1..n+1, which may join pieces or leave only one half of a cut's test."""
+    over: list[int] = []
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, 4))
+        over += [len(over) + draw(st.integers(1, k + 1)) for _ in range(k)]
+    if over and draw(st.booleans()):
+        over[draw(st.integers(0, len(over) - 1))] = draw(st.integers(1, len(over) + 1))
+    return tuple(over)
+
+
+class TestConnectedSumFamilies:
+    """``longitude_family`` composes the longitudes of the pieces a long code splits into."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(spliced_over_arcs(), random_long_codes().map(lambda d: d.over_arc)))
+    def test_cut_points_are_those_a_scan_of_every_p_finds(self, over):
+        n = len(over)
+        brute = [p for p in range(1, n) if all(a <= p + 1 for a in over[:p]) and all(a >= p + 1 for a in over[p:])]
+        assert longitude._cut_points(over) == brute
+
+    def test_cut_points_of_a_concatenation(self):
+        trefoil = qk.break_at(fx.TREFOIL_CLOSED, 1)
+        d = qk.concat(qk.concat(trefoil, fx.UNKNOT_LONG), fx.KNOT_5_2_LONG)
+        assert longitude._cut_points(d.over_arc) == [3]
+        assert longitude._cut_points(()) == [] == longitude._cut_points((1,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(random_long_codes(), min_size=1, max_size=3), SPEC_QUANDLES, st.data())
+    def test_family_of_a_concatenation_matches_elementwise_evaluation(self, codes, q, data):
+        # virtual factors included, so a coloring of a factor may end off the basepoint
+        d = functools.reduce(qk.concat, codes)
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        family = qk.longitude_family(d, q, basepoint)
+        assert [a.images for a in family.members] == oracles.longitude_family_images(d, q, basepoint)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(LONG_CODES, st.lists(random_long_codes(), min_size=2, max_size=3).map(
+        lambda codes: functools.reduce(qk.concat, codes))), SPEC_QUANDLES, st.data())
+    def test_family_is_equivariant_under_inner_automorphisms(self, d, q, data):
+        # alpha = R_y or its inverse is an automorphism under Q3: alpha c colors d at alpha(b),
+        # with longitude alpha phi alpha^-1, for each coloring c at b with longitude phi
+        basepoint, y = data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1))
+        barred = data.draw(st.booleans())
+        alpha = tuple(q.op(x, y, barred) for x in range(len(q)))
+        alpha_inv = tuple(q.op(x, y, not barred) for x in range(len(q)))
+        conjugated = sorted(tuple(alpha[phi(alpha_inv[x])] for x in range(len(q)))
+                            for phi in qk.longitude_family(d, q, basepoint).members)
+        moved = qk.longitude_family(d, q, alpha[basepoint])
+        assert [a.images for a in moved.members] == conjugated
 
 
 class TestSumAlgebra:
