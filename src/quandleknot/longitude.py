@@ -70,20 +70,19 @@ def _cut_points(over: Sequence[int]) -> list[int]:
     return [p for p in range(1, len(over)) if highest[p - 1] <= p + 1 <= lowest[p]]
 
 
-def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
-    """All colored longitudes of a long diagram over the colorings with the given basepoint.
+def _longitudes(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(color of the last arc, longitude images) per coloring with the given basepoint, in search order.
 
     The code is split at its cut points into pieces, and a coloring's longitude
     is its pieces' longitudes composed, first piece first.  A piece's crossings
     touch only its own arcs, so its longitude depends only on their colors: it
     is folded once per distinct coloring of them and looked up after that.
     """
-    _require(d, "longitude_family", LongDiagram)
     (letters,) = _compile(d).letters
     bounds = (0, *_cut_points(d.over_arc), d.n)
     # per piece: its arcs (0-based), its letters, and its longitude per coloring of its arcs
     pieces = [(slice(lo, hi + 1), letters[2 * lo:2 * hi], {}) for lo, hi in itertools.pairwise(bounds)]
-    images = []
+    out = []
     for c in colorings_long(d, q, basepoint):  # never empty: one is constant
         row, acc = c.strands[0], None
         for arcs, word, seen in pieces:
@@ -91,8 +90,15 @@ def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> Automo
             if image is None:
                 image = seen[key] = _images(q, word, row)
             acc = image if acc is None else _pick(image, acc)
-        images.append(acc)
-    return AutomorphismFamily(q, tuple(Automorphism(q, img) for img in sorted(images)))
+        out.append((row[-1], acc))
+    return out
+
+
+def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
+    """All colored longitudes of a long diagram over the colorings with the given basepoint."""
+    _require(d, "longitude_family", LongDiagram)
+    images = sorted(image for _, image in _longitudes(d, q, basepoint))
+    return AutomorphismFamily(q, tuple(Automorphism(q, image) for image in images))
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,22 @@ fallback outcome is always "inconclusive".
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 from .coloring import InvariantQuery
-from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_before_underpass, concat, mirror
+from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_before_underpass, mirror
 from .longitude import (
     FormalSum,
+    _longitudes,
     formal_sum,
-    longitude_family,
     sum_equal,
     sum_included,
     sum_render,
     tangle_sums,
 )
+from .quandle import _pick
 
 DISTINCT = "distinct"
 OBSTRUCTED = "obstructed"
@@ -91,15 +93,24 @@ def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery, jobs: in
 def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
     """Compare K1#K2 with K2#K1 at both the sum and the family level, for two long diagrams.
+
+    Neither concatenation is searched.  A coloring of A#B at basepoint q is a
+    pair (a, b): a colors A at q, and b colors B at the color of a's last arc,
+    which may differ from q when A is virtual.  Its longitude is a's, then b's.
+    So each family is composed from the factors' longitudes, each factor's
+    found once per basepoint it is needed at.  Each family holds one longitude
+    per coloring, so its images of ``act_on`` are the formal sum.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     _require(k1, "connected_sum_commutativity", LongDiagram)
     _require(k2, "connected_sum_commutativity", LongDiagram)
-    q = query.quandle
-    fam_ab = longitude_family(concat(k1, k2), q, query.basepoint)
-    fam_ba = longitude_family(concat(k2, k1), q, query.basepoint)
-    # each family holds one longitude per coloring, so its images of act_on are the formal sum
-    s_ab, s_ba = (FormalSum.from_elements(q, (a.images[query.act_on] for a in fam.members))
-                  for fam in (fam_ab, fam_ba))
-    families_differ = [a.images for a in fam_ab.members] != [a.images for a in fam_ba.members]
-    kind = DISTINCT if (not sum_equal(s_ab, s_ba) or families_differ) else INCONCLUSIVE
+    q, x = query.quandle, query.act_on
+    longitudes = functools.cache(lambda k, basepoint: _longitudes(k, q, basepoint))
+
+    def family(a: LongDiagram, b: LongDiagram) -> list[tuple[int, ...]]:
+        return sorted(_pick(phi_b, phi_a) for end, phi_a in longitudes(a, query.basepoint)
+                      for _, phi_b in longitudes(b, end))
+
+    fam_ab, fam_ba = family(k1, k2), family(k2, k1)
+    s_ab, s_ba = (FormalSum.from_elements(q, (phi[x] for phi in fam)) for fam in (fam_ab, fam_ba))
+    kind = DISTINCT if (not sum_equal(s_ab, s_ba) or fam_ab != fam_ba) else INCONCLUSIVE
     return Verdict(kind, {"K1#K2": s_ab, "K2#K1": s_ba})

@@ -51,7 +51,8 @@ class FiniteQuandle:
     translations, and is ``star`` itself when every translation is an
     involution.  Both are stored as tuple rows that share one int object per
     element.  ``_translations[barred][j][i] = i op j`` transposes them, so
-    row j is the right translation by j, or its inverse; the longitude fold
+    row j is the right translation by j, or its inverse, and both halves are
+    one table when ``barstar`` is ``star``; the longitude fold
     ``longitude._images`` reads it, and it is built on first read.
     ``_orbit(x)`` is the orbit of x under Inn(Q), the group the right
     translations generate: the coloring search guesses an arc only among the
@@ -105,7 +106,8 @@ class FiniteQuandle:
 
     @functools.cached_property
     def _translations(self) -> tuple:
-        return tuple(zip(*self.star)), tuple(zip(*self.barstar))
+        right = tuple(zip(*self.star))
+        return right, right if self.barstar is self.star else tuple(zip(*self.barstar))
 
     @functools.cached_property
     def _orbits(self) -> list:

@@ -317,6 +317,107 @@ class TestConnectedSumFamilies:
         assert [a.images for a in moved.members] == conjugated
 
 
+def factor_codes():
+    """A long code that concatenates 1-3 random long codes, virtual ones included."""
+    return st.lists(random_long_codes(), min_size=1, max_size=3).map(lambda codes: functools.reduce(qk.concat, codes))
+
+
+@st.composite
+def q1_q2_tables(draw):
+    """Tables of 1-5 elements that satisfy Q1 and Q2, and mostly not Q3."""
+    m = draw(st.integers(1, 5))
+    columns = []  # [j][i] = i * j: a permutation that fixes j
+    for j in range(m):
+        column = list(draw(st.permutations([i for i in range(m) if i != j])))
+        columns.append(column[:j] + [j] + column[j:])
+    return qk.FiniteQuandle(tuple(map(str, range(m))), [[columns[j][i] for j in range(m)] for i in range(m)])
+
+
+# a virtual factor whose colorings at 0 under dihedral:5 end on every element
+OFF_BASEPOINT = qk.LongDiagram((3, 4, 1), (1, 1, 1))
+
+
+class TestConnectedSumsFromFactors:
+    """``connected_sum_commutativity`` composes its factors' longitudes, searching neither concatenation."""
+
+    @staticmethod
+    def check_against_the_concatenations(k1, k2, query):
+        # a coloring of a#b at b0 is a coloring c of a at b0 and one of b at c's last color,
+        # with longitude "a's, then b's"; the last color may differ from b0 for a virtual a
+        q, b0 = query.quandle, query.basepoint
+        oracle = {}
+        for a, b in ((k1, k2), (k2, k1)):
+            composed = []
+            for end, phi_a in longitude._longitudes(a, q, b0):
+                assert end == phi_a[b0]
+                composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))
+                             for _, phi_b in longitude._longitudes(b, q, end)]
+            oracle[a, b] = oracles.longitude_family_images(qk.concat(a, b), q, b0)
+            assert sorted(composed) == oracle[a, b]
+        verdict = qk.connected_sum_commutativity(k1, k2, query)
+        s_ab, s_ba = qk.formal_sum(qk.concat(k1, k2), query), qk.formal_sum(qk.concat(k2, k1), query)
+        assert (verdict.sums["K1#K2"], verdict.sums["K2#K1"]) == (s_ab, s_ba)
+        differ = s_ab != s_ba or oracle[k1, k2] != oracle[k2, k1]
+        assert verdict.kind == ("distinct" if differ else "inconclusive")
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_codes(), factor_codes(), SPEC_QUANDLES, st.data())
+    def test_composed_families_and_verdict_match_the_concatenations(self, k1, k2, q, data):
+        basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
+        self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_codes(), factor_codes(), q1_q2_tables(), st.data())
+    def test_composition_needs_only_q1_and_q2(self, k1, k2, q, data):
+        # without Q3 the family of K2 at another basepoint is not a conjugate of the one at b0,
+        # so these tables also tell K2 colored at the first factor's last color from K2 colored at b0
+        basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
+        self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
+
+    def test_a_first_factor_that_ends_off_the_basepoint(self):
+        q = qk.dihedral(5)
+        assert {end for end, _ in longitude._longitudes(OFF_BASEPOINT, q, 0)} == set(range(5))
+        for k2 in (qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1), fx.KNOT_5_2_LONG, OFF_BASEPOINT):
+            for act_on in range(5):
+                self.check_against_the_concatenations(OFF_BASEPOINT, k2, qk.InvariantQuery(q, 0, act_on))
+        # a table without Q3, where coloring the second factor at 0 instead would change the sums
+        q = qk.FiniteQuandle(("0", "1", "2"), ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+        k1, k2 = qk.LongDiagram((4, 4, 2), (1, 1, 1)), qk.LongDiagram((3, 1), (1, 1))
+        assert {end for end, _ in longitude._longitudes(k1, q, 0)} != {0}
+        for act_on in range(3):
+            self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, 0, act_on))
+
+    def test_no_concatenation_is_searched(self, monkeypatch):
+        searched, colorings_long = [], longitude.colorings_long
+
+        def recording(d, q, basepoint):
+            searched.append(d.n)
+            return colorings_long(d, q, basepoint)
+
+        monkeypatch.setattr(longitude, "colorings_long", recording)
+        trefoil, witness = qk.break_at(fx.TREFOIL_CLOSED, 1), qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1)
+        for k1, k2, query in ((fx.KNOT_5_2_LONG, trefoil, fx.query_5_2()),
+                              (witness, fx.KNOT_5_2_LONG, qk.InvariantQuery(qk.dihedral(5), 0, 1)),
+                              (OFF_BASEPOINT, witness, qk.InvariantQuery(qk.dihedral(5), 0, 2))):
+            searched.clear()
+            qk.connected_sum_commutativity(k1, k2, query)
+            assert searched and k1.n + k2.n not in searched
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_codes(), factor_codes(), SPEC_QUANDLES, st.data())
+    def test_verdict_is_equivariant_under_inner_automorphisms(self, k1, k2, q, data):
+        # alpha = R_y or its inverse is an automorphism under Q3, so the sums at (alpha(b), alpha(x))
+        # are alpha pushed forward over those at (b, x); this reads the factors at other basepoints
+        basepoint, act_on, y = (data.draw(st.integers(0, len(q) - 1)) for _ in range(3))
+        barred = data.draw(st.booleans())
+        alpha = tuple(q.op(x, y, barred) for x in range(len(q)))
+        verdict = qk.connected_sum_commutativity(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
+        moved = qk.connected_sum_commutativity(k1, k2, qk.InvariantQuery(q, alpha[basepoint], alpha[act_on]))
+        assert moved.kind == verdict.kind
+        for name, s in verdict.sums.items():
+            assert dict(moved.sums[name].terms) == {alpha[e]: c for e, c in s.terms}
+
+
 class TestSumAlgebra:
     def test_inclusion_reflexive_and_empty(self, s5_class):
         s = qk.formal_sum(fx.KNOT_5_2_LONG, fx.query_5_2())

@@ -388,6 +388,16 @@ class TestTranslationsAndWords:
         assert oracles.compose_automorphisms(f, ident) == f
         assert oracles.compose_automorphisms(ident, f) == f
 
+    def test_involutory_quandles_share_one_translation_table(self):
+        # every translation of dihedral:5 is an involution, so barstar is star and one table serves both
+        d5 = qk.dihedral(5)
+        assert d5._translations[0] is d5._translations[1]
+        assert d5._translations[0] == tuple(oracles.translation(d5, j).images for j in range(5))
+        a5 = qk.parse_quandle_spec("conjgroup:A5")
+        right, inverse = a5._translations
+        assert right is not inverse and right != inverse
+        assert inverse == tuple(oracles.translation(a5, j, barred=True).images for j in range(len(a5)))
+
     def test_eval_word_fold_splits(self):
         d5 = qk.dihedral(5)
         word = ((1, False), (3, True), (2, False), (4, False))
