@@ -11,11 +11,11 @@ from its in- and over-arc, derive an in-arc backwards from its out- and
 over-arc, and check a relation whose arcs are all colored.  A solve level
 colors the one uncolored over-arc of a relation with exactly the colors that
 satisfy it, read from an index built as the search needs it.  A guess level
-is planned only where no relation pins an arc.  It tries the orbit, under
-Inn(Q), of the color of a known arc joined to it through in- and out-arcs
-(``out = in op over`` keeps a color in its orbit), and every color only when
-no such arc is known.  The result is the full solution set.  One depth-first
-walk visits the levels.
+is planned only where no relation pins an arc.  It tries the orbit of the
+basepoint under Inn(Q): every pinned end arc holds the basepoint, every arc
+is joined to a pinned end through in- and out-arcs, and ``out = in op over``
+keeps a color in its orbit.  The result is the full solution set.  One
+depth-first walk visits the levels.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, TangleDiagram, _compile, _require
+from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, System, TangleDiagram, _compile, _require
 from .quandle import FiniteQuandle
 
 Candidates = Callable[[int, int], Sequence[int]]  # (color of in-arc, color of out-arc) -> colors
@@ -67,20 +67,15 @@ def _check_index(x, m: int, name: str) -> None:
         raise ValueError(f"{name} index {x} out of range")
 
 
-def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
-    """The search order: levels that each color one arc, then run forced steps.
+def _plan(system: System) -> list[tuple]:
+    """The search order of a relation system: levels that each color one arc, then run forced steps.
 
-    A level is ``(arc, steps, solve)``.  The first colors a preset arc with its
-    preset color, or guesses arc 0 when nothing is preset.  A solve level has
+    A level is ``(arc, steps, solve)``.  The first colors the first pinned end
+    arc; every pinned end arc is known from the start.  A solve level has
     ``solve = (barred, a, b)``: the arc is the unknown over-arc of a relation
     whose in-arc ``a`` and out-arc ``b`` are known, and the level tries
     exactly the colors y with ``color(a) op y = color(b)``.  The other levels
-    guess.  The in- and out-arc of a relation have colors in one orbit of
-    Inn(Q), as ``out = in op over`` applies a right translation, so the arcs
-    that relations join that way share an orbit.  A guess whose arc shares it
-    with a known arc ``a`` (its anchor) has ``solve = (None, a, a)`` and tries
-    the orbit of ``color(a)``; one with no known arc there has ``solve``
-    None and tries every color.  Step ``(dst, a, b, barred, check)`` stores
+    guess, with ``solve`` None.  Step ``(dst, a, b, barred, check)`` stores
     ``a op b`` at ``dst`` or, with ``check``, compares it with ``dst``.
 
     Which arcs are known never depends on the colors, so the plan is made
@@ -92,21 +87,12 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
     ``(dst, a, a, ...)``: on a quandle ``a op a = a``, so ``x op y = y`` and
     ``y op y = x`` both force ``y = x``.  When stuck, solve a relation whose
     one unknown arc is its over-arc.  Only when no relation has one, guess
-    the over-arc of a relation with a known end (else the first unknown
-    arc); among the first few such over-arcs, the one whose guess would
-    check the most relations and then pin the most arcs (``_cascade``).
-    Each relation is revisited only when one of its arcs becomes known.
+    the over-arc of a relation with a known end: among the first few such
+    over-arcs, the one whose guess would check the most relations and then
+    pin the most arcs (``_cascade``).  Each relation is revisited only when
+    one of its arcs becomes known.
     """
-    parent = list(range(num_arcs))  # union-find: the arcs joined as in- and out-arc share an orbit
-
-    def root(arc: int) -> int:
-        while parent[arc] != arc:
-            parent[arc] = parent[parent[arc]]
-            arc = parent[arc]
-        return arc
-    for out, inn, _, _ in relations:
-        parent[root(out)] = root(inn)
-    anchors: dict[int, int] = {}  # root -> the first arc of its part to become known
+    num_arcs, relations = sum(system.arcs), system.relations
     touching: list[list[int]] = [[] for _ in range(num_arcs)]
     unknown = []  # distinct arcs of each relation not yet known
     for j, (out, inn, over, _) in enumerate(relations):
@@ -116,10 +102,11 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
             touching[arc].append(j)
     known = [False] * num_arcs
     settled = [False] * len(relations)  # derived, checked or solved by a level
-    fresh = list(preset) or [0]  # known arcs whose relations are not yet updated
+    # known arcs whose relations are not yet updated; a crossingless strand's one arc is both its ends
+    fresh = list(dict.fromkeys(system.ends))
     for arc in fresh:
         known[arc] = True
-    remaining, first_unknown = num_arcs - len(fresh), 0
+    remaining = num_arcs - len(fresh)
     ready: list[int] = []  # relations that got down to one or no unknown arc
     loose: list[int] = []  # relations whose one unknown arc is their over-arc
     guessable: list[int] = []  # relations that got a known end while their over-arc was unknown
@@ -130,7 +117,6 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
         while fresh or ready:
             if fresh:
                 new = fresh.pop()
-                anchors.setdefault(root(new), new)
                 for j in touching[new]:
                     unknown[j] -= 1
                     if unknown[j] < 2:
@@ -170,19 +156,14 @@ def _plan(num_arcs: int, relations: list[Relation], preset) -> list[tuple]:
         else:
             while guessable and known[relations[guessable[0]][2]]:
                 heapq.heappop(guessable)
+            # Never empty: walk a strand from a pinned end to its first unknown arc.  The
+            # relation there has a known in-arc and an unknown out-arc; with its over-arc
+            # known or one of its ends it would be a forced step, so its over-arc is
+            # unknown and it has been in ``guessable`` since its in-arc became known.
             candidates = [c for c in dict.fromkeys(relations[j][2] for j in guessable[:_LOOKAHEAD])
                           if not known[c]]
-            if len(candidates) > 1:
-                arc = max(candidates, key=lambda c: _cascade(c, relations, touching, unknown, known, settled))
-            elif candidates:
-                arc = candidates[0]
-            else:
-                while known[first_unknown]:
-                    first_unknown += 1
-                arc = first_unknown
-            anchor = anchors.get(root(arc))
-            if anchor is not None:
-                solve = (None, anchor, anchor)
+            arc = candidates[0] if len(candidates) == 1 else max(
+                candidates, key=lambda c: _cascade(c, relations, touching, unknown, known, settled))
         known[arc], remaining = True, remaining - 1
         fresh.append(arc)
 
@@ -231,26 +212,25 @@ def _over_candidates(table: Sequence[Sequence[int]]) -> Candidates:
 _LOOKAHEAD = 16  # guess candidates scored at a stuck point
 
 
-def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tuple[int, ...]]:
+def _search(levels: list, assign: list[int | None], basepoint: int,
+            q: FiniteQuandle) -> list[tuple[int, ...]]:
     """Every full assignment the levels accept, by a depth-first walk without recursion.
 
     ``assign`` is reused: a level writes each arc it colors or derives before
-    deeper levels read it.  A guess level tries, on entry, the orbit of its
-    anchor's color, or ``range(m)`` when it has no anchor.  A solve level
+    deeper levels read it.  The first level colors its arc ``basepoint``, and
+    a guess level tries, on entry, the basepoint's orbit.  A solve level
     asks, on entry, the candidate function of its table (one per table in
     this call), whose index grows as the walk needs it: one pass over a
     table row serves every later entry with the same in-arc color.
     """
-    every = range(len(q))
+    orbit = q._orbit(basepoint)
     tables = (q.star, q.barstar)
-    solvers = {barred: _over_candidates(tables[barred]) for barred in (False, True)}
-    solvers[None] = lambda x, _: q._orbit(x)  # a guess with an anchor
+    solvers = tuple(map(_over_candidates, tables))
     plan, sources = [], []
     for arc, steps, solve in levels:
         plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
         sources.append(None if solve is None else (solvers[solve[0]], *solve[1:]))
-    first = assign[levels[0][0]]
-    options: list = [iter(every if first is None else (first,))] + [None] * (len(levels) - 1)
+    options: list = [iter((basepoint,))] + [None] * (len(levels) - 1)
     results, level, last = [], 0, len(levels) - 1
     while level >= 0:
         arc, steps = plan[level]
@@ -271,28 +251,29 @@ def _search(levels: list, assign: list[int | None], q: FiniteQuandle) -> list[tu
         level += 1
         source = sources[level]
         if source is None:
-            options[level] = iter(every)
+            options[level] = iter(orbit)
         else:
             candidates, a, b = source
             options[level] = iter(candidates(assign[a], assign[b]))
     return results
 
 
-def _solve(num_arcs: int, relations: list[Relation], preset: dict[int, int],
-           q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Every solution of the relations with the preset arcs fixed, sorted."""
-    assign: list[int | None] = [preset.get(arc) for arc in range(num_arcs)]
-    return sorted(_search(_plan(num_arcs, relations, preset), assign, q))
+def _solve(system: System, basepoint: int, q: FiniteQuandle) -> list[tuple[int, ...]]:
+    """Every solution of the system with its pinned end arcs colored ``basepoint``, sorted."""
+    assign: list[int | None] = [None] * sum(system.arcs)
+    for arc in system.ends:
+        assign[arc] = basepoint
+    return sorted(_search(_plan(system), assign, basepoint, q))
 
 
 def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
     """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1."""
     _check_index(basepoint, len(q), "basepoint")
     system = _compile(d)
-    bounds = list(itertools.pairwise((0, *itertools.accumulate(system.arcs))))  # [lo, hi) per strand
-    rows = _solve(bounds[-1][1], system.relations, dict.fromkeys(system.ends, basepoint), q)
-    if len(bounds) == 1:  # the row is the strand's colors; slicing it would cost per coloring
+    rows = _solve(system, basepoint, q)
+    if len(system.arcs) == 1:  # the row is the strand's colors; slicing it would cost per coloring
         return tuple(Coloring(d, (row,)) for row in rows)
+    bounds = list(itertools.pairwise((0, *itertools.accumulate(system.arcs))))  # [lo, hi) per strand
     return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
 
 

@@ -169,6 +169,12 @@ def _ints(values, name: str) -> tuple[int, ...]:
     return tuple(_int(v, name) for v in values)
 
 
+def _objects(values, name: str) -> list[dict]:
+    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
+        raise ValueError(f"malformed diagram JSON: {name} must be a list of objects")
+    return values
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse the JSON wire format; inverse of serialize_diagram."""
     try:
@@ -187,9 +193,9 @@ def parse_diagram(text: str) -> Diagram:
                 tuple(
                     TangleCrossing(_int(c["over_strand"], "over_strand"),
                                    _int(c["over_arc"], "over_arc"), _int(c["sign"], "sign"))
-                    for c in strand["crossings"]
+                    for c in _objects(strand["crossings"], "crossings")
                 )
-                for strand in obj["strands"]
+                for strand in _objects(obj["strands"], "strands")
             )
             return TangleDiagram(strands)
     except (KeyError, TypeError) as exc:

@@ -1,4 +1,5 @@
-"""Shared fixture data: knot codes, tangles, quandles, and reference queries.
+"""Shared fixture data: knot codes, tangles, quandles, reference queries, and
+hypothesis strategies for random codes and Q1/Q2 tables.
 
 Knot codes come from braid-word closures (derived by ``braid_closure`` below,
 which the diagram tests re-run as an audit).  Each code was validated against
@@ -9,6 +10,8 @@ quandle values pin the chirality.
 from __future__ import annotations
 
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 import quandleknot as qk
 
@@ -174,3 +177,52 @@ def query_t62() -> qk.InvariantQuery:
 def sum_of(q: qk.FiniteQuandle, terms: dict[str, int]) -> qk.FormalSum:
     """Build a FormalSum from {cycle-notation label: coefficient}."""
     return qk.FormalSum(q, tuple(sorted((q.element_index(k), v) for k, v in terms.items())))
+
+
+# --- random inputs -----------------------------------------------------------
+
+SIGNS = st.sampled_from((1, -1))
+
+
+@st.composite
+def codes(draw):
+    """Long, closed and tangle codes with 0-7 crossings and any over-arcs, so
+    virtual codes are included."""
+    kind = draw(st.sampled_from((qk.LongDiagram, qk.ClosedDiagram, qk.TangleDiagram)))
+    n = draw(st.integers(kind is qk.ClosedDiagram, 7))
+    if kind is not qk.TangleDiagram:
+        arcs = n + (kind is qk.LongDiagram)
+        return kind(tuple(draw(st.integers(1, arcs)) for _ in range(n)),
+                    tuple(draw(SIGNS) for _ in range(n)))
+    first = draw(st.integers(0, n))
+    return draw_tangle(draw, (first, n - first))
+
+
+def draw_tangle(draw, sizes):
+    """A two-strand tangle with ``sizes`` crossings on its strands and any over-arcs."""
+    strands = []
+    for size in sizes:
+        over_strands = [draw(st.integers(1, 2)) for _ in range(size)]
+        strands.append(tuple(qk.TangleCrossing(s, draw(st.integers(1, sizes[s - 1] + 1)), draw(SIGNS))
+                             for s in over_strands))
+    return qk.TangleDiagram(tuple(strands))
+
+
+@st.composite
+def q1_q2_tables(draw, max_elements):
+    """Tables of 1 to ``max_elements`` elements that satisfy Q1 and Q2, and mostly not Q3."""
+    m = draw(st.integers(1, max_elements))
+    columns = []  # [j][i] = i * j: a permutation that fixes j
+    for j in range(m):
+        column = list(draw(st.permutations([i for i in range(m) if i != j])))
+        columns.append(column[:j] + [j] + column[j:])
+    return qk.FiniteQuandle(tuple(map(str, range(m))), [[columns[j][i] for j in range(m)] for i in range(m)])
+
+
+def relabeled(q: qk.FiniteQuandle, sigma) -> qk.FiniteQuandle:
+    """The table sigma·star, with sigma(i) * sigma(j) = sigma(i * j), under q's labels."""
+    star = [[0] * len(q) for _ in range(len(q))]
+    for i, row in enumerate(q.star):
+        for j, value in enumerate(row):
+            star[sigma[i]][sigma[j]] = sigma[value]
+    return qk.FiniteQuandle(q.labels, star)

@@ -328,6 +328,7 @@ class TestRefusedInputs:
                                        {"crossings": []}]},
         {"kind": "tangle", "strands": [{"crossings": [{"over_strand": 2, "over_arc": 1, "sign": -1.0}]},
                                        {"crossings": []}]},
+        {"kind": "tangle", "strands": [{"crossings": ""}, {"crossings": []}]},  # once read as an empty strand
     ])
     def test_non_integer_diagram_fields(self, obj, capsys, tmp_path):
         path = tmp_path / "d.json"

@@ -157,58 +157,32 @@ class TestOracleAgreementSmall:
 
 DIFFERENTIAL_QUANDLES = (qk.dihedral(3), qk.dihedral(4), qk.dihedral(5), qk.trivial(3),
                          qk.parse_quandle_spec("conjclass:S4:(1,2)"))
-SIGNS = st.sampled_from((1, -1))
 
 
-@st.composite
-def codes(draw):
-    """Long, closed and tangle codes with 0-7 crossings and any over-arcs, so
-    virtual codes are included."""
-    kind = draw(st.sampled_from((qk.LongDiagram, qk.ClosedDiagram, qk.TangleDiagram)))
-    n = draw(st.integers(kind is qk.ClosedDiagram, 7))
-    if kind is not qk.TangleDiagram:
-        arcs = n + (kind is qk.LongDiagram)
-        return kind(tuple(draw(st.integers(1, arcs)) for _ in range(n)),
-                    tuple(draw(SIGNS) for _ in range(n)))
-    first = draw(st.integers(0, n))
-    return _draw_tangle(draw, (first, n - first))
-
-
-def _draw_tangle(draw, sizes):
-    """A two-strand tangle with ``sizes`` crossings on its strands and any over-arcs."""
-    strands = []
-    for size in sizes:
-        over_strands = [draw(st.integers(1, 2)) for _ in range(size)]
-        strands.append(tuple(qk.TangleCrossing(s, draw(st.integers(1, sizes[s - 1] + 1)), draw(SIGNS))
-                             for s in over_strands))
-    return qk.TangleDiagram(tuple(strands))
-
-
-def _assert_matches_oracles(d, q, basepoint, every_end):
+def _assert_matches_oracles(d, q, basepoint):
     """``_solve`` against the propagating search it replaced and, where feasible,
-    brute force."""
-    arcs, relations, _, _ = diagram._compile(d)
-    starts = (0, *itertools.accumulate(arcs))
-    ends = [arc for lo, hi in itertools.pairwise(starts) for arc in (lo, hi - 1)] if every_end else [0]
-    preset = dict.fromkeys(ends, basepoint)
-    rows = coloring._solve(starts[-1], relations, preset, q)
-    assert rows == oracles.propagating_rows(starts[-1], relations, preset, q)
-    if len(q) ** (starts[-1] - len(preset)) > oracles.BRUTE_LIMIT:
+    brute force, with every pinned end arc colored ``basepoint`` as the library does."""
+    system = diagram._compile(d)
+    n, preset = sum(system.arcs), dict.fromkeys(system.ends, basepoint)
+    rows = coloring._solve(system, basepoint, q)
+    assert rows == oracles.propagating_rows(n, system.relations, preset, q)
+    if len(q) ** (n - len(preset)) > oracles.BRUTE_LIMIT:
         return
-    if isinstance(d, qk.TangleDiagram) and every_end:
+    if isinstance(d, qk.TangleDiagram):
+        starts = (0, *itertools.accumulate(system.arcs))
         strands = [tuple(row[lo:hi] for lo, hi in itertools.pairwise(starts)) for row in rows]
         assert strands == oracles.brute_colorings_tangle_mono(d, q, basepoint)
-    elif isinstance(d, qk.LongDiagram) and not every_end:
+    elif isinstance(d, qk.LongDiagram):
         assert rows == oracles.brute_colorings_long(d, q, basepoint)
-    elif isinstance(d, qk.ClosedDiagram) and not every_end:
+    else:
         assert rows == oracles.brute_colorings_closed(d, q, basepoint)
 
 
 class TestPlannedSearch:
     @settings(max_examples=200, deadline=None)
-    @given(codes(), st.sampled_from(DIFFERENTIAL_QUANDLES), st.booleans(), st.data())
-    def test_matches_propagating_search_and_brute_force(self, d, q, every_end, data):
-        _assert_matches_oracles(d, q, data.draw(st.integers(0, len(q) - 1)), every_end)
+    @given(fx.codes(), st.sampled_from(DIFFERENTIAL_QUANDLES), st.data())
+    def test_matches_propagating_search_and_brute_force(self, d, q, data):
+        _assert_matches_oracles(d, q, data.draw(st.integers(0, len(q) - 1)))
 
     @pytest.mark.parametrize("d, basepoint", [
         (qk.LongDiagram((6, 7, 1, 1, 6, 2), (-1, 1, -1, 1, -1, -1)), 1),
@@ -224,7 +198,7 @@ class TestPlannedSearch:
         # two). Such a pair can no longer be built, and on every quandle these codes
         # must get their true solution set
         for q in DIFFERENTIAL_QUANDLES:
-            _assert_matches_oracles(d, q, basepoint, every_end=False)
+            _assert_matches_oracles(d, q, basepoint)
 
     @pytest.mark.parametrize("star, violation", [(fx.NOT_Q2, "x -> x * 0 is not a bijection, Q2"),
                                                  (fx.NOT_Q1, "0 * 0 != 0, Q1")], ids=["not_q2", "not_q1"])
@@ -235,22 +209,15 @@ class TestPlannedSearch:
             qk.FiniteQuandle(("a", "b", "c"), star)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_any_table_and_relations_match_brute_force(self, data):
-        # tables that satisfy Q1 and Q2 but mostly not Q3, and relations in which arcs
-        # may repeat, so every forward, backward and repeated-arc step is exercised
-        m = data.draw(st.integers(1, 4))
-        columns = []  # [j][i] = i * j: a permutation that fixes j
-        for j in range(m):
-            column = list(data.draw(st.permutations([i for i in range(m) if i != j])))
-            columns.append(column[:j] + [j] + column[j:])
-        star = [[columns[j][i] for j in range(m)] for i in range(m)]
-        q = qk.FiniteQuandle(tuple(map(str, range(m))), star)
-        n = data.draw(st.integers(1, 6))
-        arc = st.integers(0, n - 1)
-        relations = data.draw(st.lists(st.tuples(arc, arc, arc, SIGNS), max_size=7))
-        preset = data.draw(st.dictionaries(arc, st.integers(0, m - 1), max_size=2))
-        assert coloring._solve(n, relations, preset, q) == oracles.brute_rows(n, relations, preset, q)
+    @given(fx.q1_q2_tables(4), fx.codes(), st.data())
+    def test_any_table_and_relations_match_brute_force(self, q, d, data):
+        # tables that satisfy Q1 and Q2 but mostly not Q3, on codes whose relations may
+        # repeat arcs, so every forward, backward and repeated-arc step is exercised
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        system = diagram._compile(d)
+        preset = dict.fromkeys(system.ends, basepoint)
+        assert coloring._solve(system, basepoint, q) == oracles.brute_rows(sum(system.arcs), system.relations,
+                                                                            preset, q)
 
     def test_not_q2_quandle_is_not_a_quandle(self):
         # each refused fixture fails the one axiom it is named after, by brute force
@@ -288,7 +255,7 @@ class TestBasepointOrbit:
                                                              for x in range(len(q))]
 
     @settings(max_examples=200, deadline=None)
-    @given(codes(), st.sampled_from(ORBIT_QUANDLES), st.data())
+    @given(fx.codes(), st.sampled_from(ORBIT_QUANDLES), st.data())
     def test_colors_stay_in_the_basepoint_orbit(self, d, q, data):
         # every arc is joined to a pinned end arc through in- and out-arcs, so every
         # color lies in the basepoint's orbit; guessing only there loses no coloring
@@ -299,20 +266,6 @@ class TestBasepointOrbit:
         arcs, relations, _, ends = diagram._compile(d)
         assert [sum(c.strands, ()) for c in found] == oracles.propagating_rows(
             sum(arcs), relations, dict.fromkeys(ends, basepoint), q)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(ORBIT_QUANDLES), st.data())
-    def test_a_part_without_a_preset_arc_tries_every_color(self, q, data):
-        # no relation joins an arc below ``split`` to one above it as in- and out-arc,
-        # and only the lower part holds a preset arc: a guess in the upper part has no
-        # known arc in its orbit, so it must try every color
-        n = data.draw(st.integers(2, 4))
-        split = data.draw(st.integers(1, n - 1))
-        relations = []
-        for part in (st.integers(0, split - 1), st.integers(split, n - 1)):
-            relations += data.draw(st.lists(st.tuples(part, part, st.integers(0, n - 1), SIGNS), max_size=3))
-        preset = {data.draw(st.integers(0, split - 1)): data.draw(st.integers(0, len(q) - 1))}
-        assert coloring._solve(n, relations, preset, q) == oracles.brute_rows(n, relations, preset, q)
 
     def test_braid_closure_answers_at_once(self, a6):
         # the 29-crossing closure of this 4-braid word, broken at arc 1, plans 3 guesses;
@@ -327,12 +280,45 @@ class TestBasepointOrbit:
             assert time.perf_counter() - start < 1
 
 
+def _strands(d, q, basepoint):
+    return [c.strands for c in COLORINGS[type(d)](d, q, basepoint)]
+
+
+def _pushed(f, found):
+    """The strands of every coloring with f applied to each color, sorted."""
+    return sorted(tuple(tuple(f[x] for x in strand) for strand in strands) for strands in found)
+
+
+class TestSymmetries:
+    """Colorings compared across basepoints and tables that no other test relates: an
+    automorphism or a relabeling moves every coloring, so a lost or extra one shows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fx.codes(), st.sampled_from(ORBIT_QUANDLES + (fx.a5_quandle(),)), st.data())
+    def test_colorings_are_equivariant_under_inner_automorphisms(self, d, q, data):
+        # alpha = R_y or its inverse is an automorphism under Q3: alpha c colors d at alpha(b)
+        # exactly when c colors it at b
+        basepoint, y = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
+        barred = data.draw(st.booleans())
+        alpha = tuple(q.op(x, y, barred) for x in range(len(q)))
+        assert _strands(d, q, alpha[basepoint]) == _pushed(alpha, _strands(d, q, basepoint))
+
+    @settings(max_examples=300, deadline=None)
+    @given(fx.codes(), fx.q1_q2_tables(5), st.data())
+    def test_colorings_follow_a_relabeling(self, d, q, data):
+        # the indices permuted by sigma, and the table with them, move every coloring by
+        # sigma; this needs no Q3
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        sigma = data.draw(st.permutations(range(len(q))))
+        assert _strands(d, fx.relabeled(q, sigma), sigma[basepoint]) == _pushed(sigma, _strands(d, q, basepoint))
+
+
 @st.composite
 def braid_words(draw, strands, lengths):
     """A random braid word on one of ``strands`` strands whose closure is a knot,
     its length drawn from ``lengths`` before letters are added to make it one."""
     strands = draw(st.sampled_from(strands))
-    letters = st.tuples(st.integers(1, strands - 1), SIGNS).map(lambda pair: pair[0] * pair[1])
+    letters = st.tuples(st.integers(1, strands - 1), fx.SIGNS).map(lambda pair: pair[0] * pair[1])
     length = draw(lengths)
     return fx.knot_word(draw(st.lists(letters, min_size=length, max_size=length)), strands), strands
 
@@ -346,7 +332,7 @@ def braid_knots():
 def two_strand_tangles(draw, crossings):
     """Two-strand tangles with 0 to ``crossings`` crossings per strand and any
     over-arcs, so virtual ones are included."""
-    return _draw_tangle(draw, [draw(st.integers(0, crossings)) for _ in range(2)])
+    return fx.draw_tangle(draw, [draw(st.integers(0, crossings)) for _ in range(2)])
 
 
 # (p, t): the dihedral quandles (t = -1) and some that are not involutory

@@ -65,6 +65,20 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match=message):
             qk.parse_diagram(text)
 
+    @pytest.mark.parametrize("strands, name", [
+        ([{"crossings": ""}, {"crossings": []}], "crossings"),
+        ([{"crossings": {}}, {"crossings": []}], "crossings"),
+        ([{"crossings": [1]}, {"crossings": []}], "crossings"),
+        ("ab", "strands"),
+        ({"crossings": []}, "strands"),
+        ([[], {"crossings": []}], "strands"),
+    ])
+    def test_tangle_strands_and_crossings_must_be_lists_of_objects(self, strands, name):
+        # an empty string or object was once read as a strand without crossings
+        text = json.dumps({"kind": "tangle", "strands": strands})
+        with pytest.raises(ValueError, match=f"^malformed diagram JSON: {name} must be a list of objects$"):
+            qk.parse_diagram(text)
+
     def test_kinds_with_equal_fields_differ(self):
         long, closed = qk.LongDiagram((1, 2), (1, -1)), qk.ClosedDiagram((1, 2), (1, -1))
         assert long != closed and closed != long

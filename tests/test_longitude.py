@@ -322,17 +322,6 @@ def factor_codes():
     return st.lists(random_long_codes(), min_size=1, max_size=3).map(lambda codes: functools.reduce(qk.concat, codes))
 
 
-@st.composite
-def q1_q2_tables(draw):
-    """Tables of 1-5 elements that satisfy Q1 and Q2, and mostly not Q3."""
-    m = draw(st.integers(1, 5))
-    columns = []  # [j][i] = i * j: a permutation that fixes j
-    for j in range(m):
-        column = list(draw(st.permutations([i for i in range(m) if i != j])))
-        columns.append(column[:j] + [j] + column[j:])
-    return qk.FiniteQuandle(tuple(map(str, range(m))), [[columns[j][i] for j in range(m)] for i in range(m)])
-
-
 # a virtual factor whose colorings at 0 under dihedral:5 end on every element
 OFF_BASEPOINT = qk.LongDiagram((3, 4, 1), (1, 1, 1))
 
@@ -367,7 +356,7 @@ class TestConnectedSumsFromFactors:
         self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
 
     @settings(max_examples=200, deadline=None)
-    @given(factor_codes(), factor_codes(), q1_q2_tables(), st.data())
+    @given(factor_codes(), factor_codes(), fx.q1_q2_tables(5), st.data())
     def test_composition_needs_only_q1_and_q2(self, k1, k2, q, data):
         # without Q3 the family of K2 at another basepoint is not a conjugate of the one at b0,
         # so these tables also tell K2 colored at the first factor's last color from K2 colored at b0
@@ -416,6 +405,41 @@ class TestConnectedSumsFromFactors:
         assert moved.kind == verdict.kind
         for name, s in verdict.sums.items():
             assert dict(moved.sums[name].terms) == {alpha[e]: c for e, c in s.terms}
+
+
+def _sums(d, query):
+    return qk.tangle_sums(d, query) if isinstance(d, qk.TangleDiagram) else (qk.formal_sum(d, query),)
+
+
+def _pushed(f, sums):
+    """Each sum's terms with f applied to every element."""
+    return [{f[e]: c for e, c in s.terms} for s in sums]
+
+
+class TestSumSymmetries:
+    """``formal_sum`` and ``tangle_sums`` move with the query under inner automorphisms and
+    relabelings, on codes of every kind, virtual ones included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fx.codes(), SPEC_QUANDLES, st.data())
+    def test_sums_are_equivariant_under_inner_automorphisms(self, d, q, data):
+        # alpha = R_y or its inverse is an automorphism under Q3, so the sums at
+        # (alpha(b), alpha(x)) are alpha pushed forward over those at (b, x)
+        basepoint, act_on, y = (data.draw(st.integers(0, len(q) - 1)) for _ in range(3))
+        barred = data.draw(st.booleans())
+        alpha = tuple(q.op(x, y, barred) for x in range(len(q)))
+        moved = _sums(d, qk.InvariantQuery(q, alpha[basepoint], alpha[act_on]))
+        assert [dict(s.terms) for s in moved] == _pushed(alpha, _sums(d, qk.InvariantQuery(q, basepoint, act_on)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fx.codes(), fx.q1_q2_tables(5), st.data())
+    def test_sums_follow_a_relabeling(self, d, q, data):
+        # the indices permuted by sigma, and the table with them, push every sum forward by
+        # sigma; this needs no Q3
+        basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
+        sigma = data.draw(st.permutations(range(len(q))))
+        moved = _sums(d, qk.InvariantQuery(fx.relabeled(q, sigma), sigma[basepoint], sigma[act_on]))
+        assert [dict(s.terms) for s in moved] == _pushed(sigma, _sums(d, qk.InvariantQuery(q, basepoint, act_on)))
 
 
 class TestSumAlgebra:
