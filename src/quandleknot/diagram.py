@@ -30,19 +30,21 @@ class _Diagram:
 
 
 def _check_signs(sign: tuple[int, ...]):
-    if any(s not in (1, -1) for s in sign):
+    if any(type(s) is not int or s not in (1, -1) for s in sign):
         raise ValueError("signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
 class _GaussCode(_Diagram):
-    """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order."""
+    """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order, as tuples of ints."""
 
     over_arc: tuple[int, ...]
     sign: tuple[int, ...]
     closed: ClassVar[bool]
 
     def __post_init__(self):
+        object.__setattr__(self, "over_arc", tuple(self.over_arc))
+        object.__setattr__(self, "sign", tuple(self.sign))
         n = len(self.over_arc)
         if self.closed and n < 1:
             raise ValueError("closed diagrams need at least one crossing")
@@ -50,7 +52,7 @@ class _GaussCode(_Diagram):
             raise ValueError("over_arc and sign must have equal length")
         _check_signs(self.sign)
         top = n + (not self.closed)
-        if any(not 1 <= a <= top for a in self.over_arc):
+        if any(type(a) is not int or not 1 <= a <= top for a in self.over_arc):
             raise ValueError(f"over-arc reference outside 1..{top}")
 
     @property
@@ -67,6 +69,20 @@ class LongDiagram(_GaussCode):
     """n crossings over arcs 1..n+1 in traversal order; n = 0 is the unknot."""
 
     closed = False
+
+    @functools.cached_property
+    def _pieces(self) -> tuple[LongDiagram, ...]:
+        """The codes this one is the connected sum (``concat``) of, first one first: it splits after
+        each crossing p in 1..n-1 where crossings 1..p have over-arcs <= p + 1 and crossings p+1..n
+        over-arcs >= p + 1.  A code that splits nowhere gives ``(self,)``."""
+        over = self.over_arc
+        highest = list(itertools.accumulate(over, max))  # [p - 1]: over crossings 1..p
+        lowest = list(itertools.accumulate(reversed(over), min))[::-1]  # [p]: over crossings p+1..n
+        cuts = [p for p in range(1, self.n) if highest[p - 1] <= p + 1 <= lowest[p]]
+        if not cuts:
+            return (self,)
+        return tuple(LongDiagram(tuple(a - lo for a in over[lo:hi]), self.sign[lo:hi])
+                     for lo, hi in itertools.pairwise((0, *cuts, self.n)))
 
 
 @dataclass(frozen=True)
@@ -87,20 +103,21 @@ class TangleCrossing:
 
 @dataclass(frozen=True)
 class TangleDiagram(_Diagram):
-    """Two oriented strands; strand s has its own arcs 1..n_s+1 in traversal order."""
+    """Two oriented strands, as tuples; strand s has its own arcs 1..n_s+1 in traversal order."""
 
     strands: tuple[tuple[TangleCrossing, ...], tuple[TangleCrossing, ...]]
 
     def __post_init__(self):
+        object.__setattr__(self, "strands", tuple(map(tuple, self.strands)))
         if len(self.strands) != 2:
             raise ValueError("tangles have exactly two strands")
         arcs = [len(s) + 1 for s in self.strands]
         for strand in self.strands:
             for c in strand:
-                if c.over_strand not in (1, 2):
+                if type(c.over_strand) is not int or c.over_strand not in (1, 2):
                     raise ValueError(f"over_strand must be 1 or 2, got {c.over_strand}")
                 _check_signs((c.sign,))
-                if not 1 <= c.over_arc <= arcs[c.over_strand - 1]:
+                if type(c.over_arc) is not int or not 1 <= c.over_arc <= arcs[c.over_strand - 1]:
                     raise ValueError(
                         f"over-arc {c.over_arc} outside 1..{arcs[c.over_strand - 1]} "
                         f"on strand {c.over_strand}"

@@ -8,7 +8,6 @@ yields a quandle automorphism.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -62,42 +61,33 @@ class AutomorphismFamily:
         return len(self.members)
 
 
-def _cut_points(over: Sequence[int]) -> list[int]:
-    """The p in 1..n-1 after which a long code of n crossings with these over-arcs splits in two:
-    crossings 1..p have over-arcs <= p + 1, and crossings p+1..n over-arcs >= p + 1."""
-    highest = list(itertools.accumulate(over, max))  # [p - 1]: over crossings 1..p
-    lowest = list(itertools.accumulate(reversed(over), min))[::-1]  # [p]: over crossings p+1..n
-    return [p for p in range(1, len(over)) if highest[p - 1] <= p + 1 <= lowest[p]]
+def _longitudes(pieces: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
+                memo: dict) -> list[tuple[int, tuple[int, ...]]]:
+    """(color of the last arc, longitude images) per coloring of the pieces' ``concat`` at the basepoint.
 
-
-def _longitudes(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(color of the last arc, longitude images) per coloring with the given basepoint, in search order.
-
-    The code is split at its cut points into pieces, and a coloring's longitude
-    is its pieces' longitudes composed, first piece first.  A piece's crossings
-    touch only its own arcs, so its longitude depends only on their colors: it
-    is folded once per distinct coloring of them and looked up after that.
+    Each piece's crossings touch only its own arcs, so such a coloring is one
+    coloring per piece, each starting at the color on which the one before
+    it ends, and its longitude is theirs composed, first piece first.
+    ``memo`` keeps, per piece and start color, the piece's longitudes under q.
     """
-    (letters,) = _compile(d).letters
-    bounds = (0, *_cut_points(d.over_arc), d.n)
-    # per piece: its arcs (0-based), its letters, and its longitude per coloring of its arcs
-    pieces = [(slice(lo, hi + 1), letters[2 * lo:2 * hi], {}) for lo, hi in itertools.pairwise(bounds)]
-    out = []
-    for c in colorings_long(d, q, basepoint):  # never empty: one is constant
-        row, acc = c.strands[0], None
-        for arcs, word, seen in pieces:
-            image = seen.get(key := row[arcs])
-            if image is None:
-                image = seen[key] = _images(q, word, row)
-            acc = image if acc is None else _pick(image, acc)
-        out.append((row[-1], acc))
-    return out
+    found = [(basepoint, None)]
+    for piece in pieces:
+        known, step = memo.setdefault(piece, {}), []
+        for start, acc in found:
+            if start not in known:
+                (letters,) = _compile(piece).letters
+                known[start] = [(c.strands[0][-1], _images(q, letters, c.strands[0]))
+                                for c in colorings_long(piece, q, start)]
+            step += [(end, image if acc is None else _pick(image, acc)) for end, image in known[start]]
+        found = step
+    return found
 
 
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
-    """All colored longitudes of a long diagram over the colorings with the given basepoint."""
+    """All colored longitudes of a long diagram over the colorings with the given basepoint,
+    composed from those of the codes it is a connected sum of (``_longitudes``)."""
     _require(d, "longitude_family", LongDiagram)
-    images = sorted(image for _, image in _longitudes(d, q, basepoint))
+    images = sorted(image for _, image in _longitudes(d._pieces, q, basepoint, {}))
     return AutomorphismFamily(q, tuple(Automorphism(q, image) for image in images))
 
 

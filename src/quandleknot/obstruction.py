@@ -6,7 +6,6 @@ fallback outcome is always "inconclusive".
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .longitude import (
     sum_render,
     tangle_sums,
 )
-from .quandle import _pick
 
 DISTINCT = "distinct"
 OBSTRUCTED = "obstructed"
@@ -94,23 +92,17 @@ def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
     """Compare K1#K2 with K2#K1 at both the sum and the family level, for two long diagrams.
 
-    Neither concatenation is searched.  A coloring of A#B at basepoint q is a
-    pair (a, b): a colors A at q, and b colors B at the color of a's last arc,
-    which may differ from q when A is virtual.  Its longitude is a's, then b's.
-    So each family is composed from the factors' longitudes, each factor's
-    found once per basepoint it is needed at.  Each family holds one longitude
-    per coloring, so its images of ``act_on`` are the formal sum.
+    Neither concatenation is searched: each family is composed from the
+    longitudes of the pieces the factors split into (``_longitudes``), with
+    one memo for both orders, so each piece is searched once per color it
+    starts at.  Each family holds one longitude per coloring, so its images
+    of ``act_on`` are the formal sum.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     _require(k1, "connected_sum_commutativity", LongDiagram)
     _require(k2, "connected_sum_commutativity", LongDiagram)
-    q, x = query.quandle, query.act_on
-    longitudes = functools.cache(lambda k, basepoint: _longitudes(k, q, basepoint))
-
-    def family(a: LongDiagram, b: LongDiagram) -> list[tuple[int, ...]]:
-        return sorted(_pick(phi_b, phi_a) for end, phi_a in longitudes(a, query.basepoint)
-                      for _, phi_b in longitudes(b, end))
-
-    fam_ab, fam_ba = family(k1, k2), family(k2, k1)
+    q, x, memo = query.quandle, query.act_on, {}
+    fam_ab, fam_ba = (sorted(phi for _, phi in _longitudes(a._pieces + b._pieces, q, query.basepoint, memo))
+                      for a, b in ((k1, k2), (k2, k1)))
     s_ab, s_ba = (FormalSum.from_elements(q, (phi[x] for phi in fam)) for fam in (fam_ab, fam_ba))
     kind = DISTINCT if (not sum_equal(s_ab, s_ba) or fam_ab != fam_ba) else INCONCLUSIVE
     return Verdict(kind, {"K1#K2": s_ab, "K2#K1": s_ba})

@@ -152,6 +152,11 @@ def a6_quandle() -> qk.FiniteQuandle:
     return qk.parse_quandle_spec("conjgroup:A6")
 
 
+# built from specs: connected and not, 5 to 60 elements
+SPEC_QUANDLES = st.sampled_from(tuple(qk.parse_quandle_spec(spec) for spec in (
+    "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)")))
+
+
 # star tables that FiniteQuandle refuses. NOT_Q2 satisfies Q1, but x -> x * 0 (and x * 2)
 # sends 0 and 1 to 0. NOT_Q1 is a rack: every right translation is the same 3-cycle, so
 # Q2 (and Q3) hold but i * i != i

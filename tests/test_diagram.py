@@ -79,6 +79,29 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match=f"^malformed diagram JSON: {name} must be a list of objects$"):
             qk.parse_diagram(text)
 
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: qk.LongDiagram((1.5,), (1,)), ValueError),
+        (lambda: qk.LongDiagram((2.0,), (1,)), ValueError),
+        (lambda: qk.LongDiagram((True,), (1,)), ValueError),
+        (lambda: qk.ClosedDiagram((1,), (1.0,)), ValueError),
+        (lambda: qk.TangleDiagram(((qk.TangleCrossing(2, 1.0, 1),), ())), ValueError),
+        (lambda: qk.TangleDiagram(((qk.TangleCrossing(2.0, 1, 1),), ())), ValueError),
+        (lambda: qk.TangleDiagram(((qk.TangleCrossing(1, 1, -1.0),), ())), ValueError),
+        (lambda: qk.concat(qk.LongDiagram([2], [1]), qk.LongDiagram([1], [-1])), qk.LongDiagram((2, 2), (1, -1))),
+        (lambda: qk.connected_sum_commutativity(qk.LongDiagram([2], [1]), qk.LongDiagram([1, 3], [1, -1]),
+                                                qk.InvariantQuery(qk.dihedral(3), 0, 1)).kind, "inconclusive"),
+        (lambda: qk.TangleDiagram([[qk.TangleCrossing(2, 1, 1)], []]).strands, ((qk.TangleCrossing(2, 1, 1),), ())),
+    ], ids=["long-1.5", "long-2.0", "long-True", "closed-sign-1.0", "tangle-arc-1.0", "tangle-strand-2.0",
+            "tangle-sign--1.0", "concat-lists", "connected-sum-lists", "tangle-lists"])
+    def test_codes_hold_tuples_of_ints(self, make, expected):
+        # a float or bool index or sign once passed validation, and a float then broke the search;
+        # codes given as lists broke concat and hashing
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                make()
+        else:
+            assert make() == expected
+
     def test_kinds_with_equal_fields_differ(self):
         long, closed = qk.LongDiagram((1, 2), (1, -1)), qk.ClosedDiagram((1, 2), (1, -1))
         assert long != closed and closed != long

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -259,10 +260,6 @@ class TestBatchedEvaluation:
             qk.InvariantQuery(qk.dihedral(3), basepoint, act_on)
 
 
-SPEC_QUANDLES = st.sampled_from(tuple(qk.parse_quandle_spec(spec) for spec in (
-    "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)")))
-
-
 @st.composite
 def spliced_over_arcs(draw):
     """Over-arcs of 0-3 random long codes concatenated, then perhaps one entry redrawn
@@ -276,24 +273,54 @@ def spliced_over_arcs(draw):
     return tuple(over)
 
 
+# a virtual factor whose colorings at 0 under dihedral:5 end on every element
+OFF_BASEPOINT = qk.LongDiagram((3, 4, 1), (1, 1, 1))
+
+
+def record_searches(monkeypatch) -> list[int]:
+    """The crossing counts of the diagrams ``longitude`` searches from now on, in order."""
+    searched, colorings_long = [], longitude.colorings_long
+
+    def recording(d, q, basepoint):
+        searched.append(d.n)
+        return colorings_long(d, q, basepoint)
+
+    monkeypatch.setattr(longitude, "colorings_long", recording)
+    return searched
+
+
 class TestConnectedSumFamilies:
     """``longitude_family`` composes the longitudes of the pieces a long code splits into."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(spliced_over_arcs(), random_long_codes().map(lambda d: d.over_arc)))
-    def test_cut_points_are_those_a_scan_of_every_p_finds(self, over):
+    @given(st.one_of(spliced_over_arcs(), random_long_codes().map(lambda d: d.over_arc)), st.data())
+    def test_pieces_split_where_a_scan_of_every_p_finds(self, over, data):
+        d = qk.LongDiagram(over, tuple(data.draw(SIGNS) for _ in over))
         n = len(over)
         brute = [p for p in range(1, n) if all(a <= p + 1 for a in over[:p]) and all(a >= p + 1 for a in over[p:])]
-        assert longitude._cut_points(over) == brute
+        assert list(itertools.accumulate(piece.n for piece in d._pieces)) == brute + [n]
+        assert functools.reduce(qk.concat, d._pieces) == d
 
-    def test_cut_points_of_a_concatenation(self):
+    def test_pieces_of_a_concatenation(self):
         trefoil = qk.break_at(fx.TREFOIL_CLOSED, 1)
         d = qk.concat(qk.concat(trefoil, fx.UNKNOT_LONG), fx.KNOT_5_2_LONG)
-        assert longitude._cut_points(d.over_arc) == [3]
-        assert longitude._cut_points(()) == [] == longitude._cut_points((1,))
+        assert d._pieces == (trefoil, fx.KNOT_5_2_LONG)
+        assert d._pieces is d._pieces  # kept on the object, like its relation system
+        for prime in (fx.UNKNOT_LONG, fx.SINGLE_POSITIVE_KINK, fx.KNOT_5_2_LONG):
+            assert prime._pieces[0] is prime and len(prime._pieces) == 1
+
+    def test_family_of_a_concatenation_searches_only_its_pieces(self, monkeypatch):
+        searched = record_searches(monkeypatch)
+        trefoil, witness = qk.break_at(fx.TREFOIL_CLOSED, 1), qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1)
+        for codes, q in (((trefoil, fx.KNOT_5_2_LONG), fx.s5_class_quandle()),
+                         ((witness, fx.KNOT_5_2_LONG, trefoil), qk.dihedral(5)),
+                         ((OFF_BASEPOINT, witness, OFF_BASEPOINT), qk.dihedral(5))):
+            searched.clear()
+            qk.longitude_family(functools.reduce(qk.concat, codes), q, 0)
+            assert searched and max(searched) <= max(code.n for code in codes)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(random_long_codes(), min_size=1, max_size=3), SPEC_QUANDLES, st.data())
+    @given(st.lists(random_long_codes(), min_size=1, max_size=3), fx.SPEC_QUANDLES, st.data())
     def test_family_of_a_concatenation_matches_elementwise_evaluation(self, codes, q, data):
         # virtual factors included, so a coloring of a factor may end off the basepoint
         d = functools.reduce(qk.concat, codes)
@@ -303,7 +330,7 @@ class TestConnectedSumFamilies:
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(LONG_CODES, st.lists(random_long_codes(), min_size=2, max_size=3).map(
-        lambda codes: functools.reduce(qk.concat, codes))), SPEC_QUANDLES, st.data())
+        lambda codes: functools.reduce(qk.concat, codes))), fx.SPEC_QUANDLES, st.data())
     def test_family_is_equivariant_under_inner_automorphisms(self, d, q, data):
         # alpha = R_y or its inverse is an automorphism under Q3: alpha c colors d at alpha(b),
         # with longitude alpha phi alpha^-1, for each coloring c at b with longitude phi
@@ -322,10 +349,6 @@ def factor_codes():
     return st.lists(random_long_codes(), min_size=1, max_size=3).map(lambda codes: functools.reduce(qk.concat, codes))
 
 
-# a virtual factor whose colorings at 0 under dihedral:5 end on every element
-OFF_BASEPOINT = qk.LongDiagram((3, 4, 1), (1, 1, 1))
-
-
 class TestConnectedSumsFromFactors:
     """``connected_sum_commutativity`` composes its factors' longitudes, searching neither concatenation."""
 
@@ -337,10 +360,10 @@ class TestConnectedSumsFromFactors:
         oracle = {}
         for a, b in ((k1, k2), (k2, k1)):
             composed = []
-            for end, phi_a in longitude._longitudes(a, q, b0):
+            for end, phi_a in longitude._longitudes((a,), q, b0, {}):
                 assert end == phi_a[b0]
                 composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))
-                             for _, phi_b in longitude._longitudes(b, q, end)]
+                             for _, phi_b in longitude._longitudes((b,), q, end, {})]
             oracle[a, b] = oracles.longitude_family_images(qk.concat(a, b), q, b0)
             assert sorted(composed) == oracle[a, b]
         verdict = qk.connected_sum_commutativity(k1, k2, query)
@@ -350,7 +373,7 @@ class TestConnectedSumsFromFactors:
         assert verdict.kind == ("distinct" if differ else "inconclusive")
 
     @settings(max_examples=200, deadline=None)
-    @given(factor_codes(), factor_codes(), SPEC_QUANDLES, st.data())
+    @given(factor_codes(), factor_codes(), fx.SPEC_QUANDLES, st.data())
     def test_composed_families_and_verdict_match_the_concatenations(self, k1, k2, q, data):
         basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
         self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
@@ -365,35 +388,29 @@ class TestConnectedSumsFromFactors:
 
     def test_a_first_factor_that_ends_off_the_basepoint(self):
         q = qk.dihedral(5)
-        assert {end for end, _ in longitude._longitudes(OFF_BASEPOINT, q, 0)} == set(range(5))
+        assert {end for end, _ in longitude._longitudes((OFF_BASEPOINT,), q, 0, {})} == set(range(5))
         for k2 in (qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1), fx.KNOT_5_2_LONG, OFF_BASEPOINT):
             for act_on in range(5):
                 self.check_against_the_concatenations(OFF_BASEPOINT, k2, qk.InvariantQuery(q, 0, act_on))
         # a table without Q3, where coloring the second factor at 0 instead would change the sums
         q = qk.FiniteQuandle(("0", "1", "2"), ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
         k1, k2 = qk.LongDiagram((4, 4, 2), (1, 1, 1)), qk.LongDiagram((3, 1), (1, 1))
-        assert {end for end, _ in longitude._longitudes(k1, q, 0)} != {0}
+        assert {end for end, _ in longitude._longitudes((k1,), q, 0, {})} != {0}
         for act_on in range(3):
             self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, 0, act_on))
 
     def test_no_concatenation_is_searched(self, monkeypatch):
-        searched, colorings_long = [], longitude.colorings_long
-
-        def recording(d, q, basepoint):
-            searched.append(d.n)
-            return colorings_long(d, q, basepoint)
-
-        monkeypatch.setattr(longitude, "colorings_long", recording)
+        searched = record_searches(monkeypatch)
         trefoil, witness = qk.break_at(fx.TREFOIL_CLOSED, 1), qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1)
         for k1, k2, query in ((fx.KNOT_5_2_LONG, trefoil, fx.query_5_2()),
                               (witness, fx.KNOT_5_2_LONG, qk.InvariantQuery(qk.dihedral(5), 0, 1)),
                               (OFF_BASEPOINT, witness, qk.InvariantQuery(qk.dihedral(5), 0, 2))):
             searched.clear()
             qk.connected_sum_commutativity(k1, k2, query)
-            assert searched and k1.n + k2.n not in searched
+            assert searched and max(searched) <= max(piece.n for piece in k1._pieces + k2._pieces)
 
     @settings(max_examples=150, deadline=None)
-    @given(factor_codes(), factor_codes(), SPEC_QUANDLES, st.data())
+    @given(factor_codes(), factor_codes(), fx.SPEC_QUANDLES, st.data())
     def test_verdict_is_equivariant_under_inner_automorphisms(self, k1, k2, q, data):
         # alpha = R_y or its inverse is an automorphism under Q3, so the sums at (alpha(b), alpha(x))
         # are alpha pushed forward over those at (b, x); this reads the factors at other basepoints
@@ -421,7 +438,7 @@ class TestSumSymmetries:
     relabelings, on codes of every kind, virtual ones included."""
 
     @settings(max_examples=200, deadline=None)
-    @given(fx.codes(), SPEC_QUANDLES, st.data())
+    @given(fx.codes(), fx.SPEC_QUANDLES, st.data())
     def test_sums_are_equivariant_under_inner_automorphisms(self, d, q, data):
         # alpha = R_y or its inverse is an automorphism under Q3, so the sums at
         # (alpha(b), alpha(x)) are alpha pushed forward over those at (b, x)

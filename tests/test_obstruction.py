@@ -155,6 +155,48 @@ class TestConnectedSum:
         assert verdict.sums["K2#K1"] == qk.formal_sum(qk.concat(k2, k1), query)
 
 
+def _verdicts(d, k, query):
+    """Every verdict that takes d: the tangle obstruction of a tangle d in the knot k, the
+    chirality test of a long or closed d, and the basepoint test of a closed d."""
+    if isinstance(d, qk.TangleDiagram):
+        return [qk.tangle_embedding_obstruction(d, k, query)]
+    if isinstance(d, qk.ClosedDiagram):
+        return [qk.chirality_test(d, query), qk.nonclassical_by_basepoints(d, query)]
+    return [qk.chirality_test(d, query)]
+
+
+def _pushed(verdicts, f=None):
+    """Each verdict's kind, and each of its sums with f, if given, applied to every element."""
+    return [(v.kind, {name: {(e if f is None else f[e]): c for e, c in s.terms} for name, s in v.sums.items()})
+            for v in verdicts]
+
+
+KNOTS = fx.codes().filter(lambda d: not isinstance(d, qk.TangleDiagram))
+
+
+class TestVerdictSymmetries:
+    """Verdicts move with the query under inner automorphisms and relabelings, on codes of
+    every kind, virtual ones included: the same kind, and every sum pushed forward."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fx.codes(), KNOTS, fx.SPEC_QUANDLES, st.data())
+    def test_verdicts_are_equivariant_under_inner_automorphisms(self, d, k, q, data):
+        # alpha = R_y or its inverse is an automorphism under Q3
+        basepoint, act_on, y = (data.draw(st.integers(0, len(q) - 1)) for _ in range(3))
+        barred = data.draw(st.booleans())
+        alpha = tuple(q.op(x, y, barred) for x in range(len(q)))
+        moved = _verdicts(d, k, qk.InvariantQuery(q, alpha[basepoint], alpha[act_on]))
+        assert _pushed(moved) == _pushed(_verdicts(d, k, qk.InvariantQuery(q, basepoint, act_on)), alpha)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fx.codes(), KNOTS, fx.SPEC_QUANDLES, st.data())
+    def test_verdicts_follow_a_relabeling(self, d, k, q, data):
+        basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
+        sigma = data.draw(st.permutations(range(len(q))))
+        moved = _verdicts(d, k, qk.InvariantQuery(fx.relabeled(q, sigma), sigma[basepoint], sigma[act_on]))
+        assert _pushed(moved) == _pushed(_verdicts(d, k, qk.InvariantQuery(q, basepoint, act_on)), sigma)
+
+
 class TestVerdictSerialization:
     def test_json_stable(self, s5_class):
         verdict = qk.chirality_test(fx.KNOT_5_2_LONG, fx.query_5_2())
