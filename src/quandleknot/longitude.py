@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, InvariantQuery, _colors, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
@@ -62,33 +63,49 @@ class AutomorphismFamily:
 
 
 def _longitudes(pieces: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
-                memo: dict) -> list[tuple[int, tuple[int, ...]]]:
-    """(color of the last arc, longitude images) per coloring of the pieces' ``concat`` at the basepoint.
+                memo: dict) -> dict[tuple[int, tuple[int, ...]], int]:
+    """{(color of the last arc, longitude images): number of colorings} over the colorings
+    of the pieces' ``concat`` at the basepoint.
 
     Each piece's crossings touch only its own arcs, so such a coloring is one
     coloring per piece, each starting at the color on which the one before
-    it ends, and its longitude is theirs composed, first piece first.
-    ``memo`` keeps, per piece and start color, the piece's longitudes under q.
+    it ends, and its longitude is theirs composed, first piece first.  So each
+    distinct state is composed once with each distinct pair of the next piece,
+    the counts multiply, and states that compose alike merge.
+    ``memo`` keeps, per piece and start color, the counted pairs of the piece under q.
     """
-    found = [(basepoint, None)]
+    found = {(basepoint, None): 1}
     for piece in pieces:
-        known, step = memo.setdefault(piece, {}), []
-        for start, acc in found:
+        known, step = memo.setdefault(piece, {}), {}
+        for (start, acc), count in found.items():
             if start not in known:
                 (letters,) = _compile(piece).letters
-                known[start] = [(c.strands[0][-1], _images(q, letters, c.strands[0]))
-                                for c in colorings_long(piece, q, start)]
-            step += [(end, image if acc is None else _pick(image, acc)) for end, image in known[start]]
+                known[start] = Counter((c.strands[0][-1], _images(q, letters, c.strands[0]))
+                                       for c in colorings_long(piece, q, start))
+            for (end, image), n in known[start].items():
+                key = (end, image if acc is None else _pick(image, acc))
+                step[key] = step.get(key, 0) + count * n
         found = step
     return found
 
 
+def _merged(counted: Iterable[tuple]) -> Counter:
+    """The counts of ``(key, count)`` pairs added up per key."""
+    merged = Counter()
+    for key, n in counted:
+        merged[key] += n
+    return merged
+
+
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
-    """All colored longitudes of a long diagram over the colorings with the given basepoint,
-    composed from those of the codes it is a connected sum of (``_longitudes``)."""
+    """All colored longitudes of a long diagram over the colorings with the given basepoint, one per
+    coloring in sorted order, composed from those of the codes it is a connected sum of (``_longitudes``).
+    Equal members are one ``Automorphism``."""
     _require(d, "longitude_family", LongDiagram)
-    images = sorted(image for _, image in _longitudes(d._pieces, q, basepoint, {}))
-    return AutomorphismFamily(q, tuple(Automorphism(q, image) for image in images))
+    states = _longitudes(d._pieces, q, basepoint, {})
+    counts = sorted(_merged((image, n) for (_, image), n in states.items()).items())
+    return AutomorphismFamily(q, tuple(chain.from_iterable(repeat(Automorphism(q, image), n)
+                                                           for image, n in counts)))
 
 
 @dataclass(frozen=True)
@@ -100,7 +117,11 @@ class FormalSum:
 
     @classmethod
     def from_elements(cls, q: FiniteQuandle, elements: Iterable[int]) -> "FormalSum":
-        counts = Counter(elements)
+        return cls.from_counts(q, Counter(elements))
+
+    @classmethod
+    def from_counts(cls, q: FiniteQuandle, counts: Mapping[int, int]) -> "FormalSum":
+        """The sum with coefficient ``counts[e]`` at each element e; every count must be positive."""
         return cls(q, tuple(sorted(counts.items())))
 
     def coefficient(self, element: int) -> int:

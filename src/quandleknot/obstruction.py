@@ -14,6 +14,7 @@ from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_
 from .longitude import (
     FormalSum,
     _longitudes,
+    _merged,
     formal_sum,
     sum_equal,
     sum_included,
@@ -95,14 +96,16 @@ def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
     Neither concatenation is searched: each family is composed from the
     longitudes of the pieces the factors split into (``_longitudes``), with
     one memo for both orders, so each piece is searched once per color it
-    starts at.  Each family holds one longitude per coloring, so its images
-    of ``act_on`` are the formal sum.
+    starts at.  Each family is kept as longitude images -> number of
+    colorings, and its formal sum adds each longitude's image of ``act_on``
+    that many times.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     _require(k1, "connected_sum_commutativity", LongDiagram)
     _require(k2, "connected_sum_commutativity", LongDiagram)
     q, x, memo = query.quandle, query.act_on, {}
-    fam_ab, fam_ba = (sorted(phi for _, phi in _longitudes(a._pieces + b._pieces, q, query.basepoint, memo))
-                      for a, b in ((k1, k2), (k2, k1)))
-    s_ab, s_ba = (FormalSum.from_elements(q, (phi[x] for phi in fam)) for fam in (fam_ab, fam_ba))
+    states = (_longitudes(a._pieces + b._pieces, q, query.basepoint, memo) for a, b in ((k1, k2), (k2, k1)))
+    fam_ab, fam_ba = (_merged((phi, n) for (_, phi), n in found.items()) for found in states)
+    s_ab, s_ba = (FormalSum.from_counts(q, _merged((phi[x], n) for phi, n in fam.items()))
+                  for fam in (fam_ab, fam_ba))
     kind = DISTINCT if (not sum_equal(s_ab, s_ba) or fam_ab != fam_ba) else INCONCLUSIVE
     return Verdict(kind, {"K1#K2": s_ab, "K2#K1": s_ba})

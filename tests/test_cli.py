@@ -453,7 +453,7 @@ def test_coloring_commands_run_without_numpy(tmp_path):
     # every README command, and the A5 chirality command again on a quandle file, whose load certifies Q3
     cases = json.loads(README_GOLDEN.read_text())
     assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality", "tangle-obstruction",
-                                                  "nonclassical", "verify-quandle", "connected-sum"]
+                                                  "nonclassical", "verify-quandle", "connected-sum", "connected-sum"]
     on_spec = next(case for case in cases if "conjgroup:A5" in case["argv"])
     a5_file = tmp_path / "a5.json"
     a5_file.write_text(qk.quandle_to_json(qk.parse_quandle_spec("conjgroup:A5")))

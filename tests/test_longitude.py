@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
@@ -360,10 +361,10 @@ class TestConnectedSumsFromFactors:
         oracle = {}
         for a, b in ((k1, k2), (k2, k1)):
             composed = []
-            for end, phi_a in longitude._longitudes((a,), q, b0, {}):
+            for (end, phi_a), n_a in longitude._longitudes((a,), q, b0, {}).items():
                 assert end == phi_a[b0]
-                composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))
-                             for _, phi_b in longitude._longitudes((b,), q, end, {})]
+                for (_, phi_b), n_b in longitude._longitudes((b,), q, end, {}).items():
+                    composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))] * (n_a * n_b)
             oracle[a, b] = oracles.longitude_family_images(qk.concat(a, b), q, b0)
             assert sorted(composed) == oracle[a, b]
         verdict = qk.connected_sum_commutativity(k1, k2, query)
@@ -422,6 +423,48 @@ class TestConnectedSumsFromFactors:
         assert moved.kind == verdict.kind
         for name, s in verdict.sums.items():
             assert dict(moved.sums[name].terms) == {alpha[e]: c for e, c in s.terms}
+
+
+class TestCountedStates:
+    """``_longitudes`` keeps (color of the last arc, longitude images) -> number of colorings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(factor_codes(), st.one_of(fx.SPEC_QUANDLES, fx.q1_q2_tables(5)), st.data())
+    def test_counts_match_the_colorings(self, d, q, data):
+        basepoint = data.draw(st.integers(0, len(q) - 1))
+        states = longitude._longitudes(d._pieces, q, basepoint, {})
+        colorings = qk.colorings_long(d, q, basepoint)
+        assert sum(states.values()) == len(colorings)
+        expanded = sorted(itertools.chain.from_iterable([image] * n for (_, image), n in states.items()))
+        assert expanded == oracles.longitude_family_images(d, q, basepoint)
+        ends = collections.Counter()
+        for (end, _), n in states.items():
+            ends[end] += n
+        assert ends == collections.Counter(c.arc_colors[-1] for c in colorings)
+
+    def test_equal_longitudes_are_composed_once(self, monkeypatch):
+        # under A5 at (1,2,3) the 7^4 colored longitudes of 3_1#3_1#3_1#3_1 are one automorphism
+        q = fx.a5_quandle()
+        b = q.element_index("(1,2,3)")
+        trefoil = qk.break_at(fx.TREFOIL_CLOSED, 1)
+        half = qk.concat(trefoil, trefoil)
+        d = qk.concat(half, half)
+        picks, pick = [], longitude._pick
+        monkeypatch.setattr(longitude, "_pick", lambda seq, keys: picks.append(keys) or pick(seq, keys))
+        memo = {}
+        states = longitude._longitudes(d._pieces, q, b, memo)
+        made = len(picks)
+        assert sum(states.values()) == 2401 and len(states) == 1
+        # one pick per letter of each piece coloring, then at most one per (distinct state, distinct piece pair)
+        folds = sum(2 * piece.n * sum(counted.values()) for piece, known in memo.items() for counted in known.values())
+        pairs = sum(len(memo[piece][end]) for i, piece in enumerate(d._pieces[1:], 1)
+                    for end, _ in longitude._longitudes(d._pieces[:i], q, b, memo))
+        assert (folds, pairs) == (42, 3)
+        assert made - folds <= pairs
+        family = qk.longitude_family(d, q, b)
+        assert len(family) == 2401 and len({phi.images for phi in family.members}) == 1
+        verdict = qk.connected_sum_commutativity(half, half, qk.InvariantQuery(q, b, b))
+        assert [s.mass() for s in verdict.sums.values()] == [2401, 2401]
 
 
 def _sums(d, query):
