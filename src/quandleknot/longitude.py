@@ -63,38 +63,32 @@ class AutomorphismFamily:
 
 
 def _longitudes(pieces: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
-                memo: dict) -> dict[tuple[int, tuple[int, ...]], int]:
-    """{(color of the last arc, longitude images): number of colorings} over the colorings
-    of the pieces' ``concat`` at the basepoint.
+                memo: dict) -> dict[tuple[int, ...], int]:
+    """{longitude images: number of colorings} over the colorings of the pieces' ``concat``
+    at the basepoint.
 
     Each piece's crossings touch only its own arcs, so such a coloring is one
     coloring per piece, each starting at the color on which the one before
-    it ends, and its longitude is theirs composed, first piece first.  So each
-    distinct state is composed once with each distinct pair of the next piece,
-    the counts multiply, and states that compose alike merge.
-    ``memo`` keeps, per piece and start color, the counted pairs of the piece under q.
+    it ends, and its longitude is theirs composed, first piece first.  By Q1 a
+    longitude maps the color it starts at to the color it ends at, so the
+    next piece starts at ``phi(basepoint)`` and the images are the whole state.
+    Each distinct state is composed once with each distinct longitude of the
+    next piece, the counts multiply, and states that compose alike merge.
+    ``memo`` keeps, per piece and start color, the counted longitudes of the piece under q.
     """
-    found = {(basepoint, None): 1}
+    found = {None: 1}
     for piece in pieces:
         known, step = memo.setdefault(piece, {}), {}
-        for (start, acc), count in found.items():
+        for acc, count in found.items():
+            start = basepoint if acc is None else acc[basepoint]
             if start not in known:
                 (letters,) = _compile(piece).letters
-                known[start] = Counter((c.strands[0][-1], _images(q, letters, c.strands[0]))
-                                       for c in colorings_long(piece, q, start))
-            for (end, image), n in known[start].items():
-                key = (end, image if acc is None else _pick(image, acc))
+                known[start] = Counter(_images(q, letters, c.strands[0]) for c in colorings_long(piece, q, start))
+            for image, n in known[start].items():
+                key = image if acc is None else _pick(image, acc)
                 step[key] = step.get(key, 0) + count * n
         found = step
     return found
-
-
-def _merged(counted: Iterable[tuple]) -> Counter:
-    """The counts of ``(key, count)`` pairs added up per key."""
-    merged = Counter()
-    for key, n in counted:
-        merged[key] += n
-    return merged
 
 
 def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> AutomorphismFamily:
@@ -102,8 +96,7 @@ def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> Automo
     coloring in sorted order, composed from those of the codes it is a connected sum of (``_longitudes``).
     Equal members are one ``Automorphism``."""
     _require(d, "longitude_family", LongDiagram)
-    states = _longitudes(d._pieces, q, basepoint, {})
-    counts = sorted(_merged((image, n) for (_, image), n in states.items()).items())
+    counts = sorted(_longitudes(d._pieces, q, basepoint, {}).items())
     return AutomorphismFamily(q, tuple(chain.from_iterable(repeat(Automorphism(q, image), n)
                                                            for image, n in counts)))
 

@@ -7,6 +7,7 @@ fallback outcome is always "inconclusive".
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coloring import InvariantQuery
@@ -14,7 +15,6 @@ from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_
 from .longitude import (
     FormalSum,
     _longitudes,
-    _merged,
     formal_sum,
     sum_equal,
     sum_included,
@@ -91,21 +91,24 @@ def nonclassical_by_basepoints(c: ClosedDiagram, query: InvariantQuery, jobs: in
 
 def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
                                 query: InvariantQuery, jobs: int = 1) -> Verdict:
-    """Compare K1#K2 with K2#K1 at both the sum and the family level, for two long diagrams.
+    """Compare the families of K1#K2 and K2#K1, for two long diagrams, and give their formal sums.
 
     Neither concatenation is searched: each family is composed from the
     longitudes of the pieces the factors split into (``_longitudes``), with
     one memo for both orders, so each piece is searched once per color it
     starts at.  Each family is kept as longitude images -> number of
     colorings, and its formal sum adds each longitude's image of ``act_on``
-    that many times.
+    that many times.  Equal families give equal sums, so the families decide.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     _require(k1, "connected_sum_commutativity", LongDiagram)
     _require(k2, "connected_sum_commutativity", LongDiagram)
     q, x, memo = query.quandle, query.act_on, {}
-    states = (_longitudes(a._pieces + b._pieces, q, query.basepoint, memo) for a, b in ((k1, k2), (k2, k1)))
-    fam_ab, fam_ba = (_merged((phi, n) for (_, phi), n in found.items()) for found in states)
-    s_ab, s_ba = (FormalSum.from_counts(q, _merged((phi[x], n) for phi, n in fam.items()))
-                  for fam in (fam_ab, fam_ba))
-    kind = DISTINCT if (not sum_equal(s_ab, s_ba) or fam_ab != fam_ba) else INCONCLUSIVE
-    return Verdict(kind, {"K1#K2": s_ab, "K2#K1": s_ba})
+    families = {name: _longitudes(a._pieces + b._pieces, q, query.basepoint, memo)
+                for name, a, b in (("K1#K2", k1, k2), ("K2#K1", k2, k1))}
+    sums = {}
+    for name, family in families.items():
+        at_x = Counter()
+        for phi, n in family.items():
+            at_x[phi[x]] += n
+        sums[name] = FormalSum.from_counts(q, at_x)
+    return Verdict(DISTINCT if families["K1#K2"] != families["K2#K1"] else INCONCLUSIVE, sums)

@@ -56,14 +56,16 @@ def identity(degree: int) -> Permutation:
     return Permutation(tuple(range(1, degree + 1)))
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# a point is ASCII digits only, not whatever int() reads, such as "1_0", "+1" or other scripts' digits
+_CYCLE_RE = re.compile(r"\(([0-9]+(?:,[0-9]+)*)\)")
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation like ``(1,2)(3,4,5)``; ``()`` is the identity.
 
-    Unmentioned points are fixed.  Whitespace is ignored.  Raises ValueError on
-    repeated points, points outside 1..degree, or malformed syntax.
+    Points are written in ASCII digits, and unmentioned points are fixed.
+    Whitespace is ignored.  Raises ValueError on repeated points, points
+    outside 1..degree, or malformed syntax.
     """
     check_degree(degree)
     compact = re.sub(r"\s+", "", text)
@@ -74,10 +76,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(1, degree + 1))
     seen: set[int] = set()
     for body in _CYCLE_RE.findall(compact):
-        try:
-            points = [int(tok) for tok in body.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed cycle notation: {text!r}") from None
+        points = [int(tok) for tok in body.split(",")]
         if len(points) < 2:
             raise ValueError(f"cycle of length < 2 in {text!r}")
         for p in points:

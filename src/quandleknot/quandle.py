@@ -320,15 +320,15 @@ def eval_word(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]]) ->
 
 # --- quandle spec strings and JSON files ---------------------------------
 
-_DIHEDRAL_RE = re.compile(r"dihedral:(\d+)$")
-_TRIVIAL_RE = re.compile(r"trivial:(\d+)$")
+_DIHEDRAL_RE = re.compile(r"dihedral:([0-9]+)$")
+_TRIVIAL_RE = re.compile(r"trivial:([0-9]+)$")
 
 
 def _parse_generators(text: str) -> ElementSet:
     parts = [p for p in text.split(";") if p.strip()]
     if not parts:
         raise ValueError("empty generator list")
-    points = [int(tok) for p in parts for tok in re.findall(r"\d+", p)]
+    points = [int(tok) for p in parts for tok in re.findall(r"[0-9]+", p)]
     if not points:
         raise ValueError(f"generator list {text!r} names no point")
     degree = max(points)

@@ -156,6 +156,13 @@ def a6_quandle() -> qk.FiniteQuandle:
 SPEC_QUANDLES = st.sampled_from(tuple(qk.parse_quandle_spec(spec) for spec in (
     "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)")))
 
+# the class of the 7-cycle in PSL(2,7) (order 168), 24 elements: K1#K2 and K2#K1 can have different
+# families under it, which no draw under the quandles of SPEC_QUANDLES has shown
+PSL27_CLASS = qk.parse_quandle_spec("conjclass:gens:(1,2,3,4,5,6,7);(3,7)(5,6):(1,2,3,4,5,6,7)")
+# virtual long codes whose two connected sums have different families under PSL27_CLASS at (1,2,3,4,5,6,7)
+PSL27_K1_LONG = qk.LongDiagram((3, 1), (1, 1))
+PSL27_K2_LONG = qk.LongDiagram((3, 1, 2), (1, 1, -1))
+
 
 # star tables that FiniteQuandle refuses. NOT_Q2 satisfies Q1, but x -> x * 0 (and x * 2)
 # sends 0 and 1 to 0. NOT_Q1 is a rack: every right translation is the same 3-cycle, so

@@ -41,6 +41,8 @@ class TestFixtureFiles:
             "tangle_t62.json": fx.tangle_t62(),
             "tangle_t62_closure_long.json": fx.t62_closure_long(),
             "virtual_witness_closed.json": fx.VIRTUAL_WITNESS_CODE,
+            "psl27_k1_long.json": fx.PSL27_K1_LONG,
+            "psl27_k2_long.json": fx.PSL27_K2_LONG,
         }
         for name, obj in expected.items():
             assert qk.parse_diagram((FIXTURE_DIR / name).read_text()) == obj
@@ -453,7 +455,8 @@ def test_coloring_commands_run_without_numpy(tmp_path):
     # every README command, and the A5 chirality command again on a quandle file, whose load certifies Q3
     cases = json.loads(README_GOLDEN.read_text())
     assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality", "tangle-obstruction",
-                                                  "nonclassical", "verify-quandle", "connected-sum", "connected-sum"]
+                                                  "nonclassical", "verify-quandle", "connected-sum", "connected-sum",
+                                                  "connected-sum"]
     on_spec = next(case for case in cases if "conjgroup:A5" in case["argv"])
     a5_file = tmp_path / "a5.json"
     a5_file.write_text(qk.quandle_to_json(qk.parse_quandle_spec("conjgroup:A5")))

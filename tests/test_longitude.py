@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandleknot as qk
@@ -45,6 +45,11 @@ FAMILY_QUANDLES = st.sampled_from((qk.dihedral(3), qk.dihedral(5), qk.parse_quan
                                    fx.a5_quandle()))
 
 
+def with_basepoint(quandles):
+    """A quandle drawn from ``quandles`` and a basepoint of it."""
+    return quandles.flatmap(lambda q: st.tuples(st.just(q), st.integers(0, len(q) - 1)))
+
+
 class TestSymbolicLongitude:
     def test_unknot_empty(self):
         assert qk.symbolic_longitude(fx.UNKNOT_LONG).letters == ()
@@ -75,10 +80,15 @@ class TestColoredLongitude:
         mono = qk.Coloring(fx.UNKNOT_LONG, ((1,),))
         assert qk.colored_longitude(mono, d3) == oracles.identity_automorphism(d3)
 
-    def test_maps_basepoint_to_final_color(self, s5_class):
-        q = fx.query_5_2()
-        for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint):
-            phi = qk.colored_longitude(c, s5_class)
+    @settings(max_examples=200, deadline=None)
+    @given(random_long_codes(), with_basepoint(st.one_of(fx.SPEC_QUANDLES, fx.q1_q2_tables(5))))
+    @example(fx.KNOT_5_2_LONG, (fx.s5_class_quandle(), fx.query_5_2().basepoint))
+    def test_maps_basepoint_to_final_color(self, d, q_and_basepoint):
+        # Q1 in both tables: the basepoint folded through each crossing's letters is the next arc's
+        # color, virtual codes and tables without Q3 included; _longitudes reads the last color so
+        q, basepoint = q_and_basepoint
+        for c in qk.colorings_long(d, q, basepoint):
+            phi = qk.colored_longitude(c, q)
             assert phi(c.arc_colors[0]) == c.arc_colors[-1]
 
     def test_composed_translations_agree(self, s5_class):
@@ -350,6 +360,14 @@ def factor_codes():
     return st.lists(random_long_codes(), min_size=1, max_size=3).map(lambda codes: functools.reduce(qk.concat, codes))
 
 
+def codes_and_quandle(count, quandles):
+    """``count`` factor codes and a quandle drawn from ``quandles``, or ``count`` single random codes
+    and the PSL(2,7) class, under which one code can have 64 colorings: concatenations of three
+    would leave the brute-force oracles up to 64^3 colorings."""
+    return st.one_of(st.tuples(*[factor_codes()] * count, quandles),
+                     st.tuples(*[random_long_codes()] * count, st.just(fx.PSL27_CLASS)))
+
+
 class TestConnectedSumsFromFactors:
     """``connected_sum_commutativity`` composes its factors' longitudes, searching neither concatenation."""
 
@@ -361,9 +379,13 @@ class TestConnectedSumsFromFactors:
         oracle = {}
         for a, b in ((k1, k2), (k2, k1)):
             composed = []
-            for (end, phi_a), n_a in longitude._longitudes((a,), q, b0, {}).items():
-                assert end == phi_a[b0]
-                for (_, phi_b), n_b in longitude._longitudes((b,), q, end, {}).items():
+            family_a = longitude._longitudes((a,), q, b0, {})
+            ends = collections.Counter()
+            for phi_a, n_a in family_a.items():
+                ends[phi_a[b0]] += n_a
+            assert ends == collections.Counter(c.arc_colors[-1] for c in qk.colorings_long(a, q, b0))
+            for phi_a, n_a in family_a.items():
+                for phi_b, n_b in longitude._longitudes((b,), q, phi_a[b0], {}).items():
                     composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))] * (n_a * n_b)
             oracle[a, b] = oracles.longitude_family_images(qk.concat(a, b), q, b0)
             assert sorted(composed) == oracle[a, b]
@@ -374,8 +396,9 @@ class TestConnectedSumsFromFactors:
         assert verdict.kind == ("distinct" if differ else "inconclusive")
 
     @settings(max_examples=200, deadline=None)
-    @given(factor_codes(), factor_codes(), fx.SPEC_QUANDLES, st.data())
-    def test_composed_families_and_verdict_match_the_concatenations(self, k1, k2, q, data):
+    @given(codes_and_quandle(2, fx.SPEC_QUANDLES), st.data())
+    def test_composed_families_and_verdict_match_the_concatenations(self, codes, data):
+        k1, k2, q = codes
         basepoint, act_on = (data.draw(st.integers(0, len(q) - 1)) for _ in range(2))
         self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, basepoint, act_on))
 
@@ -389,16 +412,25 @@ class TestConnectedSumsFromFactors:
 
     def test_a_first_factor_that_ends_off_the_basepoint(self):
         q = qk.dihedral(5)
-        assert {end for end, _ in longitude._longitudes((OFF_BASEPOINT,), q, 0, {})} == set(range(5))
+        assert {phi[0] for phi in longitude._longitudes((OFF_BASEPOINT,), q, 0, {})} == set(range(5))
         for k2 in (qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1), fx.KNOT_5_2_LONG, OFF_BASEPOINT):
             for act_on in range(5):
                 self.check_against_the_concatenations(OFF_BASEPOINT, k2, qk.InvariantQuery(q, 0, act_on))
         # a table without Q3, where coloring the second factor at 0 instead would change the sums
         q = qk.FiniteQuandle(("0", "1", "2"), ((0, 2, 1), (1, 1, 0), (2, 0, 2)))
         k1, k2 = qk.LongDiagram((4, 4, 2), (1, 1, 1)), qk.LongDiagram((3, 1), (1, 1))
-        assert {end for end, _ in longitude._longitudes((k1,), q, 0, {})} != {0}
+        assert {phi[0] for phi in longitude._longitudes((k1,), q, 0, {})} != {0}
         for act_on in range(3):
             self.check_against_the_concatenations(k1, k2, qk.InvariantQuery(q, 0, act_on))
+
+    def test_the_families_decide_where_the_sums_agree(self):
+        # a table without Q3 under which K1#K2 and K2#K1 have different families but equal sums at 0
+        q = qk.FiniteQuandle(tuple("0123"), ((0, 3, 1, 1), (3, 1, 3, 2), (1, 0, 2, 0), (2, 2, 0, 3)))
+        k1, k2 = qk.LongDiagram((4, 2, 1), (-1, 1, -1)), qk.LongDiagram((4, 3, 1), (-1, 1, 1))
+        query = qk.InvariantQuery(q, 0, 0)
+        verdict = qk.connected_sum_commutativity(k1, k2, query)
+        assert verdict.kind == "distinct" and verdict.sums["K1#K2"] == verdict.sums["K2#K1"]
+        self.check_against_the_concatenations(k1, k2, query)
 
     def test_no_concatenation_is_searched(self, monkeypatch):
         searched = record_searches(monkeypatch)
@@ -426,21 +458,40 @@ class TestConnectedSumsFromFactors:
 
 
 class TestCountedStates:
-    """``_longitudes`` keeps (color of the last arc, longitude images) -> number of colorings."""
+    """``_longitudes`` keeps longitude images -> number of colorings; a state's last color is
+    its image of the basepoint."""
 
     @settings(max_examples=200, deadline=None)
-    @given(factor_codes(), st.one_of(fx.SPEC_QUANDLES, fx.q1_q2_tables(5)), st.data())
-    def test_counts_match_the_colorings(self, d, q, data):
+    @given(codes_and_quandle(1, st.one_of(fx.SPEC_QUANDLES, fx.q1_q2_tables(5))), st.data())
+    def test_counts_match_the_colorings(self, codes, data):
+        d, q = codes
         basepoint = data.draw(st.integers(0, len(q) - 1))
         states = longitude._longitudes(d._pieces, q, basepoint, {})
         colorings = qk.colorings_long(d, q, basepoint)
         assert sum(states.values()) == len(colorings)
-        expanded = sorted(itertools.chain.from_iterable([image] * n for (_, image), n in states.items()))
+        expanded = sorted(itertools.chain.from_iterable([image] * n for image, n in states.items()))
         assert expanded == oracles.longitude_family_images(d, q, basepoint)
         ends = collections.Counter()
-        for (end, _), n in states.items():
-            ends[end] += n
+        for image, n in states.items():
+            ends[image[basepoint]] += n
         assert ends == collections.Counter(c.arc_colors[-1] for c in colorings)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_long_codes(), random_long_codes(), with_basepoint(st.one_of(fx.SPEC_QUANDLES, st.just(fx.PSL27_CLASS))))
+    @example(fx.PSL27_K1_LONG, fx.PSL27_K2_LONG, (fx.PSL27_CLASS, fx.PSL27_CLASS.element_index("(1,2,3,4,5,6,7)")))
+    def test_family_of_a_concatenation_is_the_convolution_of_its_factors(self, a, b, q_and_basepoint):
+        # under Q3 a longitude phi_a is an automorphism, so b colored at phi_a(q) is phi_a
+        # applied to a coloring of b at q with longitude phi_b, and the composed longitude is
+        # phi_a phi_b phi_a^-1 after phi_a: x -> phi_a(phi_b(x)), over the factors' families at q.
+        # Random pairs rarely tell this from phi_b(phi_a(x)); the example's pair does
+        q, basepoint = q_and_basepoint
+        family_a, family_b = (collections.Counter(oracles.longitude_family_images(f, q, basepoint))
+                              for f in (a, b))
+        convolution = collections.Counter()
+        for phi_a, n_a in family_a.items():
+            for phi_b, n_b in family_b.items():
+                convolution[tuple(phi_a[y] for y in phi_b)] += n_a * n_b
+        assert longitude._longitudes(qk.concat(a, b)._pieces, q, basepoint, {}) == convolution
 
     def test_equal_longitudes_are_composed_once(self, monkeypatch):
         # under A5 at (1,2,3) the 7^4 colored longitudes of 3_1#3_1#3_1#3_1 are one automorphism
@@ -457,8 +508,8 @@ class TestCountedStates:
         assert sum(states.values()) == 2401 and len(states) == 1
         # one pick per letter of each piece coloring, then at most one per (distinct state, distinct piece pair)
         folds = sum(2 * piece.n * sum(counted.values()) for piece, known in memo.items() for counted in known.values())
-        pairs = sum(len(memo[piece][end]) for i, piece in enumerate(d._pieces[1:], 1)
-                    for end, _ in longitude._longitudes(d._pieces[:i], q, b, memo))
+        pairs = sum(len(memo[piece][phi[b]]) for i, piece in enumerate(d._pieces[1:], 1)
+                    for phi in longitude._longitudes(d._pieces[:i], q, b, memo))
         assert (folds, pairs) == (42, 3)
         assert made - folds <= pairs
         family = qk.longitude_family(d, q, b)

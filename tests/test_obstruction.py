@@ -143,6 +143,21 @@ class TestConnectedSum:
             verdict = qk.connected_sum_commutativity(fx.KNOT_5_2_LONG, trefoil_long, query)
             assert verdict.kind == "inconclusive"
 
+    def test_psl27_witness_separates_the_orders(self):
+        q = fx.PSL27_CLASS
+        b = q.element_index("(1,2,3,4,5,6,7)")
+        for x in range(len(q)):
+            query = qk.InvariantQuery(q, b, x)
+            verdict = qk.connected_sum_commutativity(fx.PSL27_K1_LONG, fx.PSL27_K2_LONG, query)
+            assert verdict.kind == "distinct"
+            assert verdict.sums["K1#K2"] == qk.formal_sum(qk.concat(fx.PSL27_K1_LONG, fx.PSL27_K2_LONG), query)
+            assert verdict.sums["K2#K1"] == qk.formal_sum(qk.concat(fx.PSL27_K2_LONG, fx.PSL27_K1_LONG), query)
+        # at the basepoint the two sums differ only in which element has coefficient 7
+        verdict = qk.connected_sum_commutativity(fx.PSL27_K1_LONG, fx.PSL27_K2_LONG, qk.InvariantQuery(q, b, b))
+        s_ab, s_ba = verdict.sums["K1#K2"].by_label(), verdict.sums["K2#K1"].by_label()
+        assert {e: c for e, c in s_ab.items() if s_ba.get(e) != c} == {"(1,5,2,6,3,7,4)": 7}
+        assert {e: c for e, c in s_ba.items() if s_ab.get(e) != c} == {"(1,3,5,7,2,4,6)": 7}
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(FIXTURE_LONG), st.sampled_from(FIXTURE_LONG),
            st.sampled_from((qk.dihedral(3), qk.parse_quandle_spec("conjclass:S4:(1,2)"), fx.s5_class_quandle())),

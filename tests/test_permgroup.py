@@ -41,6 +41,12 @@ class TestCycleCodec:
         with pytest.raises(ValueError):
             pg.parse_cycles(bad, 5)
 
+    # int() reads each of these points as a number: an underscore, a sign, fullwidth and Arabic-Indic digits
+    @pytest.mark.parametrize("bad", ["(1_0,2)", "(+1,2)", "(\uff11,2)", "(1,\u0663)", "(1,2)(3,-4)"])
+    def test_points_are_ascii_digits(self, bad):
+        with pytest.raises(ValueError, match="^malformed cycle notation"):
+            pg.parse_cycles(bad, 10)
+
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
             pg.Permutation((1, 1, 3))

@@ -428,6 +428,16 @@ class TestSpecStringsAndJson:
         with pytest.raises(ValueError, match="names no point"):
             qk.parse_quandle_spec("conjgroup:gens:()")
 
+    # numbers that int() reads but that are not ASCII digits: fullwidth, Arabic-Indic, an underscore, a sign
+    @pytest.mark.parametrize("spec, message", [
+        ("dihedral:\uff13", "unknown quandle spec"), ("trivial:\u0663", "unknown quandle spec"),
+        ("dihedral:+3", "unknown quandle spec"), ("conjgroup:gens:(1_0,2)", "malformed cycle notation"),
+        ("conjgroup:gens:(1,2);(+1,3)", "malformed cycle notation"), ("conjclass:S4:(\uff11,2)", "malformed cycle notation"),
+        ("conjgroup:gens:(\uff11,\uff12)", "names no point")])
+    def test_numbers_are_ascii_digits(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            qk.parse_quandle_spec(spec)
+
     def test_json_round_trip(self, s5_class):
         text = qk.quandle_to_json(s5_class)
         back = qk.quandle_from_json(text)
