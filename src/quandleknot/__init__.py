@@ -18,7 +18,6 @@ from .quandle import (
     Automorphism,
     FiniteQuandle,
     dihedral,
-    eval_word,
     from_conjugation,
     parse_quandle_spec,
     quandle_from_json,
@@ -43,7 +42,6 @@ from .diagram import (
 )
 from .coloring import (
     Coloring,
-    InvariantQuery,
     colorings_closed,
     colorings_long,
     colorings_tangle_boundary_mono,
@@ -52,6 +50,7 @@ from .coloring import (
 from .longitude import (
     AutomorphismFamily,
     FormalSum,
+    InvariantQuery,
     SymbolicLongitude,
     colored_longitude,
     formal_sum,

@@ -6,7 +6,10 @@ nonclassical, connected-sum.  Quandles are given as spec strings
 ``trivial:5``, generators via ``gens:...``) or as a path to a quandle JSON
 file; elements are given in cycle notation (or by label for table quandles).
 ``verify-quandle`` checks Q1-Q3 exactly at every size; every other command
-refuses a quandle file that fails an axiom.  Exit status is 1 for
+refuses a quandle file that fails an axiom.  Each command checks its arguments
+and reads its diagram files (arguments are evaluated left to right) before it
+builds the quandle, so a cheap mistake is refused at once even under a large
+quandle.  Exit status is 1 for
 parse/validation failures and when ``verify-quandle`` finds an axiom violated
 (its report still goes to stdout); a negative verdict is a result, not an error.
 """
@@ -43,11 +46,11 @@ def _load_diagram(path: str) -> diagram.Diagram:
     return diagram.parse_diagram(Path(path).read_text())
 
 
-def _query(args) -> coloring.InvariantQuery:
+def _query(args) -> longitude.InvariantQuery:
     q = _load_quandle(args.quandle)
     basepoint = q.element_index(args.basepoint)
     act_on = q.element_index(args.act_on) if args.act_on is not None else basepoint
-    return coloring.InvariantQuery(q, basepoint, act_on)
+    return longitude.InvariantQuery(q, basepoint, act_on)
 
 
 def _emit(args, payload: dict, text: str) -> int:
@@ -77,14 +80,14 @@ def cmd_verify_quandle(args) -> int:
 def cmd_colorings(args) -> int:
     if bool(args.diagram) == bool(args.tangle):
         raise ValueError("give either --diagram or --tangle")
+    if args.tangle and not args.boundary_mono:
+        raise ValueError("tangle colorings require --boundary-mono")
+    d = _load_diagram(args.tangle or args.diagram)
     query = _query(args)
     q = query.quandle
     if args.tangle:
-        if not args.boundary_mono:
-            raise ValueError("tangle colorings require --boundary-mono")
-        found = coloring.colorings_tangle_boundary_mono(_load_diagram(args.tangle), q, query.basepoint)
+        found = coloring.colorings_tangle_boundary_mono(d, q, query.basepoint)
     else:
-        d = _load_diagram(args.diagram)
         closed = isinstance(d, diagram.ClosedDiagram)
         found = (coloring.colorings_closed if closed else coloring.colorings_long)(d, q, query.basepoint)
     payload: dict = {"count": len(found)}
@@ -98,8 +101,7 @@ def cmd_colorings(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    query = _query(args)
-    s = longitude.formal_sum(_load_diagram(args.diagram), query)
+    s = longitude.formal_sum(_load_diagram(args.diagram), _query(args))
     return _emit(args, {"sum": s.by_label(), "colorings": s.mass()}, longitude.sum_render(s))
 
 
@@ -108,27 +110,23 @@ def _emit_verdict(args, verdict: obstruction.Verdict) -> int:
 
 
 def cmd_chirality(args) -> int:
-    query = _query(args)
-    return _emit_verdict(args, obstruction.chirality_test(_load_diagram(args.diagram), query))
+    return _emit_verdict(args, obstruction.chirality_test(_load_diagram(args.diagram), _query(args)))
 
 
 def cmd_tangle_obstruction(args) -> int:
-    query = _query(args)
     t, k = _load_diagram(args.tangle), _load_diagram(args.knot)
-    return _emit_verdict(args, obstruction.tangle_embedding_obstruction(t, k, query))
+    return _emit_verdict(args, obstruction.tangle_embedding_obstruction(t, k, _query(args)))
 
 
 def cmd_nonclassical(args) -> int:
-    query = _query(args)
-    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(_load_diagram(args.diagram), query))
+    return _emit_verdict(args, obstruction.nonclassical_by_basepoints(_load_diagram(args.diagram), _query(args)))
 
 
 def cmd_connected_sum(args) -> int:
-    query = _query(args)
     if len(args.diagram) != 2:
         raise ValueError("connected-sum needs exactly two --diagram files")
     k1, k2 = (_load_diagram(p) for p in args.diagram)
-    return _emit_verdict(args, obstruction.connected_sum_commutativity(k1, k2, query))
+    return _emit_verdict(args, obstruction.connected_sum_commutativity(k1, k2, _query(args)))
 
 
 def _add_query_flags(p: argparse.ArgumentParser, need_act_on: bool = True):

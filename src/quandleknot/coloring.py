@@ -1,4 +1,5 @@
-"""Quandle coloring enumeration for long, closed, and tangle diagrams.
+"""Quandle coloring enumeration for long, closed, and tangle diagrams, at a basepoint
+color; the query that adds the element acted on is ``longitude.InvariantQuery``.
 
 Each crossing contributes the relation ``color(out) = color(in) op color(over)``
 with ``op`` being ``*`` for sign +1 and ``*bar`` for sign -1.  The search
@@ -43,19 +44,6 @@ class Coloring:
         if len(self.strands) != 1:
             raise ValueError("arc_colors is for single-strand diagrams; use strands")
         return self.strands[0]
-
-
-@dataclass(frozen=True)
-class InvariantQuery:
-    """A quandle together with the basepoint color q and the element x acted on."""
-
-    quandle: FiniteQuandle
-    basepoint: int
-    act_on: int
-
-    def __post_init__(self):
-        _check_index(self.basepoint, len(self.quandle), "basepoint")
-        _check_index(self.act_on, len(self.quandle), "act-on")
 
 
 def _check_index(x, m: int, name: str) -> None:

@@ -1,10 +1,12 @@
-"""Quandle longitudes, colored longitudes, invariant families, and formal sums.
+"""Queries, colored longitudes, invariant families, and formal sums.
 
 The longitude of an n-crossing long diagram is the 2n-letter word that lists,
 for crossing i, the under-arc entering it and then its over-arc.  The under
 letter is barred exactly when the crossing sign is +1, the over letter when it
 is -1; evaluating the word in a coloring and folding left-normed translations
-yields a quandle automorphism.
+yields a quandle automorphism.  Every fold of a colored word is here (``_fold``,
+``_images``).  A family is kept as {longitude images: number of colorings}, and
+its formal sum S^x is the family pushed forward by phi -> phi(x) (``_sum_at``).
 """
 from __future__ import annotations
 
@@ -13,9 +15,33 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .coloring import Coloring, InvariantQuery, _colors, colorings_long, colorings_tangle_boundary_mono
+from .coloring import Coloring, _check_index, _colors, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
-from .quandle import Automorphism, FiniteQuandle, QuandleWord, _fold, _pick
+from .quandle import Automorphism, FiniteQuandle, _pick
+
+QuandleWord = tuple[tuple[int, bool], ...]
+"""A left-normed word: (element index, barred) letters folded left to right."""
+
+
+@dataclass(frozen=True)
+class InvariantQuery:
+    """A quandle together with the basepoint color q and the element x acted on."""
+
+    quandle: FiniteQuandle
+    basepoint: int
+    act_on: int
+
+    def __post_init__(self):
+        _check_index(self.basepoint, len(self.quandle), "basepoint")
+        _check_index(self.act_on, len(self.quandle), "act-on")
+
+
+def _fold(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]], colors: Sequence[int]) -> int:
+    """Left-normed fold, unchecked: acc <- acc * colors[i] (or *bar) for each letter ``(i, barred)``."""
+    acc, tables = start, (q.star, q.barstar)
+    for i, barred in word:
+        acc = tables[barred][acc][colors[i]]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -62,12 +88,13 @@ class AutomorphismFamily:
         return len(self.members)
 
 
-def _longitudes(pieces: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
+def _longitudes(codes: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
                 memo: dict) -> dict[tuple[int, ...], int]:
-    """{longitude images: number of colorings} over the colorings of the pieces' ``concat``
+    """{longitude images: number of colorings} over the colorings of the codes' ``concat``
     at the basepoint.
 
-    Each piece's crossings touch only its own arcs, so such a coloring is one
+    The codes are split into the pieces each is the connected sum of.  Each
+    piece's crossings touch only its own arcs, so such a coloring is one
     coloring per piece, each starting at the color on which the one before
     it ends, and its longitude is theirs composed, first piece first.  By Q1 a
     longitude maps the color it starts at to the color it ends at, so the
@@ -77,7 +104,7 @@ def _longitudes(pieces: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
     ``memo`` keeps, per piece and start color, the counted longitudes of the piece under q.
     """
     found = {None: 1}
-    for piece in pieces:
+    for piece in chain.from_iterable(d._pieces for d in codes):
         known, step = memo.setdefault(piece, {}), {}
         for acc, count in found.items():
             start = basepoint if acc is None else acc[basepoint]
@@ -96,7 +123,7 @@ def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> Automo
     coloring in sorted order, composed from those of the codes it is a connected sum of (``_longitudes``).
     Equal members are one ``Automorphism``."""
     _require(d, "longitude_family", LongDiagram)
-    counts = sorted(_longitudes(d._pieces, q, basepoint, {}).items())
+    counts = sorted(_longitudes((d,), q, basepoint, {}).items())
     return AutomorphismFamily(q, tuple(chain.from_iterable(repeat(Automorphism(q, image), n)
                                                            for image, n in counts)))
 
@@ -164,6 +191,15 @@ def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[
     q, x = query.quandle, query.act_on
     rows = [sum(c.strands, ()) for c in colorings]
     return tuple(FormalSum.from_elements(q, [_fold(q, x, word, row) for row in rows]) for word in words)
+
+
+def _sum_at(family: Mapping[tuple[int, ...], int], query: InvariantQuery) -> FormalSum:
+    """The formal sum of a counted family (``_longitudes``) at the query's act-on element:
+    each longitude's image of it, as many times as it has colorings."""
+    x, at_x = query.act_on, Counter()
+    for images, n in family.items():
+        at_x[images[x]] += n
+    return FormalSum.from_counts(query.quandle, at_x)
 
 
 def formal_sum(d: LongDiagram | ClosedDiagram, query: InvariantQuery) -> FormalSum:

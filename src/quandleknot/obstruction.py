@@ -7,14 +7,14 @@ fallback outcome is always "inconclusive".
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .coloring import InvariantQuery
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_before_underpass, mirror
 from .longitude import (
     FormalSum,
+    InvariantQuery,
     _longitudes,
+    _sum_at,
     formal_sum,
     sum_equal,
     sum_included,
@@ -52,6 +52,8 @@ class Verdict:
 
 def chirality_test(d: ClosedDiagram | LongDiagram, query: InvariantQuery, jobs: int = 1) -> Verdict:
     """Distinct sums for a diagram and its mirror certify a chiral knot (``formal_sum`` breaks a closed one).
+    An involutory quandle (``barstar is star``, as for ``dihedral:n``) never certifies: ``mirror``
+    only flips signs, which then change neither the relations nor the longitude folds.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     s = formal_sum(d, query)
     s_mirror = formal_sum(mirror(d), query)
@@ -96,19 +98,13 @@ def connected_sum_commutativity(k1: LongDiagram, k2: LongDiagram,
     Neither concatenation is searched: each family is composed from the
     longitudes of the pieces the factors split into (``_longitudes``), with
     one memo for both orders, so each piece is searched once per color it
-    starts at.  Each family is kept as longitude images -> number of
-    colorings, and its formal sum adds each longitude's image of ``act_on``
-    that many times.  Equal families give equal sums, so the families decide.
+    starts at.  Each sum is its family pushed forward to ``act_on``
+    (``_sum_at``); equal families give equal sums, so the families decide.
     ``jobs`` is ignored; it stays because ``perfbench/run.py`` passes it."""
     _require(k1, "connected_sum_commutativity", LongDiagram)
     _require(k2, "connected_sum_commutativity", LongDiagram)
-    q, x, memo = query.quandle, query.act_on, {}
-    families = {name: _longitudes(a._pieces + b._pieces, q, query.basepoint, memo)
-                for name, a, b in (("K1#K2", k1, k2), ("K2#K1", k2, k1))}
-    sums = {}
-    for name, family in families.items():
-        at_x = Counter()
-        for phi, n in family.items():
-            at_x[phi[x]] += n
-        sums[name] = FormalSum.from_counts(q, at_x)
-    return Verdict(DISTINCT if families["K1#K2"] != families["K2#K1"] else INCONCLUSIVE, sums)
+    memo = {}
+    families = {name: _longitudes(codes, query.quandle, query.basepoint, memo)
+                for name, codes in (("K1#K2", (k1, k2)), ("K2#K1", (k2, k1)))}
+    return Verdict(DISTINCT if families["K1#K2"] != families["K2#K1"] else INCONCLUSIVE,
+                   {name: _sum_at(family, query) for name, family in families.items()})

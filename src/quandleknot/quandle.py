@@ -3,8 +3,11 @@
 A quandle is given by its ``star`` table for ``*``; ``barstar``, for the
 inverse operation, is derived from it.  Both are held as tuple rows, built and
 checked in plain Python, and every layer reads them or their transposes, the
-right translations; the package does not import numpy.  Elements are
-identified by position; labels are display strings only.
+right translations; the package does not import numpy.  Words over the
+tables are folded in ``longitude``.  Elements are identified by position;
+labels are display strings, distinct and equal to their own ``strip()``, so a
+label written to a quandle file reads back and an element named with padding
+is still that element.
 Conjugation quandles use ``a * b = b^-1 a b`` and ``a *bar b = b a b^-1`` with
 the composition convention from ``permgroup``.
 """
@@ -21,9 +24,6 @@ from typing import Iterable, Sequence
 
 from . import permgroup
 from .permgroup import ElementSet
-
-QuandleWord = tuple[tuple[int, bool], ...]
-"""A left-normed word: (element index, barred) letters folded left to right."""
 
 
 def _pick(seq, keys: Sequence[int]) -> tuple:
@@ -69,6 +69,9 @@ class FiniteQuandle:
 
     def __post_init__(self):
         m = len(self.labels)
+        for label in self.labels:
+            if not isinstance(label, str) or label != label.strip():
+                raise ValueError(f"labels must be strings without surrounding whitespace, got {label!r}")
         if len(set(self.labels)) != m:
             raise ValueError("labels must be pairwise distinct")
         if type(self.degree) is not int or self.degree < 0:
@@ -301,23 +304,6 @@ class Automorphism:
         return self.images[i]
 
 
-def _fold(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]], colors: Sequence[int]) -> int:
-    """Left-normed fold, unchecked: acc <- acc * colors[i] (or *bar) for each letter ``(i, barred)``."""
-    acc, tables = start, (q.star, q.barstar)
-    for i, barred in word:
-        acc = tables[barred][acc][colors[i]]
-    return acc
-
-
-def eval_word(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]]) -> int:
-    """Left-normed fold: acc <- acc * letter (or *bar letter) for each letter."""
-    m, word = len(q), tuple(word)
-    for elem in (start, *(elem for elem, _ in word)):
-        if not 0 <= elem < m:
-            raise ValueError(f"element index {elem} out of range")
-    return _fold(q, start, word, range(m))
-
-
 # --- quandle spec strings and JSON files ---------------------------------
 
 _DIHEDRAL_RE = re.compile(r"dihedral:([0-9]+)$")
@@ -392,7 +378,7 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         permgroup.check_degree(degree)
     try:
         labels = obj["labels"]
-        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        if not isinstance(labels, list):  # the constructor checks each label
             raise ValueError("malformed quandle JSON: labels must be a list of strings")
         permgroup.check_size(len(labels))
         star, barstar = obj["star"], obj.get("barstar")

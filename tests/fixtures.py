@@ -17,21 +17,30 @@ import quandleknot as qk
 
 # --- braid machinery --------------------------------------------------------
 
-def braid_closure(word: list[int], strands: int) -> qk.ClosedDiagram:
-    """Signed Gauss code of the closure of a braid word (knots only).
+def position(letter) -> int:
+    """j for the letters +j, -j and "vj", which act on positions j and j+1."""
+    return int(letter[1:]) if isinstance(letter, str) else abs(letter)
+
+
+def _braid_tokens(word: list, strands: int) -> str:
+    """Signed Gauss tokens of the closure of a braid word (knots only), traversed from the
+    top of position 1.
 
     Letter +j crosses the strand in position j over position j+1; -j crosses
-    it under.  The closure joins each bottom position to its top position.
+    it under.  The virtual letter "vj" swaps positions j and j+1 without a
+    crossing, so it adds no token.  The closure joins each bottom position to
+    its top position.
     """
     encounters = []
     pos = 1
     passes = 0
     while True:
         for k, letter in enumerate(word):
-            j = abs(letter)
+            j = position(letter)
             if pos == j or pos == j + 1:
-                over = (letter > 0) == (pos == j)
-                encounters.append((k + 1, over, "+" if letter > 0 else "-"))
+                if not isinstance(letter, str):
+                    over = (letter > 0) == (pos == j)
+                    encounters.append((k + 1, over, "+" if letter > 0 else "-"))
                 pos = j + 1 if pos == j else j
         passes += 1
         if pos == 1:
@@ -40,19 +49,38 @@ def braid_closure(word: list[int], strands: int) -> qk.ClosedDiagram:
             raise ValueError("closure is not a knot")
     if passes != strands:
         raise ValueError("closure has multiple components")
-    tokens = " ".join(f"{'O' if over else 'U'}{cid}{s}" for cid, over, s in encounters)
-    d = qk.from_signed_gauss(tokens)
+    return " ".join(f"{'O' if over else 'U'}{cid}{s}" for cid, over, s in encounters)
+
+
+def braid_closure(word: list, strands: int) -> qk.ClosedDiagram:
+    """The closed code of the closure of a braid word, letters as in ``_braid_tokens``."""
+    d = qk.from_signed_gauss(_braid_tokens(word, strands))
     assert isinstance(d, qk.ClosedDiagram)
     return d
 
 
-def knot_word(word: list[int], strands: int) -> list[int]:
+def braid_long(word: list, strands: int) -> qk.LongDiagram:
+    """The long code of the closure cut at the top of position 1.  A move inside the braid
+    leaves that point alone, so it keeps the long knot, virtual or not; ``break_at(d, 1)``
+    cuts after the last under-passage instead, which such a move can shift."""
+    return qk.from_signed_gauss("long:" + _braid_tokens(word, strands))
+
+
+def braid_letters(strands: int, virtual: bool = False):
+    """A strategy for the letters +j and -j on ``strands`` strands; with ``virtual``, a third
+    of them are "vj" instead."""
+    return st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1, 0) if virtual else (1, -1))).map(
+        lambda pair: pair[0] * pair[1] or f"v{pair[0]}")
+
+
+def knot_word(word: list, strands: int) -> list:
     """``word`` with letters appended until its closure is a knot: each added
     letter swaps two adjacent positions in different cycles of the braid's
-    permutation, which merges those cycles."""
+    permutation, which merges those cycles.  Virtual letters permute positions
+    as classical ones do; the added letters are classical."""
     word, perm = list(word), list(range(strands))
     for letter in word:
-        j = abs(letter) - 1
+        j = position(letter) - 1
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
     while True:
         cycle = [-1] * strands
@@ -152,9 +180,10 @@ def a6_quandle() -> qk.FiniteQuandle:
     return qk.parse_quandle_spec("conjgroup:A6")
 
 
-# built from specs: connected and not, 5 to 60 elements
-SPEC_QUANDLES = st.sampled_from(tuple(qk.parse_quandle_spec(spec) for spec in (
-    "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)")))
+# built from specs: connected and not, 5 to 60 elements; SPEC_QUANDLES draws them
+SPEC_QUANDLE_LIST = tuple(qk.parse_quandle_spec(spec) for spec in (
+    "conjgroup:S4", "conjgroup:A4", "conjgroup:A5", "dihedral:5", "conjclass:S4:(1,2)"))
+SPEC_QUANDLES = st.sampled_from(SPEC_QUANDLE_LIST)
 
 # the class of the 7-cycle in PSL(2,7) (order 168), 24 elements: K1#K2 and K2#K1 can have different
 # families under it, which no draw under the quandles of SPEC_QUANDLES has shown

@@ -3,11 +3,11 @@ Alexander quandles by linear algebra, coloring counts of braid closures as
 fixed points of the braid's action on Q^n, the propagating coloring search the
 planned one replaced, the composed-translation route to colored longitudes
 (with the translation and automorphism helpers it needs, and a pairwise
-automorphism check),
-longitude families evaluated one element at a time, conjugation tables built
-one entry at a time, the axioms by a triple loop, orbits grown by every
-generator and its inverse, the orbit of a color under the right translations,
-and the cycle type of a permutation.
+automorphism check), a left-normed word folded one ``FiniteQuandle.op`` at a
+time, longitude families evaluated one element at a time through it,
+conjugation tables built one entry at a time, the axioms by a triple loop,
+orbits grown by every generator and its inverse, the orbit of a color under
+the right translations, and the cycle type of a permutation.
 
 These deliberately avoid the package's search machinery so that agreement is
 meaningful.  Brute force filters every assignment of |Q|^arcs and is only
@@ -215,16 +215,20 @@ def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle) -> in
     """The number of x in Q^strands with β·x = x, which is the number of colorings
     of the closure of the braid β = ``word`` summed over the color of arc 1.
 
-    Letter +j sends the colors (a, b) at positions (j, j+1) to (b * a, a), and
-    -j sends them to (b, a *bar b): one gather per letter over all m^strands
-    vectors, without compiling the closure's diagram."""
+    Letter +j sends the colors (a, b) at positions (j, j+1) to (b * a, a), -j
+    sends them to (b, a *bar b), and the virtual letter "vj" to (b, a): one
+    gather per letter over all m^strands vectors, without compiling the
+    closure's diagram."""
     star, barstar = np.array(q.star), np.array(q.barstar)
     x = np.indices((len(q),) * strands).reshape(strands, -1)  # [position, vector]
     y = x.copy()
     for letter in word:
-        j = abs(letter) - 1
+        j = (int(letter[1:]) if isinstance(letter, str) else abs(letter)) - 1
         a, b = y[j].copy(), y[j + 1].copy()
-        y[j], y[j + 1] = (star[b, a], a) if letter > 0 else (b, barstar[a, b])
+        if isinstance(letter, str):
+            y[j], y[j + 1] = b, a
+        else:
+            y[j], y[j + 1] = (star[b, a], a) if letter > 0 else (b, barstar[a, b])
     return int((y == x).all(axis=0).sum())
 
 
@@ -324,8 +328,21 @@ def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
     return acc
 
 
+def eval_word(q: qk.FiniteQuandle, start: int, word) -> int:
+    """Left-normed fold: acc <- acc * letter (or *bar letter) for each ``(element, barred)``
+    letter, one ``q.op`` per letter; ValueError for an element index out of range."""
+    m, word = len(q), tuple(word)
+    for elem in (start, *(elem for elem, _ in word)):
+        if not 0 <= elem < m:
+            raise ValueError(f"element index {elem} out of range")
+    acc = start
+    for elem, barred in word:
+        acc = q.op(acc, elem, barred)
+    return acc
+
+
 def _images_by_eval_word(q: qk.FiniteQuandle, word) -> tuple[int, ...]:
-    return tuple(qk.eval_word(q, x, word) for x in range(len(q)))
+    return tuple(eval_word(q, x, word) for x in range(len(q)))
 
 
 def longitude_family_images(d: qk.LongDiagram, q: qk.FiniteQuandle, basepoint: int):

@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import quandleknot as qk
+from quandleknot import cli
 from quandleknot.cli import main
 import fixtures as fx
 
 FIXTURE_DIR = Path(__file__).parent.parent / "fixtures"
+PADDED_LABEL = Path(__file__).parent / "data" / "quandle_padded_label.json"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -256,6 +258,26 @@ class TestRefusedInputs:
         argv = [fixture(a) if a.endswith(".json") else a for a in argv]
         err = run_error(capsys, *argv, "--quandle", "dihedral:3", "--basepoint", "0")
         assert "diagram" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["connected-sum", "--diagram", "knot_5_2_long.json"],
+        ["colorings", "--tangle", "tangle_t62.json"],
+        ["invariant", "--diagram", "no_such_diagram.json"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_cheap_mistakes_refused_before_the_quandle_is_built(self, argv, capsys, monkeypatch):
+        # under conjgroup:A7 building the quandle alone takes about a second
+        def build(*args, **kwargs):
+            raise AssertionError("the quandle was built")
+        monkeypatch.setattr(cli, "_load_quandle", build)
+        argv = [fixture(a) if a.endswith(".json") else a for a in argv]
+        run_error(capsys, *argv, "--quandle", "conjgroup:A7", "--basepoint", "()")
+
+    def test_padded_label_file_refused(self, capsys):
+        # element_index strips its input, so " a" would name the element labelled "a"
+        err = run_error(capsys, "invariant", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", str(PADDED_LABEL), "--basepoint", "a")
+        assert err == ("error: malformed quandle JSON: labels must be strings without surrounding whitespace, "
+                       "got ' a'\n")
 
     def test_oversized_group_refused_quickly(self, capsys):
         start = time.perf_counter()

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quandleknot as qk
@@ -333,13 +333,14 @@ class TestSymmetries:
 
 
 @st.composite
-def braid_words(draw, strands, lengths):
+def braid_words(draw, strands, lengths, virtual=False):
     """A random braid word on one of ``strands`` strands whose closure is a knot,
-    its length drawn from ``lengths`` before letters are added to make it one."""
+    its length drawn from ``lengths`` before letters are added to make it one;
+    with ``virtual``, a third of the drawn letters are virtual ("vj")."""
     strands = draw(st.sampled_from(strands))
-    letters = st.tuples(st.integers(1, strands - 1), fx.SIGNS).map(lambda pair: pair[0] * pair[1])
     length = draw(lengths)
-    return fx.knot_word(draw(st.lists(letters, min_size=length, max_size=length)), strands), strands
+    return fx.knot_word(draw(st.lists(fx.braid_letters(strands, virtual), min_size=length, max_size=length)),
+                        strands), strands
 
 
 def braid_knots():
@@ -395,6 +396,15 @@ class TestBraidFixedPoints:
     @given(braid_words((2, 3, 4), st.integers(13, 60)), st.sampled_from(FIXED_POINT_QUANDLES))
     def test_closure_counts_match_fixed_points(self, braid, q):
         # non-abelian quandles, where the Alexander count does not reach
+        d = fx.braid_closure(*braid)
+        total = sum(len(qk.colorings_closed(d, q, basepoint)) for basepoint in range(len(q)))
+        assert total == oracles.braid_fixed_points(*braid, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(braid_words((2, 3, 4), st.integers(13, 60), virtual=True), st.sampled_from(FIXED_POINT_QUANDLES))
+    def test_virtual_closure_counts_match_fixed_points(self, braid, q):
+        # a virtual letter swaps two colors and adds no crossing to fixtures.braid_closure's code
+        assume(any(isinstance(letter, int) for letter in braid[0]))  # a closed code has a crossing
         d = fx.braid_closure(*braid)
         total = sum(len(qk.colorings_closed(d, q, basepoint)) for basepoint in range(len(q)))
         assert total == oracles.braid_fixed_points(*braid, q)

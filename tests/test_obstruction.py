@@ -13,6 +13,9 @@ WITNESS_PATH = Path(__file__).parent / "data" / "virtual_witness.json"
 FIXTURE_LONG = (fx.UNKNOT_LONG, fx.SINGLE_POSITIVE_KINK, fx.SINGLE_NEGATIVE_KINK, fx.KNOT_5_2_LONG,
                 qk.break_at(fx.TREFOIL_CLOSED, 1), fx.t62_closure_long(),
                 qk.break_at(fx.VIRTUAL_WITNESS_CODE, 1), qk.break_at(fx.VIRTUAL_WITNESS_CODE, 2))
+# every right translation an involution, so barstar is star
+INVOLUTORY = tuple(qk.parse_quandle_spec(spec) for spec in (
+    "dihedral:3", "dihedral:5", "dihedral:7", "conjclass:S4:(1,2)", "conjclass:S5:(1,2)(3,4)"))
 
 
 class TestChirality:
@@ -46,6 +49,19 @@ class TestChirality:
         assert a.kind == b.kind == "distinct"
         assert a.sums["diagram"] == b.sums["mirror"]
         assert a.sums["mirror"] == b.sums["diagram"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(fx.codes(), st.sampled_from(INVOLUTORY), st.data())
+    def test_involutory_quandles_never_certify(self, d, q, data):
+        # mirror only flips signs, and with *bar equal to * that changes neither the relations
+        # nor the longitude folds; tangles, which chirality_test refuses, keep their sums too
+        assert q.barstar is q.star
+        query = qk.InvariantQuery(q, data.draw(st.integers(0, len(q) - 1)), data.draw(st.integers(0, len(q) - 1)))
+        if isinstance(d, qk.TangleDiagram):
+            assert qk.tangle_sums(d, query) == qk.tangle_sums(qk.mirror(d), query)
+            return
+        verdict = qk.chirality_test(d, query)
+        assert verdict.kind == "inconclusive" and verdict.sums["diagram"] == verdict.sums["mirror"]
 
     def test_witness_reverifies(self, s5_class):
         q = fx.query_5_2()

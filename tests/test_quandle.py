@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import quandleknot as qk
 from quandleknot import permgroup as pg
+import fixtures as fx
 import oracles
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +54,17 @@ class TestConstructors:
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError):
             qk.FiniteQuandle(("a", "a"), ((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("labels, named", [
+        ((1, "1"), "1"),  # quandle_to_json would write a file that quandle_from_json refuses
+        ((" a", "a"), "' a'"),  # element_index(" a") strips its input and would return 1
+        (("a", "b\n"), "'b\\n'"),
+        ((["a"], "b"), "['a']"),  # not hashable either
+    ])
+    def test_labels_must_be_unpadded_strings(self, labels, named):
+        with pytest.raises(ValueError, match=re.escape(f"labels must be strings without surrounding whitespace, "
+                                                       f"got {named}")):
+            qk.FiniteQuandle(labels, ((0, 0), (1, 1)))
 
     def test_array_tables_equal_tuple_tables(self, s5_class):
         for dtype in (np.int64, np.uint16):
@@ -378,9 +391,12 @@ class TestTranslationsAndWords:
 
     def test_eval_word(self):
         d3 = qk.dihedral(3)
-        assert qk.eval_word(d3, 0, ()) == 0
-        assert qk.eval_word(d3, 1, ((2, False), (2, True))) == 1  # Q2 cancellation
-        assert qk.eval_word(d3, 0, ((1, False), (2, False))) == 2
+        assert oracles.eval_word(d3, 0, ()) == 0
+        assert oracles.eval_word(d3, 1, ((2, False), (2, True))) == 1  # Q2 cancellation
+        assert oracles.eval_word(d3, 0, ((1, False), (2, False))) == 2
+        for start, word in ((3, ()), (0, ((1, False), (-1, True))), (0, ((3, False),))):
+            with pytest.raises(ValueError, match="out of range"):
+                oracles.eval_word(d3, start, word)
 
     def test_compose_with_identity(self, s5_class):
         f = oracles.translation(s5_class, 3)
@@ -402,8 +418,8 @@ class TestTranslationsAndWords:
         d5 = qk.dihedral(5)
         word = ((1, False), (3, True), (2, False), (4, False))
         for cut in range(len(word) + 1):
-            mid = qk.eval_word(d5, 2, word[:cut])
-            assert qk.eval_word(d5, mid, word[cut:]) == qk.eval_word(d5, 2, word)
+            mid = oracles.eval_word(d5, 2, word[:cut])
+            assert oracles.eval_word(d5, mid, word[cut:]) == oracles.eval_word(d5, 2, word)
 
 
 class TestSpecStringsAndJson:
@@ -444,6 +460,19 @@ class TestSpecStringsAndJson:
         assert back == s5_class
         obj = json.loads(text)
         assert set(obj) == {"degree", "labels", "star"}
+        for q in fx.SPEC_QUANDLE_LIST:
+            assert qk.quandle_from_json(qk.quandle_to_json(q)) == q
+
+    def test_padded_label_file_refused(self):
+        text = (DATA / "quandle_padded_label.json").read_text()
+        with pytest.raises(ValueError) as refused:
+            qk.quandle_from_json(text)
+        assert str(refused.value) == ("malformed quandle JSON: labels must be strings without surrounding "
+                                      "whitespace, got ' a'")
+        obj = json.loads(text)
+        obj["labels"] = [1, "1"]
+        with pytest.raises(ValueError, match="^malformed quandle JSON: labels must be strings .*, got 1$"):
+            qk.quandle_from_json(json.dumps(obj))
 
     def test_two_table_file_still_loads(self):
         # a file in the older format, which also stored barstar
