@@ -22,21 +22,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._value import Value
 from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, System, TangleDiagram, _compile, _require
 from .quandle import FiniteQuandle
 
 Candidates = Callable[[int, int], Sequence[int]]  # (color of in-arc, color of out-arc) -> colors
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Value):
     """Arc colors (quandle element indices) per strand, in traversal order."""
 
-    diagram: Diagram
-    strands: tuple[tuple[int, ...], ...]
+    _fields = ("diagram", "strands")
+
+    def __init__(self, diagram: Diagram, strands: tuple[tuple[int, ...], ...]):
+        self.__dict__["diagram"] = diagram  # one store per field: a search makes one per coloring
+        self.__dict__["strands"] = strands
 
     @property
     def arc_colors(self) -> tuple[int, ...]:

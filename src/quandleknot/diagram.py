@@ -19,8 +19,8 @@ import itertools
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import ClassVar
+
+from ._value import Value
 
 
 class _Diagram:
@@ -34,26 +34,24 @@ def _check_signs(sign: tuple[int, ...]):
         raise ValueError("signs must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class _GaussCode(_Diagram):
-    """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order, as tuples of ints."""
+class _GaussCode(_Diagram, Value):
+    """Crossing i's over-arc and sign, i = 1..n, over arcs in traversal order, as tuples of ints.
+    Each kind sets the class flag ``closed``."""
 
-    over_arc: tuple[int, ...]
-    sign: tuple[int, ...]
-    closed: ClassVar[bool]
+    _fields = ("over_arc", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "over_arc", tuple(self.over_arc))
-        object.__setattr__(self, "sign", tuple(self.sign))
-        n = len(self.over_arc)
+    def __init__(self, over_arc: tuple[int, ...], sign: tuple[int, ...]):
+        over_arc, sign = tuple(over_arc), tuple(sign)
+        n = len(over_arc)
         if self.closed and n < 1:
             raise ValueError("closed diagrams need at least one crossing")
-        if len(self.sign) != n:
+        if len(sign) != n:
             raise ValueError("over_arc and sign must have equal length")
-        _check_signs(self.sign)
+        _check_signs(sign)
         top = n + (not self.closed)
-        if any(type(a) is not int or not 1 <= a <= top for a in self.over_arc):
+        if any(type(a) is not int or not 1 <= a <= top for a in over_arc):
             raise ValueError(f"over-arc reference outside 1..{top}")
+        self.__dict__.update(over_arc=over_arc, sign=sign)
 
     @property
     def n(self) -> int:
@@ -64,7 +62,6 @@ class _GaussCode(_Diagram):
         return self.n + (not self.closed)
 
 
-@dataclass(frozen=True)
 class LongDiagram(_GaussCode):
     """n crossings over arcs 1..n+1 in traversal order; n = 0 is the unknot."""
 
@@ -85,34 +82,32 @@ class LongDiagram(_GaussCode):
                      for lo, hi in itertools.pairwise((0, *cuts, self.n)))
 
 
-@dataclass(frozen=True)
 class ClosedDiagram(_GaussCode):
     """n >= 1 crossings over arcs 1..n cyclically."""
 
     closed = True
 
 
-@dataclass(frozen=True)
-class TangleCrossing:
-    """One under-passage: which strand/arc passes over, and the crossing sign."""
+class TangleCrossing(Value):
+    """One under-passage: which strand (1 or 2) and arc pass over, and the crossing sign."""
 
-    over_strand: int  # 1 or 2
-    over_arc: int
-    sign: int
+    _fields = ("over_strand", "over_arc", "sign")
+
+    def __init__(self, over_strand: int, over_arc: int, sign: int):
+        self.__dict__.update(over_strand=over_strand, over_arc=over_arc, sign=sign)
 
 
-@dataclass(frozen=True)
-class TangleDiagram(_Diagram):
+class TangleDiagram(_Diagram, Value):
     """Two oriented strands, as tuples; strand s has its own arcs 1..n_s+1 in traversal order."""
 
-    strands: tuple[tuple[TangleCrossing, ...], tuple[TangleCrossing, ...]]
+    _fields = ("strands",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "strands", tuple(map(tuple, self.strands)))
-        if len(self.strands) != 2:
+    def __init__(self, strands: tuple[tuple[TangleCrossing, ...], tuple[TangleCrossing, ...]]):
+        strands = tuple(map(tuple, strands))
+        if len(strands) != 2:
             raise ValueError("tangles have exactly two strands")
-        arcs = [len(s) + 1 for s in self.strands]
-        for strand in self.strands:
+        arcs = [len(s) + 1 for s in strands]
+        for strand in strands:
             for c in strand:
                 if type(c.over_strand) is not int or c.over_strand not in (1, 2):
                     raise ValueError(f"over_strand must be 1 or 2, got {c.over_strand}")
@@ -122,6 +117,7 @@ class TangleDiagram(_Diagram):
                         f"over-arc {c.over_arc} outside 1..{arcs[c.over_strand - 1]} "
                         f"on strand {c.over_strand}"
                     )
+        self.__dict__["strands"] = strands
 
 
 Diagram = LongDiagram | ClosedDiagram | TangleDiagram
@@ -215,7 +211,9 @@ def parse_diagram(text: str) -> Diagram:
                 for strand in _objects(obj["strands"], "strands")
             )
             return TangleDiagram(strands)
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed diagram JSON: missing field {exc}") from None
+    except TypeError as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from None
     raise ValueError(f"unknown diagram kind {kind!r}")
 

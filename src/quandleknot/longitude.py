@@ -11,10 +11,10 @@ its formal sum S^x is the family pushed forward by phi -> phi(x) (``_sum_at``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
 
+from ._value import Value
 from .coloring import Coloring, _check_index, _colors, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
 from .quandle import Automorphism, FiniteQuandle, _pick
@@ -23,17 +23,15 @@ QuandleWord = tuple[tuple[int, bool], ...]
 """A left-normed word: (element index, barred) letters folded left to right."""
 
 
-@dataclass(frozen=True)
-class InvariantQuery:
+class InvariantQuery(Value):
     """A quandle together with the basepoint color q and the element x acted on."""
 
-    quandle: FiniteQuandle
-    basepoint: int
-    act_on: int
+    _fields = ("quandle", "basepoint", "act_on")
 
-    def __post_init__(self):
-        _check_index(self.basepoint, len(self.quandle), "basepoint")
-        _check_index(self.act_on, len(self.quandle), "act-on")
+    def __init__(self, quandle: FiniteQuandle, basepoint: int, act_on: int):
+        _check_index(basepoint, len(quandle), "basepoint")
+        _check_index(act_on, len(quandle), "act-on")
+        self.__dict__.update(quandle=quandle, basepoint=basepoint, act_on=act_on)
 
 
 def _fold(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]], colors: Sequence[int]) -> int:
@@ -44,11 +42,13 @@ def _fold(q: FiniteQuandle, start: int, word: Iterable[tuple[int, bool]], colors
     return acc
 
 
-@dataclass(frozen=True)
-class SymbolicLongitude:
+class SymbolicLongitude(Value):
     """The longitude as (arc, barred) letters over arc generators x1..x(n+1)."""
 
-    letters: tuple[tuple[int, bool], ...]
+    _fields = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[int, bool], ...]):
+        self.__dict__["letters"] = letters
 
     def render(self) -> str:
         body = ", ".join(("x̄" if barred else "x") + str(arc) for arc, barred in self.letters)
@@ -77,12 +77,13 @@ def colored_longitude(coloring: Coloring, q: FiniteQuandle) -> Automorphism:
     return Automorphism(q, _images(q, letters, _colors(coloring, len(q))))
 
 
-@dataclass(frozen=True)
-class AutomorphismFamily:
+class AutomorphismFamily(Value):
     """A multiset of automorphisms in canonical order (sorted image tuples)."""
 
-    quandle: FiniteQuandle
-    members: tuple[Automorphism, ...]
+    _fields = ("quandle", "members")
+
+    def __init__(self, quandle: FiniteQuandle, members: tuple[Automorphism, ...]):
+        self.__dict__.update(quandle=quandle, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -128,12 +129,14 @@ def longitude_family(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> Automo
                                                            for image, n in counts)))
 
 
-@dataclass(frozen=True)
-class FormalSum:
-    """Nonnegative integer combination of quandle elements; zero terms omitted."""
+class FormalSum(Value):
+    """Nonnegative integer combination of quandle elements; zero terms omitted.
+    ``terms`` are (element index, coefficient) pairs, sorted by element."""
 
-    quandle: FiniteQuandle
-    terms: tuple[tuple[int, int], ...]  # (element index, coefficient), sorted by element
+    _fields = ("quandle", "terms")
+
+    def __init__(self, quandle: FiniteQuandle, terms: tuple[tuple[int, int], ...]):
+        self.__dict__.update(quandle=quandle, terms=terms)
 
     @classmethod
     def from_elements(cls, q: FiniteQuandle, elements: Iterable[int]) -> "FormalSum":
@@ -141,7 +144,12 @@ class FormalSum:
 
     @classmethod
     def from_counts(cls, q: FiniteQuandle, counts: Mapping[int, int]) -> "FormalSum":
-        """The sum with coefficient ``counts[e]`` at each element e; every count must be positive."""
+        """The sum with coefficient ``counts[e]`` at each element e.  ValueError unless every
+        count is a positive int and every e an element index of q."""
+        for e, n in counts.items():
+            if type(n) is not int or n < 1:
+                raise ValueError(f"formal sum count must be a positive int, got {n!r}")
+            _check_index(e, len(q), "formal sum element")
         return cls(q, tuple(sorted(counts.items())))
 
     def coefficient(self, element: int) -> int:

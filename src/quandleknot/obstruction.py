@@ -7,8 +7,8 @@ fallback outcome is always "inconclusive".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _require, break_before_underpass, mirror
 from .longitude import (
     FormalSum,
@@ -27,12 +27,13 @@ OBSTRUCTED = "obstructed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome plus the compared sums that witness it."""
 
-    kind: str
-    sums: dict[str, FormalSum] = field(default_factory=dict)
+    _fields = ("kind", "sums")
+
+    def __init__(self, kind: str, sums: dict[str, FormalSum] | None = None):
+        self.__dict__.update(kind=kind, sums={} if sums is None else sums)
 
     def payload(self) -> dict:
         return {

@@ -7,8 +7,9 @@ multiplicatively this makes ``b^-1 a b`` mean "apply b^-1, then a, then b".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
+
+from ._value import Value
 
 MAX_ELEMENTS = 2896
 """Largest element set (and so quandle) built: m*m <= 2**23 table entries.
@@ -29,16 +30,28 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"a permutation degree must be in 1..{MAX_ELEMENTS}")
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A bijection of {1..m}, stored as the tuple (p(1), ..., p(m))."""
+class Permutation(Value):
+    """A bijection of {1..m}, stored as the tuple (p(1), ..., p(m)); ordered by that tuple."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self):
-        m = len(self.images)
-        if sorted(self.images) != list(range(1, m + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{m}")
+    def __init__(self, images: tuple[int, ...]):
+        m = len(images)
+        if sorted(images) != list(range(1, m + 1)):
+            raise ValueError(f"images {images} are not a bijection of 1..{m}")
+        self.__dict__["images"] = images
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def degree(self) -> int:
@@ -129,19 +142,18 @@ def conjugate(a: Permutation, b: Permutation) -> Permutation:
     return compose(compose(inverse(b), a), b)
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(Value):
     """A finite set of same-degree permutations in canonical (sorted) order."""
 
-    degree: int
-    members: tuple[Permutation, ...] = field(default=())
+    _fields = ("degree", "members")
 
-    def __post_init__(self):
-        for p in self.members:
-            if p.degree != self.degree:
-                raise ValueError(f"degree mismatch: {p} has degree {p.degree}, expected {self.degree}")
-        if list(self.members) != sorted(set(self.members)):
+    def __init__(self, degree: int, members: tuple[Permutation, ...] = ()):
+        for p in members:
+            if p.degree != degree:
+                raise ValueError(f"degree mismatch: {p} has degree {p.degree}, expected {degree}")
+        if list(members) != sorted(set(members)):
             raise ValueError("members must be sorted and duplicate-free")
+        self.__dict__.update(degree=degree, members=members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -18,11 +18,11 @@ import itertools
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from . import permgroup
+from ._value import Value
 from .permgroup import ElementSet
 
 
@@ -39,8 +39,7 @@ def _inverse(images: Sequence[int], elements: Iterable[int]) -> list:
     return inverse
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(Value):
     """The operation table star[i][j] = i * j, with barstar[i][j] = i *bar j derived from it.
 
     ``star`` may be given as nested int sequences or as an m x m integer
@@ -62,21 +61,18 @@ class FiniteQuandle:
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
     """
 
-    labels: tuple[str, ...]
-    star: tuple[tuple[int, ...], ...]
-    degree: int = field(default=0, kw_only=True)
-    barstar: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "star", "degree")  # barstar follows from star
 
-    def __post_init__(self):
-        m = len(self.labels)
-        for label in self.labels:
+    def __init__(self, labels: tuple[str, ...], star, *, degree: int = 0):
+        m = len(labels)
+        for label in labels:
             if not isinstance(label, str) or label != label.strip():
                 raise ValueError(f"labels must be strings without surrounding whitespace, got {label!r}")
-        if len(set(self.labels)) != m:
+        if len(set(labels)) != m:
             raise ValueError("labels must be pairwise distinct")
-        if type(self.degree) is not int or self.degree < 0:
-            raise ValueError(f"degree must be a non-negative integer, got {self.degree!r}")
-        rows = self.star.tolist() if hasattr(self.star, "tolist") else self.star
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+        rows = star.tolist() if hasattr(star, "tolist") else star
         try:
             square = m > 0 and len(rows) == m and all(len(row) == m for row in rows)
         except TypeError:  # not a sequence of sequences
@@ -92,7 +88,6 @@ class FiniteQuandle:
             star = tuple(_pick(shared, row) for row in rows)
         except KeyError:
             raise ValueError("star entry out of range") from None
-        object.__setattr__(self, "star", star)
         for i in elements:
             if star[i][i] != i:
                 raise ValueError(f"star is not a quandle table ({i} * {i} != {i}, Q1)")
@@ -105,7 +100,7 @@ class FiniteQuandle:
                 if None in right[j]:
                     raise ValueError(f"star is not a quandle table (x -> x * {j} is not a bijection, Q2)")
             barstar = tuple(zip(*right))
-        object.__setattr__(self, "barstar", barstar)
+        self.__dict__.update(labels=labels, star=star, degree=degree, barstar=barstar)
 
     @functools.cached_property
     def _translations(self) -> tuple:
@@ -214,13 +209,15 @@ def trivial(n: int) -> FiniteQuandle:
     return FiniteQuandle(tuple(map(str, range(n))), tuple((i,) * n for i in range(n)))
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value):
     """Outcome of checking Q3, the one axiom a ``FiniteQuandle`` may fail; a
-    violation is data, not an exception.  Q1 and Q2 hold by construction."""
+    violation is data, not an exception.  Q1 and Q2 hold by construction.
+    ``q3_checked`` counts the triples the Q3 verdict covers: all m**3."""
 
-    q3_violation: tuple[int, ...] | None
-    q3_checked: int  # triples the Q3 verdict covers: all m**3
+    _fields = ("q3_violation", "q3_checked")
+
+    def __init__(self, q3_violation: tuple[int, ...] | None, q3_checked: int):
+        self.__dict__.update(q3_violation=q3_violation, q3_checked=q3_checked)
 
     @property
     def all_ok(self) -> bool:
@@ -293,12 +290,13 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     return AxiomReport(None, m ** 3)
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Value):
     """A bijective self-map of a quandle, stored as full image sequence."""
 
-    quandle: FiniteQuandle
-    images: tuple[int, ...]
+    _fields = ("quandle", "images")
+
+    def __init__(self, quandle: FiniteQuandle, images: tuple[int, ...]):
+        self.__dict__.update(quandle=quandle, images=images)
 
     def __call__(self, i: int) -> int:
         return self.images[i]
@@ -382,7 +380,9 @@ def quandle_from_json(text: str) -> FiniteQuandle:
             raise ValueError("malformed quandle JSON: labels must be a list of strings")
         permgroup.check_size(len(labels))
         star, barstar = obj["star"], obj.get("barstar")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed quandle JSON: missing field {exc}") from None
+    except TypeError as exc:
         raise ValueError(f"malformed quandle JSON: {exc}") from None
     try:
         q = FiniteQuandle(tuple(labels), star, degree=degree)

@@ -211,9 +211,11 @@ def alexander_count_tangle_mono(t: qk.TangleDiagram, p: int, unit: int) -> int:
     return p ** (sum(sizes) - len(ends) - _rank_mod_p(equations, p))
 
 
-def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle) -> int:
+def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle, first: int | None = None) -> int:
     """The number of x in Q^strands with β·x = x, which is the number of colorings
-    of the closure of the braid β = ``word`` summed over the color of arc 1.
+    of the closure of the braid β = ``word`` summed over the color of arc 1; with
+    ``first``, only those with x[0] = ``first``.  Arc 1 of ``fixtures.braid_closure``
+    passes the top of position 1, so that is the number with arc 1 colored ``first``.
 
     Letter +j sends the colors (a, b) at positions (j, j+1) to (b * a, a), -j
     sends them to (b, a *bar b), and the virtual letter "vj" to (b, a): one
@@ -229,7 +231,8 @@ def braid_fixed_points(word: list[int], strands: int, q: qk.FiniteQuandle) -> in
             y[j], y[j + 1] = b, a
         else:
             y[j], y[j + 1] = (star[b, a], a) if letter > 0 else (b, barstar[a, b])
-    return int((y == x).all(axis=0).sum())
+    fixed = (y == x).all(axis=0)
+    return int((fixed if first is None else fixed & (x[0] == first)).sum())
 
 
 def _propagate(assign, relations, star, barstar) -> bool:

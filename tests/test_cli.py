@@ -279,6 +279,17 @@ class TestRefusedInputs:
         assert err == ("error: malformed quandle JSON: labels must be strings without surrounding whitespace, "
                        "got ' a'\n")
 
+    def test_missing_json_field_is_named(self, capsys, tmp_path):
+        diagram_file, quandle_file = tmp_path / "d.json", tmp_path / "q.json"
+        diagram_file.write_text('{"kind": "long", "sign": []}')
+        quandle_file.write_text('{"star": [[0]]}')
+        err = run_error(capsys, "invariant", "--diagram", str(diagram_file),
+                        "--quandle", "dihedral:3", "--basepoint", "0")
+        assert err == "error: malformed diagram JSON: missing field 'over_arc'\n"
+        err = run_error(capsys, "invariant", "--diagram", fixture("trefoil_long.json"),
+                        "--quandle", str(quandle_file), "--basepoint", "0")
+        assert err == "error: malformed quandle JSON: missing field 'labels'\n"
+
     def test_oversized_group_refused_quickly(self, capsys):
         start = time.perf_counter()
         err = run_error(capsys, "verify-quandle", "--quandle", "conjgroup:S8")
@@ -458,7 +469,9 @@ def test_readme_library_block_prints_its_comments(capsys):
 
 # in a fresh interpreter: each case by cli.main, then whether any of them imported numpy
 _WITHOUT_NUMPY = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)  # what the interpreter loaded at start, before anything of this script
+import contextlib, io, json
 import quandleknot.cli as cli
 
 answers = []
@@ -469,7 +482,8 @@ for case in json.load(sys.stdin):
             code = cli.main(case["argv"] + extra)
         record[key] = {"exit": code, "stdout": stdout.getvalue()}
     answers.append(record)
-print(json.dumps({"answers": answers, "numpy": "numpy" in sys.modules}))
+added = [name for name in ("dataclasses", "inspect", "typing") if name in set(sys.modules) - before]
+print(json.dumps({"answers": answers, "numpy": "numpy" in sys.modules, "added": added}))
 """
 
 
@@ -490,3 +504,4 @@ def test_coloring_commands_run_without_numpy(tmp_path):
     report = json.loads(done.stdout)
     assert report["answers"] == cases
     assert report["numpy"] is False
+    assert report["added"] == []  # each costs start-up time: dataclasses alone pulls in inspect, dis and ast

@@ -409,6 +409,16 @@ class TestBraidFixedPoints:
         total = sum(len(qk.colorings_closed(d, q, basepoint)) for basepoint in range(len(q)))
         assert total == oracles.braid_fixed_points(*braid, q)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans().flatmap(lambda virtual: braid_words((2, 3, 4), st.integers(13, 60), virtual=virtual)),
+           st.sampled_from(FIXED_POINT_QUANDLES))
+    def test_counts_per_basepoint_match_fixed_points(self, braid, q):
+        # classical and virtual words, each basepoint on its own
+        assume(any(isinstance(letter, int) for letter in braid[0]))
+        d = fx.braid_closure(*braid)
+        for basepoint in range(len(q)):
+            assert len(qk.colorings_closed(d, q, basepoint)) == oracles.braid_fixed_points(*braid, q, basepoint)
+
 
 def _mono(shape):
     return tuple((0,) * n for n in shape)

@@ -79,6 +79,23 @@ class TestJsonCodec:
         with pytest.raises(ValueError, match=f"^malformed diagram JSON: {name} must be a list of objects$"):
             qk.parse_diagram(text)
 
+    @pytest.mark.parametrize("obj, name", [
+        ({"kind": "long", "sign": []}, "over_arc"),
+        ({"kind": "closed", "over_arc": [1]}, "sign"),
+        ({"kind": "tangle"}, "strands"),
+        ({"kind": "tangle", "strands": [{}, {"crossings": []}]}, "crossings"),
+        ({"kind": "tangle", "strands": [{"crossings": [{"over_arc": 1, "sign": 1}]}, {"crossings": []}]},
+         "over_strand"),
+        ({"kind": "tangle", "strands": [{"crossings": [{"over_strand": 2, "sign": 1}]}, {"crossings": []}]},
+         "over_arc"),
+        ({"kind": "tangle", "strands": [{"crossings": [{"over_strand": 2, "over_arc": 1}]}, {"crossings": []}]},
+         "sign"),
+    ])
+    def test_missing_field_is_named(self, obj, name):
+        # the bare KeyError text once made the message "malformed diagram JSON: 'over_arc'"
+        with pytest.raises(ValueError, match=f"^malformed diagram JSON: missing field '{name}'$"):
+            qk.parse_diagram(json.dumps(obj))
+
     @pytest.mark.parametrize("make, expected", [
         (lambda: qk.LongDiagram((1.5,), (1,)), ValueError),
         (lambda: qk.LongDiagram((2.0,), (1,)), ValueError),

@@ -587,6 +587,28 @@ class TestSumAlgebra:
     def test_render_empty(self, s5_class):
         assert qk.sum_render(qk.FormalSum(s5_class, ())) == "0"
 
+    @pytest.mark.parametrize("counts, message", [
+        ({0: 0, 1: 2}, "count must be a positive int, got 0"),
+        ({1: -1}, "count must be a positive int, got -1"),
+        ({1: 2.0}, "count must be a positive int, got 2.0"),
+        ({1: True}, "count must be a positive int, got True"),
+        ({3: 1}, "element index 3 out of range"),
+        ({-1: 1}, "element index -1 out of range"),
+        ({"0": 1}, "element index must be an int, got '0'"),
+        ({False: 1}, "element index must be an int, got False"),
+    ])
+    def test_from_counts_refuses_what_is_not_a_term(self, counts, message):
+        # a zero count once made a sum that differed from the same sum without it, and rendered as "0 · 0"
+        d3 = qk.dihedral(3)
+        with pytest.raises(ValueError, match=f"^formal sum {re.escape(message)}$"):
+            qk.FormalSum.from_counts(d3, counts)
+        assert qk.FormalSum.from_counts(d3, {1: 2, 0: 1}).terms == ((0, 1), (1, 2))
+
+    def test_from_elements_refuses_what_is_not_an_element(self):
+        # an out-of-range element once passed here and raised an IndexError later
+        with pytest.raises(ValueError, match="^formal sum element index 5 out of range$"):
+            qk.FormalSum.from_elements(qk.dihedral(3), [0, 5])
+
     def test_json_map(self, s5_class):
         s = qk.formal_sum(fx.KNOT_5_2_LONG, fx.query_5_2())
         assert oracles.sum_to_json(s) == '{"(1,2,3)(4,5)": 1, "(1,2,4)(3,5)": 6}'

@@ -488,8 +488,10 @@ class TestSpecStringsAndJson:
             qk.quandle_from_json(json.dumps(obj))
 
     def test_json_malformed(self):
-        with pytest.raises(ValueError):
-            qk.quandle_from_json('{"labels": ["a"]}')
+        # a missing field is named: the bare KeyError text once made the message "malformed quandle JSON: 'labels'"
+        for text, name in (('{"labels": ["a"]}', "star"), ('{"star": [[0]]}', "labels"), ('{"degree": 0}', "labels")):
+            with pytest.raises(ValueError, match=f"^malformed quandle JSON: missing field '{name}'$"):
+                qk.quandle_from_json(text)
 
     def test_element_index_resolves_noncanonical_cycles(self, s5_class):
         i = s5_class.element_index("(3,4,5)(1,2)")
