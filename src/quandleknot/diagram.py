@@ -10,7 +10,9 @@ Long and closed diagrams share one base: the same ``(over_arc, sign)`` data
 and validation.  Its class flag ``closed`` is all that differs: a closed
 diagram's last arc wraps around to arc 1, so it has n arcs instead of n+1 and
 needs n >= 1.  Each kind stays its own class, so equal fields of different
-kinds still compare unequal, and builds its relation system once (``_compile``).
+kinds still compare unequal (a ``_value.Value`` equals only its own class),
+and builds its relation system once (``_compile``); the system is kept beside
+the fields and never compared.
 """
 from __future__ import annotations
 
