@@ -15,13 +15,19 @@ satisfy it, read from an index built as the search needs it.  A guess level
 is planned only where no relation pins an arc.  It tries the orbit of the
 basepoint under Inn(Q): every pinned end arc holds the basepoint, every arc
 is joined to a pinned end through in- and out-arcs, and ``out = in op over``
-keeps a color in its orbit.  The result is the full solution set.  One
-depth-first walk visits the levels.
+keeps a color in its orbit.  So a solve level, too, looks only among the
+orbit.  The result is the full solution set.  One depth-first walk visits
+the levels.
+
+When R_q: x -> x * q respects ``*`` on the orbit of the basepoint q, the
+first level that guesses or solves tries only the least color of each cycle
+of R_q, and every other coloring is R_q^k of one found (``_solve``).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections.abc import Callable, Sequence
 
 from ._value import Value
@@ -182,15 +188,18 @@ def _cascade(arc: int, relations: list[Relation], touching: list[list[int]], unk
     return checks, len(pinned)
 
 
-def _over_candidates(table: Sequence[Sequence[int]]) -> Candidates:
-    """``(x, z) -> [y : table[x][y] = z]``, each row x bucketed on first use."""
+def _over_candidates(table: Sequence[Sequence[int]], orbit: Sequence[int]) -> Candidates:
+    """``(x, z) -> [y in orbit : table[x][y] = z]``, ascending, each row x bucketed on
+    first use: only the orbit's columns, since no color outside it is ever wanted."""
     rows: dict[int, dict[int, list[int]]] = {}
 
     def candidates(x: int, z: int) -> Sequence[int]:
         buckets = rows.get(x)
         if buckets is None:
             buckets = rows[x] = {}
-            for y, value in enumerate(table[x]):
+            row = table[x]
+            for y in orbit:
+                value = row[y]
                 if value in buckets:
                     buckets[value].append(y)
                 else:
@@ -202,20 +211,22 @@ def _over_candidates(table: Sequence[Sequence[int]]) -> Candidates:
 _LOOKAHEAD = 16  # guess candidates scored at a stuck point
 
 
-def _search(levels: list, assign: list[int | None], basepoint: int,
-            q: FiniteQuandle) -> list[tuple[int, ...]]:
+def _search(levels: list, assign: list[int | None], basepoint: int, q: FiniteQuandle,
+            leads: Sequence[int] | None = None) -> list[tuple[int, ...]]:
     """Every full assignment the levels accept, by a depth-first walk without recursion.
 
     ``assign`` is reused: a level writes each arc it colors or derives before
     deeper levels read it.  The first level colors its arc ``basepoint``, and
     a guess level tries, on entry, the basepoint's orbit.  A solve level
     asks, on entry, the candidate function of its table (one per table in
-    this call), whose index grows as the walk needs it: one pass over a
-    table row serves every later entry with the same in-arc color.
+    this call), whose index grows as the walk needs it: one pass over the
+    orbit's columns of a table row serves every later entry with the same
+    in-arc color.  With ``leads``, level 1 tries only the colors y with
+    ``leads[y]`` nonzero.
     """
     orbit = q._orbit(basepoint)
     tables = (q.star, q.barstar)
-    solvers = tuple(map(_over_candidates, tables))
+    solvers = tuple(_over_candidates(table, orbit) for table in tables)
     plan, sources = [], []
     for arc, steps, solve in levels:
         plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
@@ -241,19 +252,40 @@ def _search(levels: list, assign: list[int | None], basepoint: int,
         level += 1
         source = sources[level]
         if source is None:
-            options[level] = iter(orbit)
+            colors = orbit
         else:
             candidates, a, b = source
-            options[level] = iter(candidates(assign[a], assign[b]))
+            colors = candidates(assign[a], assign[b])
+        options[level] = iter(colors if level > 1 or leads is None else [y for y in colors if leads[y]])
     return results
 
 
 def _solve(system: System, basepoint: int, q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """Every solution of the system with its pinned end arcs colored ``basepoint``, sorted."""
+    """Every solution of the system with its pinned end arcs colored ``basepoint``, sorted.
+
+    When ``q._symmetry(basepoint)`` holds the powers of R_q, level 1 tries
+    only the least member of each cycle of R_q.  That is exact.  Level 0
+    derives only from q, and q op q = q, so level 1 sees only q, and R_q,
+    which fixes q, maps its colors (the orbit, or {y : q op y = q}) onto
+    themselves.  R_q respects ``*`` and ``*bar`` on the orbit, which holds
+    every color, so R_q^k maps the colorings whose level-1 arc is r one to
+    one onto those where it is R_q^k(r).  Each found coloring is carried over
+    by R_q^k for 0 < k < the cycle length of its level-1 color, and no row
+    is made twice.
+    """
+    levels = _plan(system)
     assign: list[int | None] = [None] * sum(system.arcs)
     for arc in system.ends:
         assign[arc] = basepoint
-    return sorted(_search(_plan(system), assign, basepoint, q))
+    symmetry = q._symmetry(basepoint) if len(levels) > 1 else None
+    if symmetry is None:
+        return sorted(_search(levels, assign, basepoint, q))
+    powers, lengths = symmetry
+    found = _search(levels, assign, basepoint, q, lengths)
+    rows, arc = list(found), levels[1][0]
+    for row in found:  # two levels color two arcs, so itemgetter returns a tuple
+        rows += map(operator.itemgetter(*row), powers[1:lengths[row[arc]]])
+    return sorted(rows)
 
 
 def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:

@@ -55,7 +55,10 @@ class FiniteQuandle(Value):
     ``longitude._images`` reads it, and it is built on first read.
     ``_orbit(x)`` is the orbit of x under Inn(Q), the group the right
     translations generate: the coloring search guesses an arc only among the
-    orbit of a known arc's color.  Each orbit is kept once found.
+    orbit of a known arc's color.  Each orbit is kept once found, and so is
+    ``_symmetry(x)``: the powers of R_x: y -> y * x and its cycles on the
+    orbit of x, which let a search at basepoint x skip colorings it can map
+    from others, or None where R_x does not respect ``*`` on that orbit.
 
     ``degree`` is the permutation degree when the quandle was built from
     permutations (it lets cycle-notation labels be re-parsed), 0 otherwise.
@@ -129,6 +132,40 @@ class FiniteQuandle(Value):
             for y in orbit:
                 orbits[y] = orbit
         return orbits[x]
+
+    @functools.cached_property
+    def _symmetries(self) -> dict:
+        return {}
+
+    def _symmetry(self, x: int) -> tuple[tuple[tuple[int, ...], ...], list[int]] | None:
+        """R_x: y -> y * x as an automorphism of the orbit of x: ``(powers, lengths)``, or None.
+
+        ``powers[k]`` is R_x^k as a table of images, for k below the longest
+        cycle of R_x on the orbit.  ``lengths[y]`` is the length of the cycle
+        of y when y is its least member in the orbit, and 0 for every other
+        element.  None when R_x fixes the orbit, or when (i * j) * x != (i *
+        x) * (j * x) for some i, j in it (never under Q3).  R_x is a bijection
+        by Q2, so when it respects ``*`` on the orbit it respects ``*bar``
+        there too.  The check costs |orbit|**2 lookups, once per x.
+        """
+        cache = self._symmetries
+        if x not in cache:
+            orbit, col = self._orbit(x), tuple(map(itemgetter(x), self.star))
+            cache[x] = None
+            if _pick(col, orbit) != orbit and _violation(self.star, col, orbit) is None:
+                lengths, seen = [0] * len(self), set()
+                for y in orbit:  # ascending, so the first member met of each cycle is its least
+                    if y not in seen:
+                        z, n = col[y], 1
+                        while z != y:
+                            seen.add(z)
+                            z, n = col[z], n + 1
+                        lengths[y] = n
+                powers = [tuple(range(len(self)))]
+                while len(powers) < max(lengths):
+                    powers.append(_pick(col, powers[-1]))
+                cache[x] = tuple(powers), lengths
+        return cache[x]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -261,6 +298,25 @@ def _generators(star) -> dict[tuple[int, ...], int]:
     return first
 
 
+def _violation(star, col: Sequence[int], domain: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j) in ``domain``, ascending, with (i * j) * k != (i * k) * (j * k),
+    where ``col[x] = x * k``; None when R_k respects ``*`` on ``domain``.
+
+    ``domain`` is ascending and closed under ``*`` and R_k: every element, or
+    an orbit.  Row i compares j -> (i * j) * k with j -> (i * k) * (j * k) as
+    two tuples picked from the rows of ``star``, so the first unequal row and
+    its first differing entry are the first violation in (i, j) order.
+    """
+    whole = len(domain) == len(star)  # then domain is range(m): pick the rows whole
+    cols = col if whole else _pick(col, domain)
+    for i in domain:
+        lhs = _pick(col, star[i] if whole else _pick(star[i], domain))
+        rhs = _pick(star[col[i]], cols)
+        if lhs != rhs:
+            return i, next(j for j, a, b in zip(domain, lhs, rhs) if a != b)
+    return None
+
+
 def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     """Check Q3 over all (i, j, k), exactly; Q1 and Q2 hold by construction.
 
@@ -268,13 +324,10 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
     R_b R_a R_b^-1, so the k that pass are closed under * and *bar: Q3 holds
     iff it holds on a generating set, whose least element failing it is the
     least k failing it.  So only ``_generators`` are checked, in ascending
-    order and once per distinct translation.  For each, with ``col[x] = x *
-    k``, row i compares j -> (i * j) * k with j -> (i * k) * (j * k) as two
-    tuples picked from the rows of ``star``; taking i, then j, ascending, the
-    first unequal row and its first differing entry are the first violation
-    in (k, i, j) order, as a scan of all triples would report it.  Raises
-    ValueError when the translations checked times m**2 exceed
-    ``_Q3_TRIPLES_MAX``.
+    order and once per distinct translation, by ``_violation`` over every
+    (i, j): the first violation in (k, i, j) order is the one a scan of all
+    triples would report.  Raises ValueError when the translations checked
+    times m**2 exceed ``_Q3_TRIPLES_MAX``.
     """
     m, star = len(q), q.star
     first = _generators(star)
@@ -282,11 +335,8 @@ def verify_axioms(q: FiniteQuandle) -> AxiomReport:
         raise ValueError(f"Q3 check refused: {len(first)} distinct generator translations on "
                          f"{m} elements would test more than {_Q3_TRIPLES_MAX} triples")
     for col, k in first.items():
-        for i, row in enumerate(star):
-            lhs, rhs = _pick(col, row), _pick(star[col[i]], col)
-            if lhs != rhs:
-                j = next(j for j in range(m) if lhs[j] != rhs[j])
-                return AxiomReport((i, j, k), m ** 3)
+        if (found := _violation(star, col, range(m))) is not None:
+            return AxiomReport((*found, k), m ** 3)
     return AxiomReport(None, m ** 3)
 
 

@@ -332,6 +332,94 @@ class TestSymmetries:
         assert _strands(d, fx.relabeled(q, sigma), sigma[basepoint]) == _pushed(sigma, _strands(d, q, basepoint))
 
 
+# Q1/Q2 tables that fail Q3, with R_0 = (1 2) moving the orbit {0, 1, 2} of 0.  In the
+# first, 0, 1 and 2 form dihedral:3 and act on 3 trivially, and 3 fixes itself and swaps
+# 0 and 1: R_0 respects * on the orbit, but not on the table, as (0 * 3) * 0 = 2 and
+# (0 * 0) * (3 * 0) = 1.  In the second, R_0 fails on the orbit: (0 * 1) * 0 = 0 and
+# (0 * 0) * (1 * 0) = 1
+ORBIT_AUTOMORPHISM = qk.FiniteQuandle(tuple("0123"), ((0, 2, 1, 1), (2, 1, 0, 0), (1, 0, 2, 2), (3, 3, 3, 3)))
+ORBIT_VIOLATION = qk.FiniteQuandle(tuple("012"), ((0, 0, 1), (2, 1, 0), (1, 2, 2)))
+
+
+def _r_powers(q, x):
+    """R_x^k: y -> y * x applied k times, as image tables, for k below the longest cycle
+    of R_x on the orbit of x; and the cycles there, each as its sorted members."""
+    orbit = oracles.color_orbit(q, x)
+    r = [row[x] for row in q.star]
+    cycles = set()
+    for y in orbit:
+        cycle = [y]
+        while r[cycle[-1]] != y:
+            cycle.append(r[cycle[-1]])
+        cycles.add(tuple(sorted(cycle)))
+    powers = [tuple(range(len(q)))]
+    while len(powers) < max(map(len, cycles)):
+        powers.append(tuple(r[z] for z in powers[-1]))
+    return tuple(powers), cycles
+
+
+class TestLevelOneSymmetry:
+    """The search tries one level-1 color per cycle of R_q and carries the rest over by
+    R_q; ``FiniteQuandle._symmetry`` decides where that is exact."""
+
+    def test_the_check_is_made_on_the_orbit(self):
+        powers, lengths = ORBIT_AUTOMORPHISM._symmetry(0)
+        assert powers == ((0, 1, 2, 3), (0, 2, 1, 3)) and lengths == [1, 2, 0, 0]
+        assert not oracles.is_automorphism(ORBIT_AUTOMORPHISM, powers[1])
+        assert ORBIT_VIOLATION._orbit(0) == (0, 1, 2) and ORBIT_VIOLATION.star[1][0] == 2
+        assert ORBIT_VIOLATION._symmetry(0) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(fx.codes(), st.sampled_from((ORBIT_AUTOMORPHISM, ORBIT_VIOLATION)))
+    def test_tables_failing_q3_match_brute_force(self, d, q):
+        # at 0, the symmetry is used on the first table and refused on the second
+        arcs, relations, _, ends = diagram._compile(d)
+        assert [sum(c.strands, ()) for c in COLORINGS[type(d)](d, q, 0)] == oracles.brute_rows(
+            sum(arcs), relations, dict.fromkeys(ends, 0), q)
+
+    @pytest.mark.parametrize("spec, basepoint", [("conjgroup:A6", "(1,2,3,4)(5,6)"),
+                                                 ("psl27", "(1,2,3,4,5,6,7)"),
+                                                 ("conjclass:S5:(1,2)(3,4,5)", "(1,2)(3,4,5)")])
+    def test_large_orbits_match_the_propagating_search(self, spec, basepoint, a6, s5_class):
+        # orbits of 90, 24 and 20 colors, whose R_q has 24, 4 and 5 cycles there; the oracle
+        # tries every color at each guess, so A6 draws only codes with one branching level
+        q = {"conjgroup:A6": a6, "psl27": fx.PSL27_CLASS}.get(spec, s5_class)
+        basepoint = q.element_index(basepoint)
+        assert q._symmetry(basepoint) is not None
+
+        @settings(max_examples=100, deadline=None)
+        @given(fx.codes())
+        def check(d):
+            system = diagram._compile(d)
+            assume(1 < len(coloring._plan(system)) <= (2 if len(q) > 100 else 4))
+            rows = coloring._solve(system, basepoint, q)
+            assert len(set(rows)) == len(rows)
+            assert rows == oracles.propagating_rows(sum(system.arcs), system.relations,
+                                                    dict.fromkeys(system.ends, basepoint), q)
+
+        check()
+
+    @pytest.mark.parametrize("spec, refused", [
+        ("conjgroup:A5", {"()"}),
+        # the double transpositions commute, so each R_q is the identity on its class
+        ("conjgroup:S4", {"()", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"}),
+        ("conjclass:S5:(1,2)(3,4,5)", set()),
+        ("conjgroup:A6", {"()"}),
+        ("trivial:3", {"0", "1", "2"}),
+    ])
+    def test_spec_quandles_get_the_symmetry(self, spec, refused, a6):
+        # a wrong refusal changes no answer, only the speed, so no other test would see it
+        q = a6 if spec == "conjgroup:A6" else qk.parse_quandle_spec(spec)
+        assert {q.labels[x] for x in range(len(q)) if q._symmetry(x) is None} == refused
+        for x in range(len(q)):
+            if q.labels[x] not in refused:
+                powers, cycles = _r_powers(q, x)
+                lengths = [0] * len(q)
+                for c in cycles:
+                    lengths[c[0]] = len(c)
+                assert q._symmetry(x) == (powers, lengths)
+
+
 @st.composite
 def braid_words(draw, strands, lengths, virtual=False):
     """A random braid word on one of ``strands`` strands whose closure is a knot,

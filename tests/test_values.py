@@ -103,10 +103,10 @@ def test_cached_entries_are_neither_compared_nor_read(d, q):
     assert d == fresh and fresh == d and hash(d) == hash(fresh)
     assert "_system" not in fresh.__dict__ and "_pieces" not in fresh.__dict__
 
-    q._translations, q._orbit(0)
+    q._translations, q._orbit(0), q._symmetry(0)
     other = qk.FiniteQuandle(q.labels, q.star, degree=q.degree)
     assert q == other and other == q and hash(q) == hash(other)
-    assert not {"_translations", "_orbits"} & set(other.__dict__)
+    assert not {"_translations", "_orbits", "_symmetries"} & set(other.__dict__)
     assert qk.FiniteQuandle(q.labels, q.star, degree=q.degree + 1) != q
 
 
