@@ -11,13 +11,14 @@ coloring one arc and then running forced steps: derive an out-arc forwards
 from its in- and over-arc, derive an in-arc backwards from its out- and
 over-arc, and check a relation whose arcs are all colored.  A solve level
 colors the one uncolored over-arc of a relation with exactly the colors that
-satisfy it, read from an index built as the search needs it.  A guess level
-is planned only where no relation pins an arc.  It tries the orbit of the
-basepoint under Inn(Q): every pinned end arc holds the basepoint, every arc
-is joined to a pinned end through in- and out-arcs, and ``out = in op over``
-keeps a color in its orbit.  So a solve level, too, looks only among the
-orbit.  The result is the full solution set.  One depth-first walk visits
-the levels.
+satisfy it, read from one index over ``*`` built as the search needs it: by
+Q2, ``x *bar y = z`` exactly when ``z * y = x``, so a ``*bar`` relation asks
+it with its in- and out-arc swapped.  A guess level is planned only where no
+relation pins an arc.  It tries the orbit of the basepoint under Inn(Q):
+every pinned end arc holds the basepoint, every arc is joined to a pinned end
+through in- and out-arcs, and ``out = in op over`` keeps a color in its
+orbit.  So a solve level, too, looks only among the orbit.  The result is
+the full solution set.  One depth-first walk visits the levels.
 
 When R_q: x -> x * q respects ``*`` on the orbit of the basepoint q, the
 first level that guesses or solves tries only the least color of each cycle
@@ -28,13 +29,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, System, TangleDiagram, _compile, _require
 from .quandle import FiniteQuandle
-
-Candidates = Callable[[int, int], Sequence[int]]  # (color of in-arc, color of out-arc) -> colors
 
 
 class Coloring(Value):
@@ -68,9 +67,11 @@ def _plan(system: System) -> list[tuple]:
 
     A level is ``(arc, steps, solve)``.  The first colors the first pinned end
     arc; every pinned end arc is known from the start.  A solve level has
-    ``solve = (barred, a, b)``: the arc is the unknown over-arc of a relation
-    whose in-arc ``a`` and out-arc ``b`` are known, and the level tries
-    exactly the colors y with ``color(a) op y = color(b)``.  The other levels
+    ``solve = (a, b)``: the arc is the unknown over-arc of a relation whose
+    in- and out-arc are known, and the level tries exactly the colors y with
+    ``color(a) * y = color(b)``.  For a ``*`` relation ``a`` is its in-arc and
+    ``b`` its out-arc; for a ``*bar`` one they are swapped, since by Q2
+    ``in *bar y = out`` exactly when ``out * y = in``.  The other levels
     guess, with ``solve`` None.  Step ``(dst, a, b, barred, check)`` stores
     ``a op b`` at ``dst`` or, with ``check``, compares it with ``dst``.
 
@@ -148,7 +149,7 @@ def _plan(system: System) -> list[tuple]:
             j = loose.pop()
             settled[j] = True
             out, inn, arc, sign = relations[j]
-            solve = (sign < 0, inn, out)
+            solve = (inn, out) if sign > 0 else (out, inn)
         else:
             while guessable and known[relations[guessable[0]][2]]:
                 heapq.heappop(guessable)
@@ -188,26 +189,6 @@ def _cascade(arc: int, relations: list[Relation], touching: list[list[int]], unk
     return checks, len(pinned)
 
 
-def _over_candidates(table: Sequence[Sequence[int]], orbit: Sequence[int]) -> Candidates:
-    """``(x, z) -> [y in orbit : table[x][y] = z]``, ascending, each row x bucketed on
-    first use: only the orbit's columns, since no color outside it is ever wanted."""
-    rows: dict[int, dict[int, list[int]]] = {}
-
-    def candidates(x: int, z: int) -> Sequence[int]:
-        buckets = rows.get(x)
-        if buckets is None:
-            buckets = rows[x] = {}
-            row = table[x]
-            for y in orbit:
-                value = row[y]
-                if value in buckets:
-                    buckets[value].append(y)
-                else:
-                    buckets[value] = [y]
-        return buckets.get(z, ())
-    return candidates
-
-
 _LOOKAHEAD = 16  # guess candidates scored at a stuck point
 
 
@@ -218,19 +199,17 @@ def _search(levels: list, assign: list[int | None], basepoint: int, q: FiniteQua
     ``assign`` is reused: a level writes each arc it colors or derives before
     deeper levels read it.  The first level colors its arc ``basepoint``, and
     a guess level tries, on entry, the basepoint's orbit.  A solve level
-    asks, on entry, the candidate function of its table (one per table in
-    this call), whose index grows as the walk needs it: one pass over the
-    orbit's columns of a table row serves every later entry with the same
-    in-arc color.  With ``leads``, level 1 tries only the colors y with
-    ``leads[y]`` nonzero.
+    ``(a, b)`` reads, on entry, the y in the orbit with ``color(a) * y =
+    color(b)`` from one index over ``*`` that grows as the walk needs it: one
+    pass over the orbit's columns of row x of ``star`` serves every later
+    entry of either kind whose ``a`` is colored x.  With ``leads``, level 1
+    tries only the colors y with ``leads[y]`` nonzero.
     """
-    orbit = q._orbit(basepoint)
-    tables = (q.star, q.barstar)
-    solvers = tuple(_over_candidates(table, orbit) for table in tables)
-    plan, sources = [], []
-    for arc, steps, solve in levels:
-        plan.append((arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps]))
-        sources.append(None if solve is None else (solvers[solve[0]], *solve[1:]))
+    orbit, star = q._orbit(basepoint), q.star
+    tables = (star, q.barstar)
+    plan = [(arc, [(dst, tables[barred], a, b, check) for dst, a, b, barred, check in steps])
+            for arc, steps, _ in levels]
+    index: dict[int, dict[int, list[int]]] = {}  # x -> {x * y: [y in orbit, ascending]}
     options: list = [iter((basepoint,))] + [None] * (len(levels) - 1)
     results, level, last = [], 0, len(levels) - 1
     while level >= 0:
@@ -250,12 +229,22 @@ def _search(levels: list, assign: list[int | None], basepoint: int, q: FiniteQua
             level -= 1
             continue
         level += 1
-        source = sources[level]
-        if source is None:
+        solve = levels[level][2]
+        if solve is None:
             colors = orbit
         else:
-            candidates, a, b = source
-            colors = candidates(assign[a], assign[b])
+            x = assign[solve[0]]
+            buckets = index.get(x)
+            if buckets is None:
+                buckets = index[x] = {}
+                row = star[x]
+                for y in orbit:
+                    value = row[y]
+                    if value in buckets:
+                        buckets[value].append(y)
+                    else:
+                        buckets[value] = [y]
+            colors = buckets.get(assign[solve[1]], ())
         options[level] = iter(colors if level > 1 or leads is None else [y for y in colors if leads[y]])
     return results
 

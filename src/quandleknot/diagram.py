@@ -215,8 +215,6 @@ def parse_diagram(text: str) -> Diagram:
             return TangleDiagram(strands)
     except KeyError as exc:
         raise ValueError(f"malformed diagram JSON: missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed diagram JSON: {exc}") from None
     raise ValueError(f"unknown diagram kind {kind!r}")
 
 

@@ -6,6 +6,7 @@ multiplicatively this makes ``b^-1 a b`` mean "apply b^-1, then a, then b".
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable
 
@@ -30,6 +31,7 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"a permutation degree must be in 1..{MAX_ELEMENTS}")
 
 
+@functools.total_ordering
 class Permutation(Value):
     """A bijection of {1..m}, stored as the tuple (p(1), ..., p(m)); ordered by that tuple."""
 
@@ -43,15 +45,6 @@ class Permutation(Value):
 
     def __lt__(self, other):
         return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def degree(self) -> int:
@@ -160,9 +153,6 @@ class ElementSet(Value):
 
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.members)
 
 
 def element_set(perms: Iterable[Permutation]) -> ElementSet:

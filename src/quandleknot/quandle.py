@@ -432,8 +432,6 @@ def quandle_from_json(text: str) -> FiniteQuandle:
         star, barstar = obj["star"], obj.get("barstar")
     except KeyError as exc:
         raise ValueError(f"malformed quandle JSON: missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed quandle JSON: {exc}") from None
     try:
         q = FiniteQuandle(tuple(labels), star, degree=degree)
     except ValueError as exc:

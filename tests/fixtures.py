@@ -9,6 +9,7 @@ quandle values pin the chirality.
 """
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 from hypothesis import strategies as st
@@ -267,3 +268,25 @@ def relabeled(q: qk.FiniteQuandle, sigma) -> qk.FiniteQuandle:
         for j, value in enumerate(row):
             star[sigma[i]][sigma[j]] = sigma[value]
     return qk.FiniteQuandle(q.labels, star)
+
+
+# any JSON value, with dict keys that are often a file's own field names
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(("kind", "over_arc", "sign", "strands", "crossings", "over_strand", "labels", "star",
+                         "barstar", "degree")) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def with_any_value(draw, text: str) -> str:
+    """The JSON object ``text`` with one field replaced by any JSON value: a top-level field,
+    or, as often as not, a value nested in it, chosen one level at a time."""
+    obj = json.loads(text)
+    parent, key = obj, draw(st.sampled_from(list(obj)))
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+    parent[key] = draw(JSON_VALUES)
+    return json.dumps(obj)

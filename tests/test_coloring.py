@@ -103,6 +103,8 @@ class TestTangleColorings:
         d3 = qk.dihedral(3)
         cols = qk.colorings_tangle_boundary_mono(fx.crossingless_tangle(), d3, 1)
         assert len(cols) == 1 and cols[0].strands == ((1,), (1,))
+        with pytest.raises(ValueError, match="^arc_colors is for single-strand diagrams; use strands$"):
+            cols[0].arc_colors
 
     def test_t62_has_nine(self, a6):
         q = fx.query_t62()
@@ -257,6 +259,52 @@ class TestPlannedSearch:
         start = time.perf_counter()
         assert len(qk.colorings_long(d, qk.dihedral(3), 0)) == 1
         assert time.perf_counter() - start < 3
+
+
+# braid closures, the first one broken at arc 1, whose plans solve relations of sign -1, and
+# in the last two also of sign +1; taken from a seeded scan of 3- and 4-braid words, as
+# those where reading a *bar solve level as a * one changes the colorings under both
+# classes below.  Every DIFFERENTIAL_QUANDLE is involutory, and there the two readings agree
+SOLVE_DIAGRAMS = (qk.break_at(fx.braid_closure([-3, 1, 3, -3, -2, -3, -2], 4), 1),
+                  fx.braid_closure([2, -3, -1, 3, -1, -2, -2, 3, 3, -3, 1], 4),
+                  fx.braid_closure([1, 2, -2, -2, 2, -1, -2, -2, 2, 1, -2, 1], 3),
+                  fx.braid_closure([-2, 1, -3, 2, -3, 3, -1, 1, -1, 3, 2, 2, -3, 1, 2], 4),
+                  fx.braid_closure([3, -1, 1, 2, 3, -1, 3, -3, 1, -2, -3, 3, -2, 3, 1, -2, 3, 1, 2], 4))
+
+
+def _solved_signs(d) -> list[int]:
+    """The signs of the relations that the plan's solve levels solve: each has the level's arc
+    as its over-arc, and its in- and out-arc colored by earlier levels."""
+    system = diagram._compile(d)
+    known, signs = set(system.ends), []
+    for arc, steps, solve in coloring._plan(system):
+        if solve is not None:
+            signs += {sign for out, inn, over, sign in system.relations if over == arc and {out, inn} <= known}
+        known |= {arc, *(dst for dst, *_ in steps)}
+    return signs
+
+
+class TestSolveLevels:
+    """A solve level reads one index over ``*``, and by Q2 a ``*bar`` relation asks it with
+    its in- and out-arc swapped."""
+
+    def test_the_diagrams_plan_solve_levels_of_both_signs(self):
+        signs = [set(_solved_signs(d)) for d in SOLVE_DIAGRAMS]
+        assert all(-1 in s for s in signs) and any(1 in s for s in signs)
+
+    @pytest.mark.parametrize("spec", ["conjclass:A4:(1,2,3)", "conjclass:S4:(1,2,3)"])
+    def test_classes_match_the_oracles_at_every_basepoint(self, spec):
+        q = qk.parse_quandle_spec(spec)
+        assert q.barstar is not q.star
+        for d in SOLVE_DIAGRAMS:
+            for basepoint in range(len(q)):
+                _assert_matches_oracles(d, q, basepoint)
+
+    @settings(max_examples=20, deadline=None)
+    @given(fx.q1_q2_tables(5), st.sampled_from(SOLVE_DIAGRAMS))
+    def test_q1_q2_tables_match_the_oracles_at_every_basepoint(self, q, d):
+        for basepoint in range(len(q)):
+            _assert_matches_oracles(d, q, basepoint)
 
 
 # quandles with several orbits under Inn(Q), and one connected quandle whose orbit

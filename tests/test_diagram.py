@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quandleknot as qk
 from quandleknot import coloring, diagram
@@ -118,6 +119,25 @@ class TestJsonCodec:
                 make()
         else:
             assert make() == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: qk.TangleDiagram(((),)),
+        lambda: qk.TangleDiagram(((), (), ())),
+        lambda: qk.parse_diagram('{"kind": "tangle", "strands": [{"crossings": []}]}'),
+    ], ids=["one-strand", "three-strands", "json-one-strand"])
+    def test_tangles_have_two_strands(self, make):
+        with pytest.raises(ValueError, match="^tangles have exactly two strands$"):
+            make()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((fx.KNOT_5_2_LONG, fx.KNOT_5_2_CLOSED, fx.tangle_t62())).flatmap(
+        lambda d: fx.with_any_value(qk.serialize_diagram(d))))
+    def test_any_value_in_any_field_loads_or_is_refused(self, text):
+        # a field of the wrong type must end in a ValueError, which the CLI reports as one line
+        try:
+            assert isinstance(qk.parse_diagram(text), diagram.Diagram)
+        except ValueError:
+            pass
 
     def test_kinds_with_equal_fields_differ(self):
         long, closed = qk.LongDiagram((1, 2), (1, -1)), qk.ClosedDiagram((1, 2), (1, -1))

@@ -23,7 +23,9 @@ class TestCycleCodec:
         assert pg.print_cycles(pg.identity(5)) == "()"
 
     def test_basic_cycles(self):
-        assert perm("(1,2)(3,4,5)").images == (2, 1, 4, 5, 3)
+        p = perm("(1,2)(3,4,5)")
+        assert p.images == (2, 1, 4, 5, 3)
+        assert [p(i) for i in range(1, 6)] == [2, 1, 4, 5, 3]
 
     def test_degree_ten_generator_round_trips(self):
         text = "(1,9,6,7,5)(2,10,3,8,4)"
@@ -76,8 +78,9 @@ class TestArithmetic:
         assert pg.print_cycles(got) == "(1,3,2)"
 
     def test_compose_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            pg.compose(perm("(1,2)", 3), perm("(1,2)", 4))
+        for call in (pg.compose, pg.conjugate, lambda a, b: pg.conjugacy_class(a, pg.element_set([b]))):
+            with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
+                call(perm("(1,2)", 3), perm("(1,2)", 4))
 
     def test_inverse_of_cycle(self):
         assert pg.print_cycles(pg.inverse(perm("(1,2,3)"))) == "(1,3,2)"
@@ -169,3 +172,10 @@ class TestClosureAndClasses:
             pg.ElementSet(3, (perm("(1,2)", 3), perm("(1,2)", 4)))
         with pytest.raises(ValueError):
             pg.element_set([])
+        a, b = perm("(1,2)", 3), perm("(2,3)", 3)
+        for members in ((a, b), (b, b)):  # out of order (a > b), and a duplicate
+            with pytest.raises(ValueError, match="^members must be sorted and duplicate-free$"):
+                pg.ElementSet(3, members)
+        with pytest.raises(ValueError, match="^need at least one generator$"):
+            pg.close_under_generators(pg.ElementSet(3))
+        assert a in pg.element_set([a, b]) and perm("(1,3)", 3) not in pg.element_set([a, b])

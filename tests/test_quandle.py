@@ -18,6 +18,7 @@ import fixtures as fx
 import oracles
 
 DATA = Path(__file__).parent / "data"
+A4_CLASS = qk.parse_quandle_spec("conjclass:A4:(1,2,3)")  # four elements, not involutory
 
 
 class TestConstructors:
@@ -443,6 +444,8 @@ class TestSpecStringsAndJson:
                 qk.parse_quandle_spec(bad)
         with pytest.raises(ValueError, match="names no point"):
             qk.parse_quandle_spec("conjgroup:gens:()")
+        with pytest.raises(ValueError, match="^empty generator list$"):
+            qk.parse_quandle_spec("conjgroup:gens:;")
 
     # numbers that int() reads but that are not ASCII digits: fullwidth, Arabic-Indic, an underscore, a sign
     @pytest.mark.parametrize("spec, message", [
@@ -486,12 +489,27 @@ class TestSpecStringsAndJson:
         with pytest.raises(ValueError, match="^malformed quandle JSON: barstar does not invert "
                                              "the right translations of star$"):
             qk.quandle_from_json(json.dumps(obj))
+        obj["barstar"] = 5
+        with pytest.raises(ValueError, match="^malformed quandle JSON: barstar does not invert "
+                                             "the right translations of star$"):
+            qk.quandle_from_json(json.dumps(obj))
 
     def test_json_malformed(self):
         # a missing field is named: the bare KeyError text once made the message "malformed quandle JSON: 'labels'"
         for text, name in (('{"labels": ["a"]}', "star"), ('{"star": [[0]]}', "labels"), ('{"degree": 0}', "labels")):
             with pytest.raises(ValueError, match=f"^malformed quandle JSON: missing field '{name}'$"):
                 qk.quandle_from_json(text)
+        with pytest.raises(ValueError, match="^malformed quandle JSON: expected an object$"):
+            qk.quandle_from_json('[["a"], [[0]]]')
+
+    @settings(max_examples=300, deadline=None)
+    @given(fx.with_any_value(json.dumps({**json.loads(qk.quandle_to_json(A4_CLASS)), "barstar": A4_CLASS.barstar})))
+    def test_any_value_in_any_field_loads_or_is_refused(self, text):
+        # a field of the wrong type must end in a ValueError, which the CLI reports as one line
+        try:
+            assert isinstance(qk.quandle_from_json(text), qk.FiniteQuandle)
+        except ValueError:
+            pass
 
     def test_element_index_resolves_noncanonical_cycles(self, s5_class):
         i = s5_class.element_index("(3,4,5)(1,2)")
