@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,14 +168,20 @@ class TestBreakAndClose:
         c = fx.KNOT_5_2_CLOSED
         assert qk.close_long(qk.break_at(c, 1)) == c
 
-    def test_break_close_is_rotation(self):
-        c = fx.KNOT_6_3_CLOSED
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.just(fx.KNOT_6_3_CLOSED), fx.codes().filter(lambda d: type(d) is qk.ClosedDiagram)))
+    def test_break_close_is_rotation(self, c):
+        # arc r becomes arc 1; the over-passages it hosts move to arc 1 (break_at) or arc n + 1
         n = c.n
         for r in range(1, n + 1):
-            rotated = qk.close_long(qk.break_at(c, r))
-            expected_over = tuple((c.over_arc[(r - 1 + k) % n] - r) % n + 1 for k in range(n))
             expected_sign = tuple(c.sign[(r - 1 + k) % n] for k in range(n))
-            assert rotated == qk.ClosedDiagram(expected_over, expected_sign)
+            for cut, end in ((qk.break_at, 1), (qk.break_before_underpass, n + 1)):
+                expected_over = tuple(end if c.over_arc[(r - 1 + k) % n] == r
+                                      else (c.over_arc[(r - 1 + k) % n] - r) % n + 1 for k in range(n))
+                broken = cut(c, r)
+                assert broken == qk.LongDiagram(expected_over, expected_sign)
+                rotated = tuple((c.over_arc[(r - 1 + k) % n] - r) % n + 1 for k in range(n))
+                assert qk.close_long(broken) == qk.ClosedDiagram(rotated, expected_sign)
 
     def test_break_counts(self):
         c = fx.KNOT_9_42_CLOSED
@@ -194,9 +201,11 @@ class TestBreakAndClose:
         with pytest.raises(ValueError):
             qk.close_long(fx.UNKNOT_LONG)
 
-    def test_break_range(self):
-        with pytest.raises(ValueError):
-            qk.break_at(fx.TREFOIL_CLOSED, 4)
+    @pytest.mark.parametrize("cut", [qk.break_at, qk.break_before_underpass])
+    @pytest.mark.parametrize("r", [0, 4, -1])
+    def test_break_range(self, cut, r):
+        with pytest.raises(ValueError, match=rf"^arc index {r} outside 1\.\.3$"):
+            cut(fx.TREFOIL_CLOSED, r)
 
     def test_close_rewrites_final_arc(self):
         closed = qk.close_long(fx.KNOT_5_2_LONG)
@@ -236,14 +245,21 @@ class TestSignedGauss:
         with pytest.raises(ValueError, match="^closed diagrams need at least one crossing$"):
             qk.from_signed_gauss("")
 
-    @pytest.mark.parametrize("bad", [
-        "O1+ O1+ U1+ U1+",      # label twice as O
-        "O1+ U1-",              # sign mismatch
-        "O1+ U2+",              # unpaired labels
-        "O1* U1*",              # malformed token
+    @pytest.mark.parametrize("bad, message", [
+        ("O1+ O1+ U1+ U1+", "label 1 appears more than once as O"),
+        ("U1+ U1+ O1+", "label 1 appears more than once as U"),
+        ("O1+ U1-", "label 1 has mismatched O/U signs"),
+        ("O1+ U2+", "label 1 needs exactly one O and one U token"),
+        ("O1* U1*", "malformed Gauss token 'O1*'"),
+        # which refusal comes first: every token is checked, then repeats in token order,
+        # then each label in order of first appearance
+        ("O1+ O1+ U1- X", "malformed Gauss token 'X'"),
+        ("U1+ O1- O1-", "label 1 appears more than once as O"),
+        ("O1+ U1- O2+", "label 1 has mismatched O/U signs"),
+        ("long: O2+ U1+ U2+", "label 1 needs exactly one O and one U token"),
     ])
-    def test_errors(self, bad):
-        with pytest.raises(ValueError):
+    def test_errors(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qk.from_signed_gauss(bad)
 
     @pytest.mark.parametrize("d", [
@@ -256,6 +272,21 @@ class TestSignedGauss:
     ])
     def test_round_trip_identity_on_diagrams(self, d):
         assert qk.from_signed_gauss(qk.to_signed_gauss(d)) == d
+
+    @settings(max_examples=300, deadline=None)
+    @given(fx.codes().filter(lambda d: type(d) is not qk.TangleDiagram))
+    def test_round_trip_on_random_codes(self, d):
+        text = qk.to_signed_gauss(d)
+        parsed = qk.from_signed_gauss(text)
+        assert parsed == d and type(parsed) is type(d)
+        assert qk.to_signed_gauss(parsed) == text
+
+    def test_text_lists_each_arc_hosted_overs_then_its_under(self):
+        # arc 1 hosts crossing 3, arc 4 = n + 1 hosts crossings 1 and 2; the closed code wraps arc 4 to 1
+        long = qk.LongDiagram((4, 4, 1), (1, -1, 1))
+        assert qk.to_signed_gauss(long) == "long: O3+ U1+ U2- U3+ O1+ O2-"
+        assert qk.to_signed_gauss(qk.close_long(long)) == "O1+ O2- O3+ U1+ U2- U3+"
+        assert qk.to_signed_gauss(fx.UNKNOT_LONG) == "long:"
 
     def test_canonical_text_round_trip(self):
         text = qk.to_signed_gauss(fx.KNOT_6_3_CLOSED)
