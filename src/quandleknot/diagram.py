@@ -251,20 +251,14 @@ def mirror(d: Diagram) -> Diagram:
     raise ValueError(f"not a diagram: {d!r}")
 
 
-def _break_closed(c: ClosedDiagram, r: int, broken_to_end: bool) -> LongDiagram:
+def _break_closed(c: ClosedDiagram, r: int, end: int) -> LongDiagram:
+    """c cut at the start of arc r, as one rotation: the codes are sliced at r - 1, an over-arc r
+    (hosted on the cut arc) becomes ``end``, and any other over-arc a becomes (a - r) mod n + 1."""
     n = c.n
     if not 1 <= r <= n:
         raise ValueError(f"arc index {r} outside 1..{n}")
-    over, sign = [], []
-    for k in range(n):
-        idx = (r - 1 + k) % n
-        a = c.over_arc[idx]
-        if a == r:
-            over.append(n + 1 if broken_to_end else 1)
-        else:
-            over.append((a - r) % n + 1)
-        sign.append(c.sign[idx])
-    return LongDiagram(tuple(over), tuple(sign))
+    over = tuple(end if a == r else (a - r) % n + 1 for a in c.over_arc[r - 1:] + c.over_arc[:r - 1])
+    return LongDiagram(over, c.sign[r - 1:] + c.sign[:r - 1])
 
 
 def break_at(c: ClosedDiagram, r: int) -> LongDiagram:
@@ -273,7 +267,7 @@ def break_at(c: ClosedDiagram, r: int) -> LongDiagram:
     Over-passages hosted on the broken arc end up on the initial arc 1.
     """
     _require(c, "break_at", ClosedDiagram)
-    return _break_closed(c, r, broken_to_end=False)
+    return _break_closed(c, r, end=1)
 
 
 def break_before_underpass(c: ClosedDiagram, i: int) -> LongDiagram:
@@ -285,7 +279,7 @@ def break_before_underpass(c: ClosedDiagram, i: int) -> LongDiagram:
     which is what basepoint spectra use.
     """
     _require(c, "break_before_underpass", ClosedDiagram)
-    return _break_closed(c, i, broken_to_end=True)
+    return _break_closed(c, i, end=c.n + 1)
 
 
 def close_long(d: LongDiagram) -> ClosedDiagram:
@@ -314,64 +308,48 @@ def from_signed_gauss(text: str) -> ClosedDiagram | LongDiagram:
     """Parse tokens like ``O1+ U2- ...``; ``long:`` prefix selects a long diagram.
 
     Each label must appear exactly once as O and once as U, with equal signs.
-    Under-passages in traversal order become crossings 1..n.
+    Under-passages in traversal order become crossings 1..n.  Once every token
+    has matched, one walk records each label's tokens as (U tokens before it,
+    sign): its U token's count orders the crossings, and its O token's count
+    plus one is the over-arc, where n + 1 wraps to arc 1 on a closed code.
     """
     body = text.strip()
     is_long = body.startswith("long:")
-    if is_long:
-        body = body[len("long:"):]
     tokens = []
-    for raw in body.split():
-        m = _TOKEN_RE.fullmatch(raw)
-        if not m:
+    for raw in body.removeprefix("long:").split():
+        if not (m := _TOKEN_RE.fullmatch(raw)):
             raise ValueError(f"malformed Gauss token {raw!r}")
-        tokens.append((m.group(1), m.group(2), 1 if m.group(3) == "+" else -1))
+        tokens.append((m[1], m[2], 1 if m[3] == "+" else -1))
 
-    labels = {}
+    labels, unders = {}, 0  # labels[label][kind] = (unders before the token, sign)
     for kind, label, s in tokens:
         slot = labels.setdefault(label, {})
         if kind in slot:
             raise ValueError(f"label {label} appears more than once as {kind}")
-        slot[kind] = s
+        slot[kind] = (unders, s)
+        unders += kind == "U"
     for label, slot in labels.items():
-        if set(slot) != {"O", "U"}:
+        if len(slot) != 2:
             raise ValueError(f"label {label} needs exactly one O and one U token")
-        if slot["O"] != slot["U"]:
+        if slot["O"][1] != slot["U"][1]:
             raise ValueError(f"label {label} has mismatched O/U signs")
 
-    order = [label for kind, label, _ in tokens if kind == "U"]
-    crossing_of = {label: i + 1 for i, label in enumerate(order)}
-    n = len(order)
-    over = [0] * n
-    sign = [0] * n
-    seen_under = 0
-    for kind, label, s in tokens:
-        c = crossing_of[label]
-        if kind == "U":
-            seen_under += 1
-            sign[c - 1] = s
-        else:
-            arc = seen_under + 1
-            if not is_long and arc == n + 1:
-                arc = 1
-            over[c - 1] = arc
-    return (LongDiagram if is_long else ClosedDiagram)(tuple(over), tuple(sign))
+    crossings = sorted(labels.values(), key=lambda slot: slot["U"])
+    over = tuple(c["O"][0] % (unders + is_long) + 1 for c in crossings)
+    return (LongDiagram if is_long else ClosedDiagram)(over, tuple(c["U"][1] for c in crossings))
 
 
 def to_signed_gauss(d: ClosedDiagram | LongDiagram) -> str:
-    """Canonical token text; within an arc, over-passages are ordered by crossing."""
+    """Canonical token text, in one pass over arcs 1..num_arcs: each arc's hosted over-passages
+    in crossing order (bucketed by over-arc once), then its own under-passage when it is <= n."""
     _require(d, "to_signed_gauss", LongDiagram, ClosedDiagram)
-    n = d.n
-    overs_on = {arc: [] for arc in range(1, d.num_arcs + 1)}
-    for i, a in enumerate(d.over_arc, 1):
-        overs_on[a].append(i)
-    parts = []
-    for arc in range(1, n + 1):
-        for c in sorted(overs_on[arc]):
-            parts.append(f"O{c}{'+' if d.sign[c - 1] > 0 else '-'}")
-        parts.append(f"U{arc}{'+' if d.sign[arc - 1] > 0 else '-'}")
-    if not d.closed:
-        for c in sorted(overs_on[n + 1]):
-            parts.append(f"O{c}{'+' if d.sign[c - 1] > 0 else '-'}")
-        return "long: " + " ".join(parts) if parts else "long:"
+    marks = ["+" if s > 0 else "-" for s in d.sign]
+    hosted = [[] for _ in range(d.num_arcs + 1)]
+    for c, a in enumerate(d.over_arc, 1):
+        hosted[a].append(f"O{c}{marks[c - 1]}")
+    parts = [] if d.closed else ["long:"]
+    for arc in range(1, d.num_arcs + 1):
+        parts += hosted[arc]
+        if arc <= d.n:
+            parts.append(f"U{arc}{marks[arc - 1]}")
     return " ".join(parts)
