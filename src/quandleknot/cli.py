@@ -28,7 +28,7 @@ _SPEC_PREFIXES = ("conjclass:", "conjgroup:", "dihedral:", "trivial:")
 def _load_quandle(text: str, certify: bool = True) -> quandle.FiniteQuandle:
     """A spec-built quandle, or a file's table; the loader refuses one failing Q1 or Q2, and
     with ``certify``, one failing Q3 is refused too."""
-    if text.startswith(_SPEC_PREFIXES):
+    if text.strip().startswith(_SPEC_PREFIXES):
         return quandle.parse_quandle_spec(text)  # a quandle by construction
     path = Path(text)
     if not path.exists():

@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 from ._value import Value
 from .diagram import ClosedDiagram, Diagram, LongDiagram, Relation, System, TangleDiagram, _compile, _require
-from .quandle import FiniteQuandle
+from .quandle import FiniteQuandle, _check_index
 
 
 class Coloring(Value):
@@ -51,15 +51,6 @@ class Coloring(Value):
         if len(self.strands) != 1:
             raise ValueError("arc_colors is for single-strand diagrams; use strands")
         return self.strands[0]
-
-
-def _check_index(x, m: int, name: str) -> None:
-    """ValueError unless x is an element index: exactly an int (no bool, float or numpy
-    integer, which would leak into the colorings) in range(m)."""
-    if type(x) is not int:
-        raise ValueError(f"{name} index must be an int, got {x!r}")
-    if not 0 <= x < m:
-        raise ValueError(f"{name} index {x} out of range")
 
 
 def _plan(system: System) -> list[tuple]:
@@ -336,5 +327,5 @@ def verify_coloring(c: Coloring, q: FiniteQuandle) -> bool:
         colors = _colors(c, len(q))
     except ValueError:
         return False
-    return all(colors[out] == q.op(colors[inn], colors[over], barred=sign < 0)
-               for out, inn, over, sign in relations)
+    tables = {1: q.star, -1: q.barstar}  # read directly: _colors has checked every color
+    return all(colors[out] == tables[sign][colors[inn]][colors[over]] for out, inn, over, sign in relations)

@@ -255,6 +255,8 @@ def _break_closed(c: ClosedDiagram, r: int, end: int) -> LongDiagram:
     """c cut at the start of arc r, as one rotation: the codes are sliced at r - 1, an over-arc r
     (hosted on the cut arc) becomes ``end``, and any other over-arc a becomes (a - r) mod n + 1."""
     n = c.n
+    if type(r) is not int:
+        raise ValueError(f"arc index must be an int, got {r!r}")
     if not 1 <= r <= n:
         raise ValueError(f"arc index {r} outside 1..{n}")
     over = tuple(end if a == r else (a - r) % n + 1 for a in c.over_arc[r - 1:] + c.over_arc[:r - 1])

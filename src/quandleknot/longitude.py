@@ -15,9 +15,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, repeat
 
 from ._value import Value
-from .coloring import Coloring, _check_index, _colors, colorings_long, colorings_tangle_boundary_mono
+from .coloring import Coloring, _colors, colorings_long, colorings_tangle_boundary_mono
 from .diagram import ClosedDiagram, LongDiagram, TangleDiagram, _compile, _require, break_at
-from .quandle import Automorphism, FiniteQuandle, _pick
+from .quandle import Automorphism, FiniteQuandle, _check_index, _pick
 
 QuandleWord = tuple[tuple[int, bool], ...]
 """A left-normed word: (element index, barred) letters folded left to right."""

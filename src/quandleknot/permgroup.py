@@ -51,6 +51,11 @@ class Permutation(Value):
         return len(self.images)
 
     def __call__(self, point: int) -> int:
+        """p(point); ValueError unless point is exactly an int in 1..degree."""
+        if type(point) is not int:
+            raise ValueError(f"point must be an int, got {point!r}")
+        if not 1 <= point <= len(self.images):
+            raise ValueError(f"point {point} outside 1..{len(self.images)}")
         return self.images[point - 1]
 
     def __str__(self) -> str:

@@ -31,6 +31,15 @@ def _pick(seq, keys: Sequence[int]) -> tuple:
     return itemgetter(*keys)(seq) if len(keys) != 1 else (seq[keys[0]],)
 
 
+def _check_index(x, m: int, name: str) -> None:
+    """ValueError unless x is an element index: exactly an int (no bool, float or numpy
+    integer, which would leak into the colorings) in range(m)."""
+    if type(x) is not int:
+        raise ValueError(f"{name} index must be an int, got {x!r}")
+    if not 0 <= x < m:
+        raise ValueError(f"{name} index {x} out of range")
+
+
 def _inverse(images: Sequence[int], elements: Iterable[int]) -> list:
     """``inverse[images[x]] = x`` with x taken from ``elements``; None where nothing is sent, so
     the map ``x -> images[x]`` of an m-element set into itself is a bijection iff None is absent."""
@@ -171,6 +180,8 @@ class FiniteQuandle(Value):
         return len(self.labels)
 
     def op(self, i: int, j: int, barred: bool = False) -> int:
+        _check_index(i, len(self), "element")
+        _check_index(j, len(self), "element")
         return self.barstar[i][j] if barred else self.star[i][j]
 
     def element_index(self, text: str) -> int:
@@ -349,6 +360,7 @@ class Automorphism(Value):
         self.__dict__.update(quandle=quandle, images=images)
 
     def __call__(self, i: int) -> int:
+        _check_index(i, len(self.images), "element")
         return self.images[i]
 
 

@@ -55,8 +55,10 @@ class TestVerifyQuandle:
         code, out = run(capsys, "verify-quandle", "--quandle", "trivial:4")
         assert code == 0 and "PASS" in out and "4 elements" in out
 
-    def test_dihedral_passes(self, capsys):
-        code, out = run(capsys, "verify-quandle", "--quandle", "dihedral:3")
+    # a spec with leading whitespace was once looked up as a file
+    @pytest.mark.parametrize("spec", ["dihedral:3", " dihedral:3", "dihedral:3 ", "\tdihedral:3\n"])
+    def test_dihedral_passes(self, capsys, spec):
+        code, out = run(capsys, "verify-quandle", "--quandle", spec)
         assert code == 0 and "PASS" in out
 
     def test_s5_class_json(self, capsys):

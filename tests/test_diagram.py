@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quandleknot as qk
 from quandleknot import coloring, diagram
@@ -169,7 +169,8 @@ class TestBreakAndClose:
         assert qk.close_long(qk.break_at(c, 1)) == c
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.just(fx.KNOT_6_3_CLOSED), fx.codes().filter(lambda d: type(d) is qk.ClosedDiagram)))
+    @given(fx.codes().filter(lambda d: type(d) is qk.ClosedDiagram))
+    @example(fx.KNOT_6_3_CLOSED)
     def test_break_close_is_rotation(self, c):
         # arc r becomes arc 1; the over-passages it hosts move to arc 1 (break_at) or arc n + 1
         n = c.n
@@ -205,6 +206,13 @@ class TestBreakAndClose:
     @pytest.mark.parametrize("r", [0, 4, -1])
     def test_break_range(self, cut, r):
         with pytest.raises(ValueError, match=rf"^arc index {r} outside 1\.\.3$"):
+            cut(fx.TREFOIL_CLOSED, r)
+
+    @pytest.mark.parametrize("cut", [qk.break_at, qk.break_before_underpass])
+    @pytest.mark.parametrize("r", [True, 1.0, "1"])
+    def test_break_index_must_be_an_int(self, cut, r):
+        # True once broke at arc 1
+        with pytest.raises(ValueError, match=f"^{re.escape(f'arc index must be an int, got {r!r}')}$"):
             cut(fx.TREFOIL_CLOSED, r)
 
     def test_close_rewrites_final_arc(self):
@@ -280,6 +288,21 @@ class TestSignedGauss:
         parsed = qk.from_signed_gauss(text)
         assert parsed == d and type(parsed) is type(d)
         assert qk.to_signed_gauss(parsed) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(fx.codes().filter(lambda d: type(d) is qk.ClosedDiagram))
+    @example(qk.ClosedDiagram((1,), (1,)))
+    def test_rotated_closed_text_is_the_rotated_code(self, c):
+        # text read from any token on: over-passages after the last under-passage are on arc 1
+        tokens, n = qk.to_signed_gauss(c).split(), c.n
+        arc_of = [int(t[1:-1]) if t[0] == "U" else None for t in tokens]
+        for k in range(len(tokens) - 2, -1, -1):  # an O token is on the arc of the next U token
+            arc_of[k] = arc_of[k] or arc_of[k + 1]
+        for j, r in enumerate(arc_of):
+            rotated = qk.from_signed_gauss(" ".join(tokens[j:] + tokens[:j]))
+            assert rotated == qk.ClosedDiagram(
+                tuple((c.over_arc[(r - 1 + k) % n] - r) % n + 1 for k in range(n)),
+                tuple(c.sign[(r - 1 + k) % n] for k in range(n)))
 
     def test_text_lists_each_arc_hosted_overs_then_its_under(self):
         # arc 1 hosts crossing 3, arc 4 = n + 1 hosts crossings 1 and 2; the closed code wraps arc 4 to 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,13 @@ class TestCycleCodec:
         p = perm("(1,2)(3,4,5)")
         assert p.images == (2, 1, 4, 5, 3)
         assert [p(i) for i in range(1, 6)] == [2, 1, 4, 5, 3]
+        # a point outside 1..degree once wrapped around: (1,2,3) read p(0) as p(3)
+        cycle = pg.parse_cycles("(1,2,3)", 3)
+        for point, message in [(0, "point 0 outside 1..3"), (-1, "point -1 outside 1..3"),
+                               (4, "point 4 outside 1..3"), (True, "point must be an int, got True"),
+                               (1.0, "point must be an int, got 1.0")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cycle(point)
 
     def test_degree_ten_generator_round_trips(self):
         text = "(1,9,6,7,5)(2,10,3,8,4)"

@@ -46,6 +46,24 @@ class TestConstructors:
         with pytest.raises(ValueError):
             qk.dihedral(0)
 
+    @pytest.mark.parametrize("i, j, message", [
+        (-1, 0, "element index -1 out of range"), (0, 3, "element index 3 out of range"),
+        (True, 0, "element index must be an int, got True"), (0, 1.0, "element index must be an int, got 1.0")])
+    def test_op_refuses_what_is_not_an_element_index(self, i, j, message):
+        # a negative index once wrapped around: dihedral(3).op(-1, 0) read row 2
+        for barred in (False, True):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                qk.dihedral(3).op(i, j, barred)
+
+    @pytest.mark.parametrize("i, message", [
+        (-1, "element index -1 out of range"), (3, "element index 3 out of range"),
+        (False, "element index must be an int, got False")])
+    def test_automorphism_refuses_what_is_not_an_element_index(self, i, message):
+        f = qk.Automorphism(qk.dihedral(3), (0, 2, 1))
+        assert [f(x) for x in range(3)] == [0, 2, 1]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f(i)
+
     def test_trivial_basics(self):
         assert len(qk.trivial(1)) == 1
         t4 = qk.trivial(4)
