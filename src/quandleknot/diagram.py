@@ -342,8 +342,8 @@ def from_signed_gauss(text: str) -> ClosedDiagram | LongDiagram:
 
 
 def to_signed_gauss(d: ClosedDiagram | LongDiagram) -> str:
-    """Canonical token text, in one pass over arcs 1..num_arcs: each arc's hosted over-passages
-    in crossing order (bucketed by over-arc once), then its own under-passage when it is <= n."""
+    """Canonical token text, in one pass over arcs 1..num_arcs: the O tokens of the crossings an
+    arc hosts, in crossing order (bucketed by over-arc once), then its U token if the arc is <= n."""
     _require(d, "to_signed_gauss", LongDiagram, ClosedDiagram)
     marks = ["+" if s > 0 else "-" for s in d.sign]
     hosted = [[] for _ in range(d.num_arcs + 1)]

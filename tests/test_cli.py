@@ -55,11 +55,11 @@ class TestVerifyQuandle:
         code, out = run(capsys, "verify-quandle", "--quandle", "trivial:4")
         assert code == 0 and "PASS" in out and "4 elements" in out
 
-    # a spec with leading whitespace was once looked up as a file
-    @pytest.mark.parametrize("spec", ["dihedral:3", " dihedral:3", "dihedral:3 ", "\tdihedral:3\n"])
-    def test_dihedral_passes(self, capsys, spec):
-        code, out = run(capsys, "verify-quandle", "--quandle", spec)
-        assert code == 0 and "PASS" in out
+    def test_dihedral_passes(self, capsys):
+        # a spec with leading whitespace was once looked up as a file
+        for spec in ("dihedral:3", " dihedral:3", "dihedral:3 ", "\tdihedral:3\n"):
+            code, out = run(capsys, "verify-quandle", "--quandle", spec)
+            assert code == 0 and "PASS" in out
 
     def test_s5_class_json(self, capsys):
         code, out = run(capsys, "verify-quandle", "--quandle",
