@@ -10,7 +10,9 @@ to a temporary directory (the CLI tests read ``README.md`` and
 each must pass; then, for each mutant in a fresh copy, the one change is
 applied and only its node ids run.  Exit status 1 when a mutant survives (a
 named id passes, or does not run while its collection succeeds) or when an old
-text no longer matches once.
+text no longer matches once.  The run stops with an error when ``quandleknot``
+would be imported from anywhere but the copy's ``src``, as an installed package
+that shadowed it would let every mutant survive.
 """
 from __future__ import annotations
 
@@ -28,9 +30,13 @@ MUTANTS = Path(__file__).with_name("mutants.json")
 _IGNORED = shutil.ignore_patterns(".git", "perfbench", "__pycache__", ".hypothesis", ".pytest_cache")
 
 # runs pytest in the copy and prints, as JSON, the node ids that ran, those that failed, and
-# pytest's exit code: 2 or 4 when collection or a conftest import fails, as a mutant can make it
+# pytest's exit code: 2 or 4 when collection or a conftest import fails, as a mutant can make it;
+# exits nonzero first if the package would not come from the copy
 _CHILD = """
-import json, sys, pytest
+import importlib.util, json, os, sys, pytest
+spec = importlib.util.find_spec("quandleknot")
+if spec is None or not os.path.realpath(spec.origin).startswith(os.path.realpath("src") + os.sep):
+    sys.exit(f"quandleknot would be imported from {spec and spec.origin}, not from {os.path.realpath('src')}")
 ran, failed = set(), set()
 class Recorder:
     def pytest_runtest_logreport(self, report):
@@ -46,9 +52,11 @@ def _run(copy: Path, ids: list[str]) -> tuple[set[str], set[str], bool]:
     """The node ids of ``ids`` that ran, those that failed, and whether pytest stopped before
     running them all (a collection or conftest error), in ``copy``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run([sys.executable, "-c", _CHILD, *ids], cwd=copy, env=env,
-                         capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    done = subprocess.run([sys.executable, "-c", _CHILD, *ids], cwd=copy, env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"pytest did not run in {copy}: {done.stderr.strip()}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
     return set(result["ran"]), set(result["failed"]), bool(result["broken"])
 
 

@@ -37,20 +37,20 @@ from .quandle import FiniteQuandle, _check_index
 
 
 class Coloring(Value):
-    """Arc colors (quandle element indices) per strand, in traversal order."""
+    """One color (quandle element index) per arc, in the relation system's order: strand after
+    strand, each in traversal order.  ``strands`` splits the colors per strand."""
 
-    _fields = ("diagram", "strands")
+    _fields = ("diagram", "colors")
 
-    def __init__(self, diagram: Diagram, strands: tuple[tuple[int, ...], ...]):
+    def __init__(self, diagram: Diagram, colors: tuple[int, ...]):
         self.__dict__["diagram"] = diagram  # one store per field: a search makes one per coloring
-        self.__dict__["strands"] = strands
+        self.__dict__["colors"] = colors
 
     @property
-    def arc_colors(self) -> tuple[int, ...]:
-        """Colors of the single strand of a long or closed diagram."""
-        if len(self.strands) != 1:
-            raise ValueError("arc_colors is for single-strand diagrams; use strands")
-        return self.strands[0]
+    def strands(self) -> tuple[tuple[int, ...], ...]:
+        """The colors of each strand, in traversal order."""
+        bounds = itertools.pairwise((0, *itertools.accumulate(_compile(self.diagram).arcs)))
+        return tuple(self.colors[lo:hi] for lo, hi in bounds)
 
 
 def _plan(system: System) -> list[tuple]:
@@ -269,14 +269,10 @@ def _solve(system: System, basepoint: int, q: FiniteQuandle) -> list[tuple[int, 
 
 
 def _colorings(d: Diagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
-    """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1."""
+    """Colorings with ``basepoint`` on both end arcs of every strand of a tangle, or on arc 1.
+    Each holds a row of ``_solve`` unchanged: a row lists the arcs in ``Coloring.colors``' order."""
     _check_index(basepoint, len(q), "basepoint")
-    system = _compile(d)
-    rows = _solve(system, basepoint, q)
-    if len(system.arcs) == 1:  # the row is the strand's colors; slicing it would cost per coloring
-        return tuple(Coloring(d, (row,)) for row in rows)
-    bounds = list(itertools.pairwise((0, *itertools.accumulate(system.arcs))))  # [lo, hi) per strand
-    return tuple(Coloring(d, tuple(row[lo:hi] for lo, hi in bounds)) for row in rows)
+    return tuple(Coloring(d, row) for row in _solve(_compile(d), basepoint, q))
 
 
 def colorings_long(d: LongDiagram, q: FiniteQuandle, basepoint: int) -> tuple[Coloring, ...]:
@@ -307,14 +303,12 @@ def colorings_tangle_boundary_mono(d: TangleDiagram, q: FiniteQuandle,
     return _colorings(d, q, basepoint)
 
 
-def _colors(c: Coloring, m: int | None) -> list[int]:
-    """The colors strand after strand.  ValueError unless the strands are sequences with the
-    diagram's arc counts and every color is an int in range(m), or >= 0 for m None."""
-    if not isinstance(c.strands, Sequence) or not all(isinstance(s, Sequence) for s in c.strands):
-        raise ValueError("coloring strands must be sequences of colors")
-    if (shape := tuple(map(len, c.strands))) != (arcs := _compile(c.diagram).arcs):
-        raise ValueError(f"coloring has strands of {shape} arcs, the diagram {arcs}")
-    colors = [x for strand in c.strands for x in strand]
+def _colors(c: Coloring, m: int | None) -> Sequence[int]:
+    """The coloring's colors.  ValueError unless they are a sequence with one color per arc of
+    the diagram, and every color is an int in range(m), or >= 0 for m None."""
+    colors, arcs = c.colors, sum(_compile(c.diagram).arcs)
+    if not isinstance(colors, Sequence) or len(colors) != arcs:
+        raise ValueError(f"coloring must be a sequence of one color for each of the diagram's {arcs} arcs")
     if not all(type(x) is int and 0 <= x and (m is None or x < m) for x in colors):
         raise ValueError("coloring has a color outside the quandle")
     return colors

@@ -111,7 +111,7 @@ def _longitudes(codes: Sequence[LongDiagram], q: FiniteQuandle, basepoint: int,
             start = basepoint if acc is None else acc[basepoint]
             if start not in known:
                 (letters,) = _compile(piece).letters
-                known[start] = Counter(_images(q, letters, c.strands[0]) for c in colorings_long(piece, q, start))
+                known[start] = Counter(_images(q, letters, c.colors) for c in colorings_long(piece, q, start))
             for image, n in known[start].items():
                 key = image if acc is None else _pick(image, acc)
                 step[key] = step.get(key, 0) + count * n
@@ -153,6 +153,8 @@ class FormalSum(Value):
         return cls(q, tuple(sorted(counts.items())))
 
     def coefficient(self, element: int) -> int:
+        """ValueError unless ``element`` is an element index of the sum's quandle."""
+        _check_index(element, len(self.quandle), "element")
         return dict(self.terms).get(element, 0)
 
     def mass(self) -> int:
@@ -197,7 +199,7 @@ def _sums(query: InvariantQuery, words, colorings: Iterable[Coloring]) -> tuple[
     """Per word of letters ``(arc, barred)``, arcs numbered strand after strand: the sum over
     the colorings of the query's element folded through the word, each arc replaced by its color."""
     q, x = query.quandle, query.act_on
-    rows = [sum(c.strands, ()) for c in colorings]
+    rows = [c.colors for c in colorings]
     return tuple(FormalSum.from_elements(q, [_fold(q, x, word, row) for row in rows]) for word in words)
 
 

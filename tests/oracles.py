@@ -325,7 +325,7 @@ def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
     """Build the colored longitude by composing translation automorphisms,
     rather than evaluating the word pointwise."""
     acc = identity_automorphism(q)
-    colors = coloring.arc_colors
+    colors = coloring.colors
     for arc, barred in qk.symbolic_longitude(d).letters:
         acc = compose_automorphisms(acc, translation(q, colors[arc - 1], barred))
     return acc
@@ -353,7 +353,7 @@ def longitude_family_images(d: qk.LongDiagram, q: qk.FiniteQuandle, basepoint: i
     coloring and element, on words spelled out from the code."""
     out = []
     for c in qk.colorings_long(d, q, basepoint):
-        colors = c.arc_colors
+        colors = c.colors
         word = tuple(letter for i in range(d.n) for letter in (
             (colors[i], d.sign[i] > 0), (colors[d.over_arc[i] - 1], d.sign[i] < 0)))
         out.append(_images_by_eval_word(q, word))

@@ -110,9 +110,9 @@ def test_criterion_5_oracle_equivalence(s5_class):
     for d in small_longs:
         for quandle in (qk.dihedral(3), qk.dihedral(5), qk.trivial(4)):
             for basepoint in range(len(quandle)):
-                got = [c.arc_colors for c in qk.colorings_long(d, quandle, basepoint)]
+                got = [c.colors for c in qk.colorings_long(d, quandle, basepoint)]
                 ok = ok and got == oracles.brute_colorings_long(d, quandle, basepoint)
-    got = [c.arc_colors for c in qk.colorings_closed(fx.TREFOIL_CLOSED, qk.dihedral(3), 0)]
+    got = [c.colors for c in qk.colorings_closed(fx.TREFOIL_CLOSED, qk.dihedral(3), 0)]
     ok = ok and got == oracles.brute_colorings_closed(fx.TREFOIL_CLOSED, qk.dihedral(3), 0)
 
     # colored longitudes: composed translations against pointwise word evaluation
@@ -148,7 +148,7 @@ def test_criterion_6_structural_properties(s5_class, a5, a6):
         for c in colorings:
             phi = qk.colored_longitude(c, quandle)
             ok = ok and oracles.is_automorphism(quandle, phi.images)
-            ok = ok and phi(query.basepoint) == c.arc_colors[-1]
+            ok = ok and phi(query.basepoint) == c.colors[-1]
         s = qk.formal_sum(d, query)
         ok = ok and s.coefficient(query.act_on) >= 1
         ok = ok and s.mass() == len(colorings)
@@ -188,7 +188,7 @@ def test_criterion_7_virtual_witness():
         for c in colorings:
             phi = qk.colored_longitude(c, quandle)
             ok = ok and oracles.is_automorphism(quandle, phi.images)
-            ok = ok and phi(query.basepoint) == c.arc_colors[-1]
+            ok = ok and phi(query.basepoint) == c.colors[-1]
     _report("criterion 7: recorded virtual witness", ok)
 
 

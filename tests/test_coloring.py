@@ -19,7 +19,7 @@ class TestLongColorings:
     def test_unknot_single_coloring(self):
         d3 = qk.dihedral(3)
         cols = qk.colorings_long(fx.UNKNOT_LONG, d3, 2)
-        assert len(cols) == 1 and cols[0].arc_colors == (2,)
+        assert len(cols) == 1 and cols[0].colors == (2,)
 
     def test_5_2_has_seven(self, s5_class):
         q = fx.query_5_2()
@@ -29,7 +29,7 @@ class TestLongColorings:
     def test_long_trefoil_matches_brute_force(self):
         d3 = qk.dihedral(3)
         long_trefoil = qk.break_at(fx.TREFOIL_CLOSED, 1)
-        got = [c.arc_colors for c in qk.colorings_long(long_trefoil, d3, 0)]
+        got = [c.colors for c in qk.colorings_long(long_trefoil, d3, 0)]
         assert got == oracles.brute_colorings_long(long_trefoil, d3, 0)
 
     def test_every_coloring_verifies(self, s5_class):
@@ -39,7 +39,7 @@ class TestLongColorings:
 
     def test_output_sorted(self, s5_class):
         q = fx.query_5_2()
-        cols = [c.arc_colors for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint)]
+        cols = [c.colors for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint)]
         assert cols == sorted(cols)
 
     def test_classical_fixtures_close_up(self, s5_class, a5, a6):
@@ -52,7 +52,7 @@ class TestLongColorings:
         ]
         for d, quandle, basepoint in cases:
             cols = qk.colorings_long(d, quandle, basepoint)
-            assert cols and all(c.arc_colors[-1] == basepoint for c in cols)
+            assert cols and all(c.colors[-1] == basepoint for c in cols)
 
     def test_basepoint_validation(self):
         # a basepoint that is not exactly an int would be copied into the colorings,
@@ -74,11 +74,11 @@ class TestClosedColorings:
         d5 = qk.dihedral(5)
         for code in (fx.TREFOIL_CLOSED, fx.KNOT_6_3_CLOSED, fx.VIRTUAL_WITNESS_CODE):
             cols = qk.colorings_closed(code, d5, 3)
-            assert (3,) * code.n in [c.arc_colors for c in cols]
+            assert (3,) * code.n in [c.colors for c in cols]
 
     def test_closed_trefoil_three_colorings(self):
         d3 = qk.dihedral(3)
-        got = [c.arc_colors for c in qk.colorings_closed(fx.TREFOIL_CLOSED, d3, 0)]
+        got = [c.colors for c in qk.colorings_closed(fx.TREFOIL_CLOSED, d3, 0)]
         assert len(got) == 3
         assert got == oracles.brute_colorings_closed(fx.TREFOIL_CLOSED, d3, 0)
 
@@ -102,9 +102,7 @@ class TestTangleColorings:
     def test_crossingless_tangle(self):
         d3 = qk.dihedral(3)
         cols = qk.colorings_tangle_boundary_mono(fx.crossingless_tangle(), d3, 1)
-        assert len(cols) == 1 and cols[0].strands == ((1,), (1,))
-        with pytest.raises(ValueError, match="^arc_colors is for single-strand diagrams; use strands$"):
-            cols[0].arc_colors
+        assert len(cols) == 1 and cols[0].strands == ((1,), (1,)) and cols[0].colors == (1, 1)
 
     def test_t62_has_nine(self, a6):
         q = fx.query_t62()
@@ -143,7 +141,7 @@ class TestOracleAgreementSmall:
     def test_long_matches_brute(self, d):
         for q in (qk.dihedral(3), qk.dihedral(4), qk.trivial(3)):
             for basepoint in range(len(q)):
-                got = [c.arc_colors for c in qk.colorings_long(d, q, basepoint)]
+                got = [c.colors for c in qk.colorings_long(d, q, basepoint)]
                 assert got == oracles.brute_colorings_long(d, q, basepoint)
 
     @pytest.mark.parametrize("code", [
@@ -153,7 +151,7 @@ class TestOracleAgreementSmall:
     ])
     def test_closed_matches_brute(self, code):
         for q in (qk.dihedral(3), qk.dihedral(5)):
-            got = [c.arc_colors for c in qk.colorings_closed(code, q, 0)]
+            got = [c.colors for c in qk.colorings_closed(code, q, 0)]
             assert got == oracles.brute_colorings_closed(code, q, 0)
 
 
@@ -329,10 +327,15 @@ class TestBasepointOrbit:
         basepoint = data.draw(st.integers(0, len(q) - 1))
         found = COLORINGS[type(d)](d, q, basepoint)
         orbit = oracles.color_orbit(q, basepoint)
-        assert all(x in orbit for c in found for strand in c.strands for x in strand)
-        arcs, relations, _, ends = diagram._compile(d)
-        assert [sum(c.strands, ()) for c in found] == oracles.propagating_rows(
+        assert all(x in orbit for c in found for x in c.colors)
+        # each coloring holds the search's row as it is, and its strands split that row
+        system = diagram._compile(d)
+        arcs, relations, _, ends = system
+        rows = [c.colors for c in found]
+        assert rows == coloring._solve(system, basepoint, q) == oracles.propagating_rows(
             sum(arcs), relations, dict.fromkeys(ends, basepoint), q)
+        for c in found:
+            assert tuple(map(len, c.strands)) == arcs and sum(c.strands, ()) == c.colors
 
     def test_braid_closure_answers_at_once(self, a6):
         # the 29-crossing closure of this 4-braid word, broken at arc 1, plans 3 guesses;
@@ -422,7 +425,7 @@ class TestLevelOneSymmetry:
     def test_tables_failing_q3_match_brute_force(self, d, q):
         # at 0, the symmetry is used on the first table and refused on the second
         arcs, relations, _, ends = diagram._compile(d)
-        assert [sum(c.strands, ()) for c in COLORINGS[type(d)](d, q, 0)] == oracles.brute_rows(
+        assert [c.colors for c in COLORINGS[type(d)](d, q, 0)] == oracles.brute_rows(
             sum(arcs), relations, dict.fromkeys(ends, 0), q)
 
     @pytest.mark.parametrize("spec, basepoint", [("conjgroup:A6", "(1,2,3,4)(5,6)"),
@@ -556,39 +559,29 @@ class TestBraidFixedPoints:
             assert len(qk.colorings_closed(d, q, basepoint)) == oracles.braid_fixed_points(*braid, q, basepoint)
 
 
-def _mono(shape):
-    return tuple((0,) * n for n in shape)
-
-
 class TestVerifyColoringShapes:
-    T62_SHAPE = tuple(len(s) + 1 for s in fx.tangle_t62().strands)
-
-    @pytest.mark.parametrize("d, shape, wrong", [
-        (qk.LongDiagram((1,), (1,)), (2,), [(2, 1), (1,), (3,), ()]),
-        (fx.TREFOIL_CLOSED, (3,), [(3, 1), (2,), (4,), ()]),
-        (fx.tangle_t62(), T62_SHAPE, [
-            T62_SHAPE[:1],                                # one strand
-            T62_SHAPE + (1,),                             # three strands
-            (T62_SHAPE[0] + 1, T62_SHAPE[1] - 1),         # same total, wrong split
-            (T62_SHAPE[0], T62_SHAPE[1] + 1),
-        ]),
-    ], ids=["long", "closed", "tangle"])
-    def test_wrong_strand_or_arc_count_is_false(self, d, shape, wrong):
-        d3 = qk.dihedral(3)
-        assert qk.verify_coloring(qk.Coloring(d, _mono(shape)), d3)
-        for bad in wrong:
-            assert qk.verify_coloring(qk.Coloring(d, _mono(bad)), d3) is False
+    @pytest.mark.parametrize("d", [qk.LongDiagram((1,), (1,)), fx.TREFOIL_CLOSED, fx.tangle_t62()],
+                             ids=["long", "closed", "tangle"])
+    def test_wrong_strand_or_arc_count_is_false(self, d):
+        # one color per arc verifies; a row one color short, one color long or empty does
+        # not, nor do the same colors split per strand
+        d3, arcs = qk.dihedral(3), sum(diagram._compile(d).arcs)
+        mono = qk.Coloring(d, (0,) * arcs)
+        assert qk.verify_coloring(mono, d3)
+        for bad in ((0,) * (arcs - 1), (0,) * (arcs + 1), (), mono.strands):
+            assert qk.verify_coloring(qk.Coloring(d, bad), d3) is False
 
     @pytest.mark.parametrize("color", [-1, 3, True, 1.0])
     def test_color_out_of_range_is_false(self, color):
-        c = qk.Coloring(qk.LongDiagram((2,), (1,)), ((color, color),))
+        c = qk.Coloring(qk.LongDiagram((2,), (1,)), (color, color))
         assert qk.verify_coloring(c, qk.dihedral(3)) is False
 
-    # the trefoil's coloring (0, 1, 2, 0) with a strand that is no sequence, a color that is
-    # no int, and the same colors as floats or bools
-    @pytest.mark.parametrize("strands", [(0, 1, 2, 0), ((0, 1, 2, "a"),), ((0.0, 1.0, 2.0, 0.0),),
-                                         ((False, True, 2, False),), ((0, 1, 2, 0), 5)])
+    # the trefoil's coloring (0, 1, 2, 0) nested as one strand, a color that is no int, the
+    # same colors as floats or bools, each color nested, and colors that are no sequence
+    @pytest.mark.parametrize("strands", [((0, 1, 2, 0),), (0, 1, 2, "a"), (0.0, 1.0, 2.0, 0.0),
+                                         (False, True, 2, False), ((0,), (1,), (2,), (0,)),
+                                         {0: 0, 1: 1, 2: 2, 3: 0}])
     def test_malformed_strands_or_colors_are_false(self, strands):
         d, d3 = qk.LongDiagram((3, 1, 2), (1, 1, 1)), qk.dihedral(3)
-        assert qk.verify_coloring(qk.Coloring(d, ((0, 1, 2, 0),)), d3)
+        assert qk.verify_coloring(qk.Coloring(d, (0, 1, 2, 0)), d3)
         assert qk.verify_coloring(qk.Coloring(d, strands), d3) is False

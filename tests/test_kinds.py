@@ -18,7 +18,7 @@ DIAGRAMS = {"long": LONG, "closed": fx.KNOT_5_2_CLOSED, "tangle": fx.tangle_t62(
 
 def _constant_coloring(d) -> qk.Coloring:
     """Every arc of d colored 0, whatever d's kind."""
-    return qk.Coloring(d, tuple((0,) * n for n in diagram._compile(d).arcs))
+    return qk.Coloring(d, (0,) * sum(diagram._compile(d).arcs))
 
 
 # (test id, function name, the kinds it takes in message order, a call of it on one diagram)
@@ -74,6 +74,6 @@ def test_refuses_what_is_not_a_diagram():
     with pytest.raises(ValueError, match=r"^formal_sum needs a long or closed diagram, not 'O1\+ U1\+'$"):
         qk.formal_sum("O1+ U1+", QUERY)
     # the functions that take any kind refuse the rest with a ValueError too
-    for call in (qk.mirror, qk.serialize_diagram, lambda d: qk.verify_coloring(qk.Coloring(d, ((0,),)), D3)):
+    for call in (qk.mirror, qk.serialize_diagram, lambda d: qk.verify_coloring(qk.Coloring(d, (0,)), D3)):
         with pytest.raises(ValueError, match=r"^not a diagram: 'O1\+ U1\+'$"):
             call("O1+ U1+")

@@ -72,12 +72,12 @@ class TestSymbolicLongitude:
 class TestColoredLongitude:
     def test_monochromatic_gives_identity(self, s5_class):
         q = fx.query_5_2()
-        mono = qk.Coloring(fx.KNOT_5_2_LONG, ((q.basepoint,) * 6,))
+        mono = qk.Coloring(fx.KNOT_5_2_LONG, (q.basepoint,) * 6)
         assert qk.colored_longitude(mono, s5_class) == oracles.identity_automorphism(s5_class)
 
     def test_unknot_identity(self):
         d3 = qk.dihedral(3)
-        mono = qk.Coloring(fx.UNKNOT_LONG, ((1,),))
+        mono = qk.Coloring(fx.UNKNOT_LONG, (1,))
         assert qk.colored_longitude(mono, d3) == oracles.identity_automorphism(d3)
 
     @settings(max_examples=200, deadline=None)
@@ -89,7 +89,7 @@ class TestColoredLongitude:
         q, basepoint = q_and_basepoint
         for c in qk.colorings_long(d, q, basepoint):
             phi = qk.colored_longitude(c, q)
-            assert phi(c.arc_colors[0]) == c.arc_colors[-1]
+            assert phi(c.colors[0]) == c.colors[-1]
 
     def test_composed_translations_agree(self, s5_class):
         # two routes: pointwise word evaluation vs composed translation maps
@@ -106,19 +106,21 @@ class TestColoredLongitude:
             phi = qk.colored_longitude(c, s5_class)
             assert oracles.is_automorphism(s5_class, phi.images)
 
-    # strands of a 4-arc long trefoil: a color past the end, a negative color,
-    # a negative color on a second strand, a strand one arc short, colors that are
-    # floats, bools or no number, and a strand that is no sequence
-    @pytest.mark.parametrize("colors", [((0, 3, 0, 0),), ((0, -1, 0, 0),), ((0, 1), (-1, 0)), ((0, 1, 0),),
-                                        ((0.0, 1.0, 2.0, 0.0),), ((False, True, 2, False),), ((0, 1, 2, "a"),),
-                                        (0, 1, 2, 0)])
+    # colorings of a 4-arc long trefoil: a color past the end, a negative color, a row one
+    # color long, one color short, colors that are floats, bools or no number, the colors
+    # nested as one strand, and colors that are no sequence although they index alike
+    @pytest.mark.parametrize("colors", [(0, 3, 0, 0), (0, -1, 0, 0), (0, 1, 2, 0, 0), (0, 1, 0),
+                                        (0.0, 1.0, 2.0, 0.0), (False, True, 2, False), (0, 1, 2, "a"),
+                                        ((0, 1, 2, 0),), {0: 0, 1: 1, 2: 2, 3: 0}])
     def test_color_outside_quandle(self, colors):
         d = qk.break_at(fx.TREFOIL_CLOSED, 1)
         with pytest.raises(ValueError, match="outside the quandle|arcs|sequences"):
             qk.colored_longitude(qk.Coloring(d, colors), qk.dihedral(3))
 
-    @pytest.mark.parametrize("colors", [((0, 0, 0, 0), (0, -1, 0, 0)), ((0, 0, 0, 0), (0, 0, 0)),
-                                        ((0, 0, 0, 0), (0, 0, 0, 1.0)), ((0, 0, 0, 0), 0)])
+    # a negative color on the second strand, a row one color short, a float color, the
+    # colors split per strand, and a row one color long
+    @pytest.mark.parametrize("colors", [(0, 0, 0, 0, 0, -1, 0, 0), (0,) * 7, (0,) * 7 + (1.0,),
+                                        ((0, 0, 0, 0), (0, 0, 0, 0)), (0,) * 9])
     def test_tangle_parts_refuse_a_misshapen_coloring(self, colors):
         t = fx.tangle_t62()  # strands of 4 and 4 arcs
         with pytest.raises(ValueError, match="outside the quandle|arcs|sequences"):
@@ -143,7 +145,7 @@ class TestColoredLongitude:
         q = fx.query_5_2()
         letters = qk.symbolic_longitude(fx.KNOT_5_2_LONG).letters
         for c in qk.colorings_long(fx.KNOT_5_2_LONG, s5_class, q.basepoint):
-            word = tuple((c.arc_colors[arc - 1], barred) for arc, barred in letters)
+            word = tuple((c.colors[arc - 1], barred) for arc, barred in letters)
             base = oracles.eval_word(s5_class, q.act_on, word)
             for cut in (0, 3, len(word)):
                 padded = word[:cut] + ((q.basepoint, False), (q.basepoint, True)) + word[cut:]
@@ -250,7 +252,7 @@ class TestBatchedEvaluation:
         query = query()
         q = query.quandle
         _, _, (w1, w2), _ = diagram._compile(t)
-        rows = [sum(c.strands, ()) for c in qk.colorings_tangle_boundary_mono(t, q, query.basepoint)]
+        rows = [c.colors for c in qk.colorings_tangle_boundary_mono(t, q, query.basepoint)]
         batched = [[longitude._images(q, word, row) for row in rows] for word in (w1 + w2, w2 + w1)]
         assert batched == list(oracles.tangle_order_images(t, q, query.basepoint))
         # S1 and S2 are the act-on column of the two orders' images
@@ -383,7 +385,7 @@ class TestConnectedSumsFromFactors:
             ends = collections.Counter()
             for phi_a, n_a in family_a.items():
                 ends[phi_a[b0]] += n_a
-            assert ends == collections.Counter(c.arc_colors[-1] for c in qk.colorings_long(a, q, b0))
+            assert ends == collections.Counter(c.colors[-1] for c in qk.colorings_long(a, q, b0))
             for phi_a, n_a in family_a.items():
                 for phi_b, n_b in longitude._longitudes((b,), q, phi_a[b0], {}).items():
                     composed += [tuple(phi_b[phi_a[x]] for x in range(len(q)))] * (n_a * n_b)
@@ -474,7 +476,7 @@ class TestCountedStates:
         ends = collections.Counter()
         for image, n in states.items():
             ends[image[basepoint]] += n
-        assert ends == collections.Counter(c.arc_colors[-1] for c in colorings)
+        assert ends == collections.Counter(c.colors[-1] for c in colorings)
 
     @settings(max_examples=200, deadline=None)
     @given(random_long_codes(), random_long_codes(), with_basepoint(st.one_of(fx.SPEC_QUANDLES, st.just(fx.PSL27_CLASS))))
@@ -609,6 +611,16 @@ class TestSumAlgebra:
         with pytest.raises(ValueError, match="^formal sum element index 5 out of range$"):
             qk.FormalSum.from_elements(qk.dihedral(3), [0, 5])
 
+    def test_coefficient_refuses_what_is_not_an_element(self):
+        # True and 1.0 once read the coefficient at element 1, and 7 read 0
+        s = qk.FormalSum.from_counts(qk.dihedral(3), {1: 2})
+        assert s.coefficient(1) == 2 and s.coefficient(0) == 0
+        for element, message in ((True, "element index must be an int, got True"),
+                                 (1.0, "element index must be an int, got 1.0"),
+                                 (7, "element index 7 out of range"), (-1, "element index -1 out of range")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                s.coefficient(element)
+
     def test_json_map(self, s5_class):
         s = qk.formal_sum(fx.KNOT_5_2_LONG, fx.query_5_2())
         assert oracles.sum_to_json(s) == '{"(1,2,3)(4,5)": 1, "(1,2,4)(3,5)": 6}'
@@ -640,9 +652,9 @@ class TestTangleLongitudes:
         t = qk.TangleDiagram((tuple(qk.TangleCrossing(1, a, s) for a, s in zip(d.over_arc, d.sign)), ()))
         tangle_cols = qk.colorings_tangle_boundary_mono(t, s5_class, q.basepoint)
         long_cols = qk.colorings_long(d, s5_class, q.basepoint)
-        assert [c.strands[0] for c in tangle_cols] == [c.arc_colors for c in long_cols]
+        assert [c.strands[0] for c in tangle_cols] == [c.colors for c in long_cols]
         for tc, lc in zip(tangle_cols, long_cols):
-            colors = lc.arc_colors
+            colors = lc.colors
             word = tuple(letter for i in range(d.n) for letter in (
                 (colors[i], d.sign[i] > 0), (colors[d.over_arc[i] - 1], d.sign[i] < 0)))
             w1, w2 = qk.tangle_longitude_parts(tc)

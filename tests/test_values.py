@@ -25,7 +25,7 @@ FIELDS = {
     qk.ClosedDiagram: ("over_arc", "sign"),
     qk.TangleCrossing: ("over_strand", "over_arc", "sign"),
     qk.TangleDiagram: ("strands",),
-    qk.Coloring: ("diagram", "strands"),
+    qk.Coloring: ("diagram", "colors"),
     qk.InvariantQuery: ("quandle", "basepoint", "act_on"),
     qk.SymbolicLongitude: ("letters",),
     qk.AutomorphismFamily: ("quandle", "members"),
