@@ -78,14 +78,10 @@ def cmd_verify_quandle(args) -> int:
 
 
 def cmd_colorings(args) -> int:
-    if bool(args.diagram) == bool(args.tangle):
-        raise ValueError("give either --diagram or --tangle")
-    if args.tangle and not args.boundary_mono:
-        raise ValueError("tangle colorings require --boundary-mono")
-    d = _load_diagram(args.tangle or args.diagram)
+    d = _load_diagram(args.diagram)
     query = _query(args)
     q = query.quandle
-    if args.tangle:
+    if isinstance(d, diagram.TangleDiagram):
         found = coloring.colorings_tangle_boundary_mono(d, q, query.basepoint)
     else:
         closed = isinstance(d, diagram.ClosedDiagram)
@@ -154,10 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_quandle)
 
     p = sub.add_parser("colorings", help="count (and list) quandle colorings")
-    p.add_argument("--diagram", help="long or closed diagram JSON file")
-    p.add_argument("--tangle", help="tangle diagram JSON file")
-    p.add_argument("--boundary-mono", action="store_true",
-                   help="boundary-monochromatic tangle colorings")
+    p.add_argument("--diagram", required=True,
+                   help="long, closed or tangle diagram JSON file: arc 1, or all four end arcs of a "
+                        "tangle, take the basepoint")
     p.add_argument("--list", action="store_true", help="print each coloring")
     _add_query_flags(p, need_act_on=False)
     p.set_defaults(act_on=None)

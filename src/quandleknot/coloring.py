@@ -243,15 +243,15 @@ def _search(levels: list, assign: list[int | None], basepoint: int, q: FiniteQua
 def _solve(system: System, basepoint: int, q: FiniteQuandle) -> list[tuple[int, ...]]:
     """Every solution of the system with its pinned end arcs colored ``basepoint``, sorted.
 
-    When ``q._symmetry(basepoint)`` holds the powers of R_q, level 1 tries
+    When ``q._symmetry(basepoint)`` holds R_q and its cycles, level 1 tries
     only the least member of each cycle of R_q.  That is exact.  Level 0
     derives only from q, and q op q = q, so level 1 sees only q, and R_q,
     which fixes q, maps its colors (the orbit, or {y : q op y = q}) onto
     themselves.  R_q respects ``*`` and ``*bar`` on the orbit, which holds
     every color, so R_q^k maps the colorings whose level-1 arc is r one to
     one onto those where it is R_q^k(r).  Each found coloring is carried over
-    by R_q^k for 0 < k < the cycle length of its level-1 color, and no row
-    is made twice.
+    by R_q^k for 0 < k < the cycle length of its level-1 color, by applying
+    R_q's table of images to the previous row, and no row is made twice.
     """
     levels = _plan(system)
     assign: list[int | None] = [None] * sum(system.arcs)
@@ -260,11 +260,13 @@ def _solve(system: System, basepoint: int, q: FiniteQuandle) -> list[tuple[int, 
     symmetry = q._symmetry(basepoint) if len(levels) > 1 else None
     if symmetry is None:
         return sorted(_search(levels, assign, basepoint, q))
-    powers, lengths = symmetry
+    col, lengths = symmetry
     found = _search(levels, assign, basepoint, q, lengths)
     rows, arc = list(found), levels[1][0]
-    for row in found:  # two levels color two arcs, so itemgetter returns a tuple
-        rows += map(operator.itemgetter(*row), powers[1:lengths[row[arc]]])
+    for row in found:
+        for _ in range(1, lengths[row[arc]]):
+            row = operator.itemgetter(*row)(col)  # two levels color two arcs, so a tuple
+            rows.append(row)
     return sorted(rows)
 
 

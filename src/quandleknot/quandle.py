@@ -65,8 +65,8 @@ class FiniteQuandle(Value):
     ``_orbit(x)`` is the orbit of x under Inn(Q), the group the right
     translations generate: the coloring search guesses an arc only among the
     orbit of a known arc's color.  Each orbit is kept once found, and so is
-    ``_symmetry(x)``: the powers of R_x: y -> y * x and its cycles on the
-    orbit of x, which let a search at basepoint x skip colorings it can map
+    ``_symmetry(x)``: R_x: y -> y * x as a table of images and its cycles on
+    the orbit of x, which let a search at basepoint x skip colorings it can map
     from others, or None where R_x does not respect ``*`` on that orbit.
 
     ``degree`` is the permutation degree when the quandle was built from
@@ -146,11 +146,11 @@ class FiniteQuandle(Value):
     def _symmetries(self) -> dict:
         return {}
 
-    def _symmetry(self, x: int) -> tuple[tuple[tuple[int, ...], ...], list[int]] | None:
-        """R_x: y -> y * x as an automorphism of the orbit of x: ``(powers, lengths)``, or None.
+    def _symmetry(self, x: int) -> tuple[tuple[int, ...], list[int]] | None:
+        """R_x: y -> y * x as an automorphism of the orbit of x: ``(col, lengths)``, or None.
 
-        ``powers[k]`` is R_x^k as a table of images, for k below the longest
-        cycle of R_x on the orbit.  ``lengths[y]`` is the length of the cycle
+        ``col`` is R_x as a table of images, the column of x in ``star``:
+        ``col[y] = y * x``.  ``lengths[y]`` is the length of the cycle
         of y when y is its least member in the orbit, and 0 for every other
         element.  None when R_x fixes the orbit, or when (i * j) * x != (i *
         x) * (j * x) for some i, j in it (never under Q3).  R_x is a bijection
@@ -170,10 +170,7 @@ class FiniteQuandle(Value):
                             seen.add(z)
                             z, n = col[z], n + 1
                         lengths[y] = n
-                powers = [tuple(range(len(self)))]
-                while len(powers) < max(lengths):
-                    powers.append(_pick(col, powers[-1]))
-                cache[x] = tuple(powers), lengths
+                cache[x] = col, lengths
         return cache[x]
 
     def __len__(self) -> int:

@@ -333,14 +333,14 @@ def longitude_by_composed_translations(d: qk.LongDiagram, q: qk.FiniteQuandle,
 
 def eval_word(q: qk.FiniteQuandle, start: int, word) -> int:
     """Left-normed fold: acc <- acc * letter (or *bar letter) for each ``(element, barred)``
-    letter, one ``q.op`` per letter; ValueError for an element index out of range."""
+    letter, one table read per letter; ValueError for an element index out of range."""
     m, word = len(q), tuple(word)
     for elem in (start, *(elem for elem, _ in word)):
         if not 0 <= elem < m:
             raise ValueError(f"element index {elem} out of range")
-    acc = start
+    star, barstar, acc = q.star, q.barstar, start  # read directly: every index is in range, checked above
     for elem, barred in word:
-        acc = q.op(acc, elem, barred)
+        acc = (barstar if barred else star)[acc][elem]
     return acc
 
 

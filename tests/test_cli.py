@@ -105,15 +105,10 @@ class TestColorings:
         assert "1 colorings" in out and "1" in out.splitlines()[1]
 
     def test_tangle_boundary_mono(self, capsys):
-        code, out = run(capsys, "colorings", "--tangle", fixture("tangle_t62.json"),
-                        "--boundary-mono", "--quandle", "conjgroup:A6",
+        code, out = run(capsys, "colorings", "--diagram", fixture("tangle_t62.json"),
+                        "--quandle", "conjgroup:A6",
                         "--basepoint", "(1,2,3,4)(5,6)", "--json")
         assert code == 0 and json.loads(out)["count"] == 9
-
-    def test_tangle_requires_boundary_mono(self, capsys):
-        code = main(["colorings", "--tangle", fixture("tangle_t62.json"),
-                     "--quandle", "dihedral:3", "--basepoint", "0"])
-        assert code == 1
 
     def test_closed_diagram(self, capsys):
         code, out = run(capsys, "colorings", "--diagram", fixture("trefoil_closed.json"),
@@ -207,20 +202,25 @@ class TestDeterminismAndErrors:
         _, parallel = run(capsys, *(argv + ["--jobs", "2"]))
         assert serial == parallel
 
-    @pytest.mark.parametrize("argv", [
-        ["verify-quandle", "--quandle", "nosuch:3"],
-        ["colorings", "--diagram", "/nonexistent.json", "--quandle", "dihedral:3", "--basepoint", "0"],
-        ["invariant", "--diagram", str(FIXTURE_DIR / "knot_5_2_long.json"),
-         "--quandle", "dihedral:3", "--basepoint", "9"],
-        ["connected-sum", "--diagram", str(FIXTURE_DIR / "knot_5_2_long.json"),
-         "--quandle", "dihedral:3", "--basepoint", "0"],
-        ["colorings", "--quandle", "dihedral:3", "--basepoint", "0"],
-        ["colorings", "--diagram", str(FIXTURE_DIR / "trefoil_long.json"),
-         "--tangle", str(FIXTURE_DIR / "tangle_t62.json"), "--boundary-mono",
-         "--quandle", "dihedral:3", "--basepoint", "0"],
-    ])
-    def test_validation_failures_exit_nonzero(self, argv, capsys):
-        assert main(argv) != 0
+    @pytest.mark.parametrize("argv, status", [
+        (["verify-quandle", "--quandle", "nosuch:3"], 1),
+        (["colorings", "--diagram", "/nonexistent.json", "--quandle", "dihedral:3", "--basepoint", "0"], 1),
+        (["invariant", "--diagram", str(FIXTURE_DIR / "knot_5_2_long.json"),
+          "--quandle", "dihedral:3", "--basepoint", "9"], 1),
+        (["connected-sum", "--diagram", str(FIXTURE_DIR / "knot_5_2_long.json"),
+          "--quandle", "dihedral:3", "--basepoint", "0"], 1),
+        # argparse's usage errors: a missing --diagram, and flags colorings does not take
+        (["colorings", "--quandle", "dihedral:3", "--basepoint", "0"], 2),
+        (["colorings", "--diagram", str(FIXTURE_DIR / "trefoil_long.json"),
+          "--tangle", str(FIXTURE_DIR / "tangle_t62.json"), "--boundary-mono",
+          "--quandle", "dihedral:3", "--basepoint", "0"], 2),
+    ], ids=[f"argv{i}" for i in range(6)])
+    def test_validation_failures_exit_nonzero(self, argv, status, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == status
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_refused(self, jobs, capsys):
@@ -246,8 +246,6 @@ def run_error(capsys, *argv) -> str:
 
 class TestRefusedInputs:
     @pytest.mark.parametrize("argv", [
-        ["colorings", "--diagram", "tangle_t62.json"],
-        ["colorings", "--tangle", "knot_5_2_long.json", "--boundary-mono"],
         ["invariant", "--diagram", "tangle_t62.json"],
         ["chirality", "--diagram", "tangle_t62.json"],
         ["tangle-obstruction", "--tangle", "knot_5_2_long.json", "--knot", "knot_6_3_closed.json"],
@@ -263,7 +261,6 @@ class TestRefusedInputs:
 
     @pytest.mark.parametrize("argv", [
         ["connected-sum", "--diagram", "knot_5_2_long.json"],
-        ["colorings", "--tangle", "tangle_t62.json"],
         ["invariant", "--diagram", "no_such_diagram.json"],
     ], ids=lambda argv: " ".join(argv))
     def test_cheap_mistakes_refused_before_the_quandle_is_built(self, argv, capsys, monkeypatch):
@@ -370,10 +367,7 @@ class TestRefusedInputs:
     def test_non_integer_diagram_fields(self, obj, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps(obj))
-        flag = "--tangle" if obj["kind"] == "tangle" else "--diagram"
-        argv = ["colorings", flag, str(path), "--quandle", "dihedral:3", "--basepoint", "0"]
-        if obj["kind"] == "tangle":
-            argv.append("--boundary-mono")
+        argv = ["colorings", "--diagram", str(path), "--quandle", "dihedral:3", "--basepoint", "0"]
         assert "malformed diagram JSON" in run_error(capsys, *argv)
 
     @pytest.mark.parametrize("corrupt", [
@@ -494,7 +488,7 @@ def test_coloring_commands_run_without_numpy(tmp_path):
     cases = json.loads(README_GOLDEN.read_text())
     assert [case["argv"][0] for case in cases] == ["colorings", "chirality", "chirality", "tangle-obstruction",
                                                   "nonclassical", "verify-quandle", "connected-sum", "connected-sum",
-                                                  "connected-sum"]
+                                                  "connected-sum", "colorings"]
     on_spec = next(case for case in cases if "conjgroup:A5" in case["argv"])
     a5_file = tmp_path / "a5.json"
     a5_file.write_text(qk.quandle_to_json(qk.parse_quandle_spec("conjgroup:A5")))
